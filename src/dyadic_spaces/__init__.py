@@ -7,7 +7,7 @@ tower counterexamples separating them; classifies parameter tuples to the
 classical space they coincide with; and analyzes sampled periodic functions
 through a band-pass filter bank for transform-consistency checks.
 """
-from ._log2 import NEG_INF, log2_add, log2_sub, log2_sum, log2_to_linear
+from ._log2 import NEG_INF, log2_sum, log2_to_linear
 from .analyze import (
     FilterBank,
     GridFunction,

@@ -12,30 +12,6 @@ import math
 import numpy as np
 
 NEG_INF = float("-inf")
-_LN2 = math.log(2.0)
-
-
-def log2_add(a: float, b: float) -> float:
-    """log2(2**a + 2**b) without leaving the log domain."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a >= b:
-        hi, lo = a, b
-    else:
-        hi, lo = b, a
-    return hi + math.log2(1.0 + 2.0 ** (lo - hi))
-
-
-def log2_sub(a: float, b: float) -> float:
-    """log2(2**a - 2**b) for a >= b; -inf when the difference vanishes."""
-    if b == NEG_INF:
-        return a
-    d = b - a
-    if d >= 0.0:
-        return NEG_INF
-    return a + math.log2(-math.expm1(d * _LN2))
 
 
 def log2_sum(values) -> float:
@@ -47,17 +23,6 @@ def log2_sum(values) -> float:
     if m == NEG_INF:
         return NEG_INF
     return m + math.log2(float(np.exp2(arr - m).sum()))
-
-
-def log2_sub_vec(a: np.ndarray, b: float) -> np.ndarray:
-    """Elementwise log2(2**a - 2**b); every entry of ``a`` must be >= b."""
-    if b == NEG_INF:
-        return np.array(a, dtype=float, copy=True)
-    out = np.full(a.shape, NEG_INF)
-    d = b - a
-    mask = d < 0.0
-    out[mask] = a[mask] + np.log2(-np.expm1(d[mask] * _LN2))
-    return out
 
 
 def log2_to_linear(v: float) -> float:

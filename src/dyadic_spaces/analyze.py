@@ -360,13 +360,15 @@ def _tie_update(val, cube, best, best_cube, best_key):
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Function-side over sequence-side norm ratio for one sampled function."""
+    """Function-side over sequence-side norm ratio for one sampled function;
+    ``entries`` counts the coefficients the sequence side was computed from."""
 
     function_norm: NormValue
     sequence_norm: NormValue
     ratio: float | None
     band_limited: bool
     max_level: int
+    entries: int = field(default=0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -414,7 +416,7 @@ def transform_consistency(
         ratio = None
     else:
         ratio = 2.0 ** (fn.log2_value - sn.log2_value)
-    return ConsistencyReport(fn, sn, ratio, limited, max_level)
+    return ConsistencyReport(fn, sn, ratio, limited, max_level, len(seq))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyze import (
-    GridFunction,
-    build_filter_bank,
-    coefficients,
-    transform_consistency,
-)
+from .analyze import GridFunction, build_filter_bank, transform_consistency
 from .classify import SpaceDescriptor, classify, classify_cmo, refute_claim
 from .equivalence import (
     check_holder_embeddings,
@@ -429,7 +424,6 @@ def cmd_analyze(args) -> int:
     )
     max_level = args.max_level if args.max_level is not None else args.L - 2
     report = transform_consistency(f, bank, params, max_level)
-    seq = coefficients(f, bank, max_level)
     payload = {
         "bank": {
             "L": bank.log_resolution,
@@ -437,7 +431,7 @@ def cmd_analyze(args) -> int:
             "valid_levels": [bank.valid_levels.start, bank.valid_levels.stop - 1],
         },
         "consistency": report.to_json_dict(),
-        "coefficients": {"entries": len(seq)},
+        "coefficients": {"entries": report.entries},
     }
     _write_json(args, payload)
     return EXIT_OK

@@ -52,14 +52,6 @@ class DyadicCube:
     # -- geometry -----------------------------------------------------------
 
     @property
-    def side_log2(self) -> int:
-        return -self.level
-
-    @property
-    def volume_log2(self) -> int:
-        return -self.level * self.dim
-
-    @property
     def volume(self) -> Fraction:
         e = self.level * self.dim
         return Fraction(1, 2**e) if e >= 0 else Fraction(2**-e)

@@ -6,19 +6,31 @@ for coefficient fields supported on finitely many dyadic cubes.
 
 The outer supremum over cubes P is taken over every dyadic subcube of the
 root that contains at least one support cube, plus the root itself; for
-nonnegative Morrey exponents this candidate set realizes the supremum over
-all dyadic cubes (the value at any strict ancestor of the root is dominated
-by the value at the root).  All arithmetic runs in the base-2 log domain.
+nonnegative Morrey exponents this set realizes the supremum over all dyadic
+cubes (the value at any strict ancestor of the root is dominated by the value
+at the root).  All arithmetic runs in the base-2 log domain.
+
+The same argument compresses the set inside the root.  Only the root, the m
+support cubes and the branch points (cubes with support under two or more
+children) are evaluated: at most 2m candidates, whatever the depth.  Every
+other cube in the set lies in a chain gap, between a candidate and its
+nearest candidate ancestor, and contains exactly the support of the
+candidate below it.  On a gap the value is therefore slope * level + X, with
+X computed once per gap and the slope tau*n (F, B), r*n/q (CMO) or n/p
+(BBMO, from its per-level average).  The gap's supremum sits at one end: the
+coarsest cube when the slope is <= 0, else the finest, replaced by the
+coarsest gap cube whose value rounds to the same float, so that ties still
+go to the coarsest level, then the smallest index.
 """
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -94,127 +106,175 @@ class NormValue:
         return self.log2_value == NEG_INF
 
 
-class _Candidate(NamedTuple):
-    cube: DyadicCube
-    level: int
-    lo: int
-    hi: int
-    sup_anc: int  # index of nearest support cube strictly containing the candidate
+def _morton(rel: Iterable[int], depth: int, dim: int) -> int:
+    """Z-order code of a relative index: the child codes of the path from
+    the root, most significant first, dimension 0 in the lowest bit of each."""
+    if dim == 1:
+        return next(iter(rel))
+    if depth == 0:
+        return 0
+    bits = [format(k, f"0{depth}b") for k in reversed(tuple(rel))]
+    return int("".join(map("".join, zip(*bits))), 2)
 
 
 class _Geometry:
-    """Compiled support geometry shared by all norm evaluations of a sequence."""
+    """Compiled support geometry shared by all norm evaluations of a sequence.
+
+    Support nodes are kept in depth-first order.  Each node gets a Morton
+    key: its path from the root as a Z-order code, shifted left to the full
+    width of ``depth * dim`` bits (``depth`` is that of the deepest node), so
+    that sorting by (key, node depth) gives the depth-first order and a
+    node's subtree is a contiguous range.
+
+    The candidate set for the outer supremum is the root, the support nodes
+    and the branch points (cubes whose children lead to two or more support
+    subtrees), at most 2m cubes.  Every other dyadic subcube of the root
+    that contains support lies in a chain gap: strictly between a candidate
+    and its nearest candidate ancestor, with exactly the support of the
+    candidate below it.  Candidates are stored as arrays (``cand_level``,
+    ``cand_lo``, ``cand_hi``, ``cand_key``), with ``gap_lo`` the coarsest
+    level of the gap above each candidate; the gap ends just above the
+    candidate's own level.
+    """
 
     def __init__(self, root: DyadicCube, entries: list[tuple[DyadicCube, float]]):
         self.root = root
-        self.dim = root.dim
-        order = sorted(range(len(entries)), key=lambda i: entries[i][0].path_from(root))
+        n = self.dim = root.dim
+        j0 = self.min_level = root.level
+        m = self.m = len(entries)
+        self.max_level = max((q.level for q, _ in entries), default=j0)
+        D = self.depth = self.max_level - j0
+        depth = [q.level - j0 for q, _ in entries]
+        rel = [
+            [k - (r << d) for k, r in zip(q.index, root.index)]
+            for (q, _), d in zip(entries, depth)
+        ]
+        keys = [_morton(r, d, n) << n * (D - d) for r, d in zip(rel, depth)]
+        order = sorted(range(m), key=lambda i: (keys[i], depth[i]))
         self.nodes = [entries[i][0] for i in order]
-        self.paths = [q.path_from(root) for q in self.nodes]
-        m = len(self.nodes)
-        self.m = m
-        self.level = np.array([q.level for q in self.nodes], dtype=np.int64)
+        self.key = [keys[i] for i in order]
+        self.node_depth = [depth[i] for i in order]
+        self.level = np.array(self.node_depth, dtype=np.int64) + j0
         self.level_f = self.level.astype(float)
         self.log2t = np.array([entries[i][1] for i in order], dtype=float)
-        self.log2vol = -self.level_f * self.dim
-        self.min_level = root.level
-        self.max_level = int(self.level.max()) if m else root.level
+        self.log2vol = -self.level_f * n
+        self._compile()
+        self.mu_log2 = self._shell_measures()
 
-        self._path_pos = {p: i for i, p in enumerate(self.paths)}
-        self.parent = np.full(m, -1, dtype=np.int64)
-        self.end = np.full(m, m, dtype=np.int64)
-        stack: list[int] = []
-        for i, pth in enumerate(self.paths):
-            while stack and self.paths[stack[-1]] != pth[: len(self.paths[stack[-1]])]:
-                self.end[stack.pop()] = i
-            if stack:
-                self.parent[i] = stack[-1]
-            stack.append(i)
+    def _compile(self) -> None:
+        """One stack pass over the depth-first keys.
 
-        # Shell measures: node volume minus the volume of its support children,
-        # exact in integer arithmetic at the common scale 2**(max_level*dim).
-        scale = (self.max_level - self.min_level) * self.dim
-        vol_int = [1 << (scale - (q.level - self.min_level) * self.dim) for q in self.nodes]
-        child_vol = [0] * m
-        for i in range(m):
-            par = int(self.parent[i])
-            if par >= 0:
-                child_vol[par] += vol_int[i]
-        self.mu_log2 = np.array(
-            [
-                math.log2(vol_int[i] - child_vol[i]) - scale - self.min_level * self.dim
-                if vol_int[i] > child_vol[i]
-                else NEG_INF
-                for i in range(m)
-            ],
-            dtype=float,
-        )
+        Yields the support parent of every node and the compressed candidate
+        tree, whose ranges [lo, hi) end each candidate's subtree: a branch
+        point is the lowest common ancestor of two depth-first-adjacent
+        nodes, found from the bit length of their key XOR.
+        """
+        n, m, D = self.dim, self.m, self.depth
+        keys, depth = self.key, self.node_depth
+        parent = [-1] * m
+        c_depth, c_key, c_lo, c_hi, c_up = [0], [0], [0], [m], [-1]
+        first = 1 if m and depth[0] == 0 else 0  # is the root a support node?
+        # stack entries: (candidate, depth, key, nearest support node at or
+        # above); they form the candidate chain above the last node
+        stack = [(0, 0, 0, first - 1)]
+        for i in range(first, m):
+            k, d = keys[i], depth[i]
+            top = stack[-1]
+            lca = min(d, top[1], (n * D - (k ^ top[2]).bit_length()) // n)
+            if lca < top[1]:
+                while stack[-1][1] > lca:
+                    last = stack.pop()
+                    c_hi[last[0]] = i
+                    c_up[last[0]] = stack[-1][0]
+                if stack[-1][1] < lca:  # new branch point between the two
+                    cid = len(c_depth)
+                    shift = n * (D - lca)
+                    bkey = k >> shift << shift
+                    c_depth.append(lca)
+                    c_key.append(bkey)
+                    c_lo.append(c_lo[last[0]])
+                    c_hi.append(m)
+                    c_up.append(-1)
+                    c_up[last[0]] = cid
+                    stack.append((cid, lca, bkey, stack[-1][3]))
+            parent[i] = stack[-1][3]
+            c_up.append(-1)
+            c_hi.append(m)
+            c_lo.append(i)
+            c_key.append(k)
+            c_depth.append(d)
+            stack.append((len(c_depth) - 1, d, k, i))
+        for below, above in zip(stack, stack[1:]):
+            c_up[above[0]] = below[0]
+        self.parent = np.array(parent, dtype=np.int64)
+        self.cand_level = np.array(c_depth, dtype=np.int64) + self.min_level
+        self.cand_lo = np.array(c_lo, dtype=np.int64)
+        self.cand_hi = np.array(c_hi, dtype=np.int64)
+        self.cand_key = c_key
+        up = np.array(c_up, dtype=np.int64)
+        self.gap_lo = np.where(up >= 0, self.cand_level[up] + 1, self.cand_level)
 
-        # When the support is a connected tree hanging from the root, the
-        # candidate set coincides with the node set; otherwise enumerate all
-        # ancestor prefixes of support paths.
-        connected = (
-            m > 0
-            and self.paths[0] == ()
-            and bool(
-                np.all(
-                    (self.parent[1:] >= 0)
-                    & (self.level[np.maximum(self.parent[1:], 0)] == self.level[1:] - 1)
-                )
-            )
-        )
-        if connected:
-            self.candidates = [
-                _Candidate(
-                    self.nodes[i],
-                    int(self.level[i]),
-                    i,
-                    int(self.end[i]),
-                    int(self.parent[i]),
-                )
-                for i in range(m)
-            ]
+    def candidates(self, homogeneous: bool) -> tuple:
+        """The candidates of the homogeneous supremum (all of them) or of the
+        inhomogeneous one (levels >= 0, gaps cut at level 0): their indices,
+        (lo, hi, level) content arguments, levels and gap starts."""
+        level = self.cand_level
+        if homogeneous:
+            cand, gap_lo = np.arange(level.size), self.gap_lo
         else:
-            cand_paths = {(): None}
-            for pth in self.paths:
-                for cut in range(len(pth) + 1):
-                    cand_paths[pth[:cut]] = None
-            self.candidates = []
-            sentinel = 1 << self.dim
-            for pth in sorted(cand_paths):
-                cube = root.descendant(pth)
-                lo = bisect_left(self.paths, pth)
-                hi = bisect_left(self.paths, pth + (sentinel,))
-                self.candidates.append(
-                    _Candidate(cube, cube.level, lo, hi, self._strict_sup_anc(pth))
-                )
+            cand = np.flatnonzero(level >= 0)
+            level, gap_lo = level[cand], np.maximum(self.gap_lo[cand], 0)
+        spans = zip(self.cand_lo[cand].tolist(), self.cand_hi[cand].tolist(), level.tolist())
+        return cand, spans, level, gap_lo
 
-    def _strict_sup_anc(self, pth: tuple[int, ...]) -> int:
-        for cut in range(len(pth) - 1, -1, -1):
-            idx = self._path_pos.get(pth[:cut])
-            if idx is not None:
-                return idx
-        return -1
+    def _shell_measures(self) -> np.ndarray:
+        """log2 of each node's volume minus the volume of its support
+        children, exact in integer arithmetic at the finest child's scale."""
+        n = self.dim
+        depth = self.node_depth
+        shifts: dict[int, list[int]] = {}
+        for c, par in enumerate(self.parent.tolist()):
+            if par >= 0:
+                shifts.setdefault(par, []).append(n * (depth[c] - depth[par]))
+        mu = self.log2vol.copy()
+        for par, sh in shifts.items():
+            top = max(sh)
+            rest = (1 << top) - sum(1 << (top - s) for s in sh)
+            mu[par] = math.log2(rest) - top + mu[par] if rest > 0 else NEG_INF
+        return mu
 
-    def locate(self, cube: DyadicCube) -> _Candidate | None:
-        """Candidate record for an arbitrary cube (not restricted to the list)."""
+    def cube(self, key: int, level: int) -> DyadicCube:
+        """The cube at ``level`` on the path from the root to the key's node."""
+        n, root = self.dim, self.root
+        d = level - self.min_level
+        code = key >> n * (self.depth - d)
+        if n == 1:
+            rel = (code,)
+        else:
+            bits = format(code, f"0{d * n}b") if d else ""
+            rel = tuple(int(bits[n - 1 - i :: n] or "0", 2) for i in range(n))
+        return DyadicCube(n, level, tuple((r << d) + k for r, k in zip(root.index, rel)))
+
+    def locate(self, cube: DyadicCube) -> tuple[int, int] | None:
+        """Depth-first range [lo, hi) of the support nodes inside an arbitrary
+        cube; None when the cube is disjoint from the root."""
         if cube.contains(self.root):
-            return _Candidate(cube, cube.level, 0, self.m, -1)
+            return 0, self.m
         if not self.root.contains(cube):
             return None
-        pth = cube.path_from(self.root)
-        lo = bisect_left(self.paths, pth)
-        hi = bisect_left(self.paths, pth + (1 << self.dim,))
-        sup = self._path_pos.get(pth)
-        anc = int(self.parent[sup]) if sup is not None else self._strict_sup_anc(pth)
-        return _Candidate(cube, cube.level, lo, hi, anc)
+        n, d = self.dim, cube.level - self.min_level
+        if d > self.depth:  # finer than every support node
+            return 0, 0
+        rel = [k - (r << d) for k, r in zip(cube.index, self.root.index)]
+        shift = n * (self.depth - d)
+        key = _morton(rel, d, n) << shift
+        lo = bisect_left(self.key, key)
+        lo = bisect_left(self.node_depth, d, lo, bisect_right(self.key, key, lo))
+        return lo, bisect_left(self.key, key + (1 << shift), lo)
 
-    def tops(self, cand: _Candidate) -> np.ndarray:
-        """Indices of support nodes directly under the candidate (forest tops)."""
-        if cand.lo == cand.hi:
-            return np.empty(0, dtype=np.int64)
-        sl = self.parent[cand.lo : cand.hi]
-        return cand.lo + np.nonzero(sl < cand.lo)[0]
+    def tops(self, lo: int, hi: int) -> np.ndarray:
+        """Indices of the support nodes of a range directly under its cube."""
+        return lo + np.nonzero(self.parent[lo:hi] < lo)[0]
 
 
 class CubeSequence:
@@ -334,10 +394,16 @@ class CubeSequence:
 # ---------------------------------------------------------------------------
 # evaluation kernels
 # ---------------------------------------------------------------------------
+#
+# A kernel splits the value of the outer supremum at a cube P of level l into
+# ``slope * l + content(lo, hi, l)``, where [lo, hi) is the depth-first range
+# of the support nodes inside P.  Along a chain gap the range is fixed and no
+# support level lies between the gap's levels, so the content is constant
+# there and the value is monotone in the level.
 
 
 class _FKernel:
-    """Per-candidate values of the F-type expression for fixed parameters.
+    """The F-type expression for fixed parameters, as slope and content.
 
     Chain sums are re-accumulated from the candidate downward on every call
     (sums of positive terms only); subtracting an above-candidate prefix from
@@ -346,7 +412,7 @@ class _FKernel:
 
     def __init__(self, geo: _Geometry, s: float, tau: float, p: float, q: float):
         self.geo = geo
-        self.tau = tau
+        self.slope = tau * geo.dim
         self.p = p
         self.q = q
         n = geo.dim
@@ -368,14 +434,14 @@ class _FKernel:
             self._rsub = [NEG_INF] * geo.m
             self._terms = np.empty(geo.m)
 
-    def value(self, cand: _Candidate) -> float:
+    def content(self, lo: int, hi: int, level: int) -> float:
         geo, p, q = self.geo, self.p, self.q
-        if cand.lo == cand.hi:
+        if lo == hi:
             return NEG_INF
         if q == INF:
-            rel = max(cand.level, geo.min_level) - geo.min_level
-            mu = geo.mu_log2[cand.lo : cand.hi]
-            terms = mu + p * self.chain_max[cand.lo : cand.hi, rel]
+            rel = max(level, geo.min_level) - geo.min_level
+            mu = geo.mu_log2[lo:hi]
+            terms = mu + p * self.chain_max[lo:hi, rel]
         else:
             ppow = p / q
             rsub = self._rsub
@@ -384,8 +450,7 @@ class _FKernel:
             mu_list = self.mu_list
             terms_buf = self._terms
             log2 = math.log2
-            lo = cand.lo
-            for i in range(lo, cand.hi):
+            for i in range(lo, hi):
                 par = parent[i]
                 base = rsub[par] if par >= lo else NEG_INF
                 w = logwq[i]
@@ -398,11 +463,11 @@ class _FKernel:
                 rsub[i] = v
                 mu_i = mu_list[i]
                 terms_buf[i] = mu_i + ppow * v if mu_i != NEG_INF else NEG_INF
-            terms = terms_buf[cand.lo : cand.hi]
+            terms = terms_buf[lo:hi]
         logI = log2_sum(terms)
         if logI == NEG_INF:
             return NEG_INF
-        return self.tau * geo.dim * cand.level + logI / p
+        return logI / p
 
 
 class _LevelTable:
@@ -440,9 +505,9 @@ class _LevelTable:
             self.table = SV
         self.want_max = want_max
 
-    def level_vector(self, cand: _Candidate) -> np.ndarray | None:
-        """Aggregate over the candidate's forest tops; None when empty."""
-        tops = self.geo.tops(cand)
+    def level_vector(self, lo: int, hi: int) -> np.ndarray | None:
+        """Aggregate over the range's forest tops; None when empty."""
+        tops = self.geo.tops(lo, hi)
         if tops.size == 0:
             return None
         rows = self.table[tops]
@@ -467,13 +532,20 @@ def _aggregate_levels(level_logs: np.ndarray, q: float) -> float:
 
 
 class _BKernel:
-    """Per-candidate values of the B-type expression for fixed parameters."""
+    """The B-type expression for fixed parameters, as slope and content.
 
-    def __init__(self, geo: _Geometry, s: float, tau: float, p: float, q: float):
+    The inhomogeneous variant sums only the levels >= 0.
+    """
+
+    def __init__(
+        self, geo: _Geometry, s: float, tau: float, p: float, q: float,
+        homogeneous: bool = True,
+    ):
         self.geo = geo
-        self.tau = tau
+        self.slope = tau * geo.dim
         self.p = p
         self.q = q
+        self.homogeneous = homogeneous
         n = geo.dim
         logw = geo.level_f * (s + n / 2.0) + geo.log2t
         if p == INF:
@@ -481,44 +553,67 @@ class _BKernel:
         else:
             self.table = _LevelTable(geo, p * logw + geo.log2vol, want_max=False)
 
-    def value(self, cand: _Candidate, inhomogeneous: bool) -> float:
+    def content(self, lo: int, hi: int, level: int) -> float:
         geo, p, q = self.geo, self.p, self.q
-        vec = self.table.level_vector(cand)
+        vec = self.table.level_vector(lo, hi)
         if vec is None:
             return NEG_INF
-        start = max(cand.level, 0) if inhomogeneous else cand.level
+        start = level if self.homogeneous else max(level, 0)
         vec = vec[max(start - geo.min_level, 0) :]
         level_logs = self.table.level_logs(vec)
         if p != INF:
             level_logs = level_logs / p
-        agg = _aggregate_levels(level_logs, q)
-        if agg == NEG_INF:
-            return NEG_INF
-        return self.tau * geo.dim * cand.level + agg
+        return _aggregate_levels(level_logs, q)
 
 
-def _best_candidate(
-    geo: _Geometry,
-    values: Iterable[tuple[_Candidate, float]],
-) -> tuple[float, DyadicCube]:
-    """Maximize over candidates; ties broken toward the coarsest level, then
-    the lexicographically smallest index."""
-    best = NEG_INF
-    best_cube = geo.root
-    best_key = None
-    seen = False
-    for cand, v in values:
-        key = cand.cube.sort_key()
-        if not seen or v > best or (v == best and best_key is not None and key < best_key):
-            best, best_cube, best_key, seen = v, cand.cube, key, True
-    return best, best_cube
+def _argmax(values: np.ndarray, levels: np.ndarray, cube_of) -> tuple[float, DyadicCube]:
+    """The maximum and the cube attaining it.  Ties go to the coarsest level,
+    then the lexicographically smallest index; only the tied entries at that
+    level are built as cubes."""
+    best = values.max()
+    tied = np.flatnonzero(values == best)
+    if tied.size > 1:
+        tied = tied[levels[tied] == levels[tied].min()]
+    return float(best), min(map(cube_of, tied.tolist()), key=DyadicCube.sort_key)
 
 
-def _iter_candidates(geo: _Geometry, homogeneous: bool):
-    for cand in geo.candidates:
-        if not homogeneous and cand.level < 0:
-            continue
-        yield cand
+def _supremum(geo: _Geometry, kern, homogeneous: bool = True) -> NormValue:
+    """Supremum of ``kern`` over every dyadic subcube of the root that
+    contains support, plus the root; level >= 0 only when inhomogeneous.
+
+    Each candidate's content is computed once and serves the chain gap above
+    it too.  On a gap the value ``slope * l + content`` is monotone in the
+    level l (float rounding is monotone as well), so the gap's supremum sits
+    at its coarsest level when slope <= 0.  When slope > 0 it sits at the
+    finest level, and bisection finds the coarsest gap level that rounds to
+    the same value, which the tie rule prefers.
+    """
+    cand, spans, level, gap_lo = geo.candidates(homogeneous)
+    content = np.array([kern.content(*span) for span in spans], dtype=float)
+    if content.size == 0:
+        return NormValue.from_log2(NEG_INF, geo.root)
+    slope = kern.slope
+    values = slope * level + content
+    gaps = np.flatnonzero(gap_lo < level)
+    if gaps.size:
+        lo, hi, x = gap_lo[gaps], level[gaps] - 1, content[gaps]
+        if slope > 0:
+            target = slope * hi + x
+            while True:
+                open_ = lo < hi
+                if not open_.any():
+                    break
+                mid = (lo + hi) // 2
+                tie = slope * mid + x == target
+                hi = np.where(open_ & tie, mid, hi)
+                lo = np.where(open_ & ~tie, mid + 1, lo)
+        values = np.concatenate([values, slope * lo + x])
+        level = np.concatenate([level, lo])
+        cand = np.concatenate([cand, cand[gaps]])
+    best, cube = _argmax(
+        values, level, lambda i: geo.cube(geo.cand_key[cand[i]], int(level[i]))
+    )
+    return NormValue.from_log2(best, cube)
 
 
 def _check_tau(tau: float, allow_negative_tau: bool):
@@ -538,9 +633,7 @@ def f_type_norm(
     s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
     _check_tau(tau, allow_negative_tau)
     geo = t.geometry
-    kern = _FKernel(geo, s, tau, p, q)
-    vals = ((c, kern.value(c)) for c in _iter_candidates(geo, params.homogeneous))
-    return NormValue.from_log2(*_best_candidate(geo, vals))
+    return _supremum(geo, _FKernel(geo, s, tau, p, q), params.homogeneous)
 
 
 def b_type_norm(
@@ -556,12 +649,8 @@ def b_type_norm(
     s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
     _check_tau(tau, allow_negative_tau)
     geo = t.geometry
-    kern = _BKernel(geo, s, tau, p, q)
-    vals = (
-        (c, kern.value(c, not params.homogeneous))
-        for c in _iter_candidates(geo, params.homogeneous)
-    )
-    return NormValue.from_log2(*_best_candidate(geo, vals))
+    kern = _BKernel(geo, s, tau, p, q, params.homogeneous)
+    return _supremum(geo, kern, params.homogeneous)
 
 
 def f_inf_inf_norm(t: CubeSequence, s_eff: float) -> NormValue:
@@ -573,15 +662,36 @@ def f_inf_inf_norm(t: CubeSequence, s_eff: float) -> NormValue:
     if geo.m == 0:
         return NormValue.from_log2(NEG_INF, geo.root)
     arr = geo.level_f * (float(s_eff) + geo.dim / 2.0) + geo.log2t
-    vmax = float(arr.max())
-    best = min(
-        (geo.nodes[i] for i in np.nonzero(arr == vmax)[0]),
-        key=lambda c: c.sort_key(),
-    )
-    return NormValue.from_log2(vmax, best)
+    return NormValue.from_log2(*_argmax(arr, geo.level, geo.nodes.__getitem__))
 
 
 b_inf_inf_norm = f_inf_inf_norm
+
+
+class _CMOKernel:
+    """The CMO expression for fixed parameters, as slope and content."""
+
+    def __init__(self, geo: _Geometry, s: float, q: float, r: float):
+        n = geo.dim
+        self.q = q
+        logw = geo.level_f * (s + n / 2.0) + geo.log2t
+        if q == INF:
+            self.slope = 0.0
+            self.table = _LevelTable(geo, logw, want_max=True)
+        else:
+            self.slope = r * n / q
+            self.table = _LevelTable(geo, q * logw + geo.log2vol, want_max=False)
+
+    def content(self, lo: int, hi: int, level: int) -> float:
+        vec = self.table.level_vector(lo, hi)
+        if vec is None:
+            return NEG_INF
+        if self.q == INF:
+            return float(vec.max())
+        tot = float(vec.sum())
+        if tot <= 0:
+            return NEG_INF
+        return (math.log2(tot) + self.table.shift) / self.q
 
 
 def cmo_norm(t: CubeSequence, s: float, q: float, r: float) -> NormValue:
@@ -601,68 +711,53 @@ def cmo_norm(t: CubeSequence, s: float, q: float, r: float) -> NormValue:
             rule="Proposition 1(iv)",
         )
     geo = t.geometry
-    n = geo.dim
-    logw = geo.level_f * (s + n / 2.0) + geo.log2t
-    if q == INF:
-        table = _LevelTable(geo, logw, want_max=True)
+    return _supremum(geo, _CMOKernel(geo, s, q, r))
 
-        def value(cand: _Candidate) -> float:
-            vec = table.level_vector(cand)
-            return NEG_INF if vec is None else float(vec.max())
 
-    else:
-        table = _LevelTable(geo, q * logw + geo.log2vol, want_max=False)
+class _BBMOKernel:
+    """The BBMO expression for fixed parameters, as slope and content.
 
-        def value(cand: _Candidate) -> float:
-            vec = table.level_vector(cand)
-            if vec is None:
-                return NEG_INF
-            tot = float(vec.sum())
-            if tot <= 0:
-                return NEG_INF
-            logD = math.log2(tot) + table.shift
-            return (r * n * cand.level + logD) / q
+    The per-level average over P is 2**(n l) times the level sum; its factor
+    2**(n l / p) is the slope.
+    """
 
-    vals = ((c, value(c)) for c in geo.candidates)
-    return NormValue.from_log2(*_best_candidate(geo, vals))
+    def __init__(self, geo: _Geometry, s: float, p: float, q: float):
+        n = geo.dim
+        self.geo = geo
+        self.p = p
+        self.q = q
+        logw = geo.level_f * (s + n / 2.0) + geo.log2t
+        if p == INF:
+            self.slope = 0.0
+            self.table = _LevelTable(geo, logw, want_max=True)
+        else:
+            self.slope = n / p
+            self.table = _LevelTable(geo, p * logw + geo.log2vol, want_max=False)
+
+    def content(self, lo: int, hi: int, level: int) -> float:
+        p, q = self.p, self.q
+        vec = self.table.level_vector(lo, hi)
+        if vec is None:
+            return NEG_INF
+        level_logs = self.table.level_logs(vec[max(level - self.geo.min_level, 0) :])
+        if p == INF:
+            return _aggregate_levels(level_logs, q)
+        if q == INF:
+            return float(level_logs.max()) / p
+        return log2_sum((q / p) * level_logs) / q
 
 
 def bbmo_norm(t: CubeSequence, s: float, p: float, q: float) -> NormValue:
     """Besov-flavoured BMO norm: per-level averages over P, then an l^q sum.
 
     Must agree with the B-type norm at Morrey exponent 1/p; the arrangement
-    here keeps the |P| factor inside each level term.
+    here keeps the |P| factor of each level average in the slope.
     """
     s, p, q = float(s), float(p), float(q)
     if not p > 0 or not q > 0:
         raise ParamError(f"p and q must be positive, got p={p}, q={q}")
     geo = t.geometry
-    n = geo.dim
-    logw = geo.level_f * (s + n / 2.0) + geo.log2t
-
-    if p == INF:
-        table = _LevelTable(geo, logw, want_max=True)
-    else:
-        table = _LevelTable(geo, p * logw + geo.log2vol, want_max=False)
-
-    def value(cand: _Candidate) -> float:
-        vec = table.level_vector(cand)
-        if vec is None:
-            return NEG_INF
-        vec = vec[max(cand.level - geo.min_level, 0) :]
-        level_logs = table.level_logs(vec)
-        if p == INF:
-            return _aggregate_levels(level_logs, q)
-        logA = n * cand.level + level_logs  # per-level average over P
-        if q == INF:
-            finite = logA[level_logs != NEG_INF]
-            return NEG_INF if finite.size == 0 else float(finite.max()) / p
-        masked = np.where(level_logs == NEG_INF, NEG_INF, (q / p) * logA)
-        tot = log2_sum(masked)
-        return NEG_INF if tot == NEG_INF else tot / q
-
-    vals = ((c, value(c)) for c in geo.candidates)
-    return NormValue.from_log2(*_best_candidate(geo, vals))
+    return _supremum(geo, _BBMOKernel(geo, s, p, q))
 
 
 def norm(t: CubeSequence, params: SpaceParams, **kwargs) -> NormValue:
@@ -683,15 +778,17 @@ def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) ->
     to it, or an ancestor of it); cubes disjoint from the root give -inf.
     """
     geo = t.geometry
-    cand = geo.locate(region)
-    if cand is None:
+    span = geo.locate(region)
+    if span is None:
         return NEG_INF
     s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
     if params.family == Family.F_TYPE:
-        return _FKernel(geo, s, tau, p, q).value(cand)
-    if params.family == Family.B_TYPE:
-        return _BKernel(geo, s, tau, p, q).value(cand, not params.homogeneous)
-    raise ParamError(f"candidate_value supports F/B families, got {params.family}")
+        kern = _FKernel(geo, s, tau, p, q)
+    elif params.family == Family.B_TYPE:
+        kern = _BKernel(geo, s, tau, p, q, params.homogeneous)
+    else:
+        raise ParamError(f"candidate_value supports F/B families, got {params.family}")
+    return kern.slope * region.level + kern.content(*span, region.level)
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +835,13 @@ def load_jsonl(path: str | Path) -> CubeSequence:
         root = DyadicCube(dim, int(header["root"]["j"]), tuple(header["root"]["k"]))
         depth = int(header["depth"])
         log2_values: dict[DyadicCube, float] = {}
+        seen: set[DyadicCube] = set()
         for ln in lines[1:]:
             rec = json.loads(ln)
             cube = DyadicCube(dim, int(rec["j"]), tuple(rec["k"]))
+            if cube in seen:
+                raise SequenceFormatError(f"{path}: duplicate record for {cube}")
+            seen.add(cube)
             if "log2v" in rec:
                 lv = float(rec["log2v"])
             else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,10 @@ INF = math.inf
 DEFAULT_DEPTHS_1D = (4, 8, 16, 32, 64)
 DEFAULT_DEPTHS_ND = (4, 8, 16)
 
-# Relative growth a log-norm sequence must show before "diverges" is claimed.
-_DIVERGENCE_MARGIN = 10 * np.finfo(float).eps
+# Float noise of a log-norm sequence, relative to its largest magnitude.  The
+# rise from the first to the last depth and the fitted slope must both exceed
+# it before "diverges" is claimed, whatever the sign of the values.
+_DIVERGENCE_MARGIN = 1e-12
 # Fraction of the known theoretical growth exponent the fit must reach.
 _FIT_FRACTION = 0.8
 
@@ -137,10 +138,8 @@ def _fit_exponent(depths, log2_values) -> float:
 
 def _divergence_report(space, depths, values, theoretical) -> GrowthReport:
     fitted = _fit_exponent(depths, values)
-    growing = values[-1] > values[0] * (1.0 + _DIVERGENCE_MARGIN) or (
-        values[0] <= 0 and values[-1] > values[0] + _DIVERGENCE_MARGIN
-    )
-    ok = growing and fitted > 0
+    noise = _DIVERGENCE_MARGIN * max(1.0, *(abs(v) for v in values))
+    ok = values[-1] - values[0] > noise and fitted > noise
     if theoretical is not None:
         ok = ok and fitted >= _FIT_FRACTION * theoretical
     return GrowthReport(
@@ -240,9 +239,3 @@ def certify_separation(
     bounded = _bounded_report(tgt_name, depths, tgt_vals, bound)
     return divergent, bounded
 
-
-def reports_to_json(divergent: GrowthReport, bounded: GrowthReport) -> str:
-    return json.dumps(
-        {"divergent": divergent.to_json_dict(), "bounded": bounded.to_json_dict()},
-        sort_keys=True,
-    )

@@ -4,10 +4,15 @@ These evaluate the norms by literal shell integration with exact Fraction
 measures and plain float powers.  They share nothing with the production
 log-domain subtree kernels except the cube type and shell_decomposition,
 and are only meant for small, benign inputs.
+
+``reference_candidates`` and ``reference_supremum`` are the other kind of
+reference: they run the production kernels over the full, uncompressed
+candidate set, enumerated as path tuples.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from dyadic_spaces import (
     CubeSequence,
@@ -181,3 +186,43 @@ def small_random_sequence(rng, dim=1, depth=4, retain=0.6, span=3.0) -> CubeSequ
         frontier = nxt
     values = {c: float(rng.uniform(-span, span)) for c in cubes}
     return CubeSequence.from_log2_values(values, root=root)
+
+
+def reference_candidates(seq: CubeSequence):
+    """Every dyadic subcube of the root containing a support cube, plus the
+    root, each with the depth-first range [lo, hi) of the support inside it.
+
+    Enumerates every ancestor prefix of every support path as a tuple and
+    builds each cube child by child: O(m * depth) cubes.
+    """
+    root = seq.root
+    paths = sorted(q.path_from(root) for q in seq.support)
+    prefixes = {()}
+    for pth in paths:
+        for cut in range(len(pth) + 1):
+            prefixes.add(pth[:cut])
+    sentinel = 1 << seq.dim
+    return [
+        (root.descendant(pth), bisect_left(paths, pth), bisect_left(paths, pth + (sentinel,)))
+        for pth in sorted(prefixes)
+    ]
+
+
+def reference_supremum(seq: CubeSequence, kern, homogeneous: bool = True, candidates=None):
+    """A production kernel maximized over ``reference_candidates``.
+
+    Returns the log2 supremum, the cube attaining it (ties to the coarsest
+    level, then the smallest index) and the value of every candidate.
+    """
+    if candidates is None:
+        candidates = reference_candidates(seq)
+    values = {
+        cube: kern.slope * cube.level + kern.content(lo, hi, cube.level)
+        for cube, lo, hi in candidates
+        if homogeneous or cube.level >= 0
+    }
+    if not values:
+        return NEG_INF, seq.root, values
+    best = max(values.values())
+    cube = min((c for c, v in values.items() if v == best), key=DyadicCube.sort_key)
+    return best, cube, values

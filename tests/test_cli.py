@@ -80,6 +80,17 @@ class TestNorm:
         code = main(["norm", "--family", "f", "--in", str(bad)])
         assert code == 2
 
+    def test_duplicate_record_exit_2(self, tmp_path, capsys):
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text(
+            '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 1}\n'
+            '{"j": 1, "k": [0], "v": 1.0}\n'
+            '{"j": 1, "k": [0], "v": 5.0}\n'
+        )
+        code = main(["norm", "--family", "f", "--in", str(dup)])
+        assert code == 2
+        assert "duplicate" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         code = main(["norm", "--family", "f", "--in", "/nonexistent/x.jsonl"])
         assert code == 2

@@ -490,6 +490,19 @@ class TestJsonl:
         seq = load_jsonl(path)
         assert seq.value(Q(1, 0)) == 1.0
 
+    def test_duplicate_records_rejected(self, tmp_path):
+        # the last record used to win silently: v = 1 then v = 5 gave norm 5
+        from dyadic_spaces import SequenceFormatError
+
+        path = tmp_path / "dup.jsonl"
+        path.write_text(
+            '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 0}\n'
+            '{"j": 0, "k": [0], "v": 1.0}\n'
+            '{"j": 0, "k": [0], "v": 5.0}\n'
+        )
+        with pytest.raises(SequenceFormatError, match="duplicate"):
+            load_jsonl(path)
+
     def test_malformed_raises_format_error(self, tmp_path):
         from dyadic_spaces import SequenceFormatError
 
@@ -497,3 +510,117 @@ class TestJsonl:
         path.write_text('{"dim": 1}\n')
         with pytest.raises(SequenceFormatError):
             load_jsonl(path)
+
+
+@st.composite
+def sparse_fields(draw):
+    """Mixed-depth sparse supports clustered around one random path, so that
+    chains, branch points and ancestor pairs are common."""
+    dim = draw(st.integers(1, 3))
+    root = DyadicCube(
+        dim, draw(st.sampled_from([0, -2])),
+        tuple(draw(st.integers(-2, 2)) for _ in range(dim)),
+    )
+    depth = draw(st.sampled_from([3, 8, 30, 70]))
+    trunk = [draw(st.integers(0, 2**depth - 1)) for _ in range(dim)]
+    values = {}
+    for _ in range(draw(st.integers(0, 6))):
+        d = draw(st.integers(0, depth))
+        rel = [((t >> (depth - d)) ^ draw(st.integers(0, 3))) % (1 << d) for t in trunk]
+        cube = DyadicCube(dim, root.level + d, tuple((r << d) + k for r, k in zip(root.index, rel)))
+        values[cube] = draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-4, 4))
+    return CubeSequence.from_log2_values(values, root=root)
+
+
+def assert_same_supremum(nv, reference):
+    best, cube, values = reference
+    if best == -INF:
+        assert nv.log2_value == -INF
+    else:
+        assert nv.log2_value == pytest.approx(best, abs=1e-12)
+    if nv.attained_at != cube:
+        assert abs(values[nv.attained_at] - values[cube]) < 1e-12
+
+
+class TestCompressedCandidates:
+    """The compressed candidate set against the full prefix enumeration."""
+
+    @given(
+        sparse_fields(),
+        st.sampled_from([-0.75, -0.25, 0.0, 0.5, 1.0, 2.0]),
+        st.sampled_from([-0.5, 0.0, 0.3]),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.sampled_from([0.5, 2.0, INF]),
+        st.sampled_from([0.0, 0.5, 2.0]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_enumeration(self, seq, tau, s, p, q, r, hom):
+        from _oracles import reference_candidates, reference_supremum
+        from dyadic_spaces import seqspace
+
+        geo = seq.geometry
+        assert geo.nodes == sorted(seq.support, key=lambda c: c.path_from(seq.root))
+        assert geo.cand_level.size <= max(1, 2 * len(seq))
+        cands = reference_candidates(seq)
+        for nv, kern, homogeneous in (
+            (
+                f_type_norm(seq, fp(s, tau, p, q, hom), allow_negative_tau=True),
+                seqspace._FKernel(geo, s, tau, p, q),
+                hom,
+            ),
+            (
+                b_type_norm(seq, bp(s, tau, INF if q == 0.5 else p, q, hom),
+                            allow_negative_tau=True),
+                seqspace._BKernel(geo, s, tau, INF if q == 0.5 else p, q, hom),
+                hom,
+            ),
+            (cmo_norm(seq, s, q, r), seqspace._CMOKernel(geo, s, q, r), True),
+            (bbmo_norm(seq, s, p, q), seqspace._BBMOKernel(geo, s, p, q), True),
+        ):
+            assert_same_supremum(nv, reference_supremum(seq, kern, homogeneous, cands))
+        weights = {
+            c: c.level * (s + seq.dim / 2) + v for c, v in seq.log2_magnitudes.items()
+        }
+        nv = f_inf_inf_norm(seq, s)
+        if weights:
+            best = max(weights.values())
+            assert nv.log2_value == best
+            assert nv.attained_at == min(
+                (c for c, v in weights.items() if v == best), key=DyadicCube.sort_key
+            )
+
+    def test_deep_two_cube_field_compiles_few_candidates(self):
+        deep = Q(20000, 12345)
+        seq = CubeSequence.from_values({Q(0, 0): 1.0, deep: 0.5})
+        assert seq.geometry.cand_level.size <= 4
+        params = fp(0, 0.5, 2, 2)
+        nv = f_type_norm(seq, params)
+        assert nv.attained_at == deep
+        assert nv.log2_value == candidate_value(seq, params, deep)
+        # every cube of the chain gap holds the same support as the deep cube
+        mid = deep.ancestor_at(10000)
+        assert candidate_value(seq, params, mid) == pytest.approx(
+            nv.log2_value - 0.5 * 10000, abs=1e-9
+        )
+
+    def test_gap_tie_goes_to_coarsest_gap_cube(self):
+        # a slope too small to move the float value: every cube of the gap
+        # ties with the support cube below it, and the coarsest one wins
+        seq = CubeSequence.from_log2_values({Q(6, 5): 40.0}, root=Q(0, 0))
+        nv = f_type_norm(seq, fp(0, 1e-18, 2, 2))
+        assert nv.attained_at == Q(0, 0)
+        # a slope that moves the value by one ulp every few levels: the gap's
+        # top value is shared by the levels 9..12, found by bisection
+        from _oracles import reference_supremum
+        from dyadic_spaces import seqspace
+
+        seq = CubeSequence.from_log2_values(
+            {Q(0, 0): -60.0, Q(12, 5): 40.0}, root=Q(0, 0)
+        )
+        nv = f_type_norm(seq, fp(0, 2e-15, 2, 2))
+        best, cube, _ = reference_supremum(
+            seq, seqspace._FKernel(seq.geometry, 0, 2e-15, 2, 2)
+        )
+        assert nv.attained_at == cube == Q(9, 0)
+        assert nv.log2_value == best

@@ -133,6 +133,23 @@ class TestCertify:
         assert bnd.log2_values[0] == pytest.approx(0.0, abs=1e-12)
 
 
+class TestDivergenceVerdict:
+    def test_flat_sequences_are_not_divergent(self):
+        # a flat negative sequence used to pass as growing: the relative
+        # check values[-1] > values[0] * (1 + eps) flips for negative values
+        from dyadic_spaces.witness import _divergence_report
+
+        depths = (4, 8, 16, 32)
+        for v in (-3.0, 0.0, 3.0, -1e6):
+            assert _divergence_report("x", depths, [v] * 4, None).verdict == "bounded"
+
+    def test_growth_of_negative_values_is_divergent(self):
+        from dyadic_spaces.witness import _divergence_report
+
+        report = _divergence_report("x", (4, 8, 16, 32), [-3.0, -2.5, -2.0, -1.5], None)
+        assert report.verdict == "diverges"
+
+
 class TestCauchyTail:
     def test_f_norm_increments_below_geometric_tail(self):
         s, tau, p, q, n = 0.0, 0.5, 1.0, 2.0, 1
