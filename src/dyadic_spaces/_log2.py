@@ -11,7 +11,14 @@ import math
 
 import numpy as np
 
+INF = math.inf
 NEG_INF = float("-inf")
+
+
+def inv(x: float) -> float:
+    """1/x for an extended exponent x in (0, inf], with 1/inf = 0."""
+    x = float(x)
+    return 0.0 if x == INF else 1.0 / x
 
 
 def log2_sum(values) -> float:

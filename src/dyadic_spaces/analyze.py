@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._log2 import NEG_INF
+from ._log2 import INF, NEG_INF
 from .dyadic import DyadicCube
 from .seqspace import (
     CubeSequence,
@@ -27,8 +27,6 @@ from .seqspace import (
     ParamError,
     SpaceParams,
 )
-
-INF = math.inf
 
 RISE_LO = 0.5
 RISE_HI = 0.6 * 1.05  # = 0.63, lower plateau edge

@@ -13,9 +13,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Any
 
+from ._log2 import INF
 from .witness import GrowthReport, certify_separation, validate_separation_params
 
-INF = math.inf
 _FLOAT_TOL = 1e-12
 
 

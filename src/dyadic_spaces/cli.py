@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._log2 import INF
 from .analyze import GridFunction, build_filter_bank, transform_consistency
 from .classify import SpaceDescriptor, classify, classify_cmo, refute_claim
 from .equivalence import (
@@ -41,11 +42,11 @@ from .seqspace import (
     cmo_norm,
     f_inf_inf_norm,
     f_type_norm,
+    int_to_decimal,
+    json_dumps,
     load_jsonl,
 )
 from .witness import certify_separation
-
-INF = math.inf
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -106,7 +107,7 @@ def _config_echo(args) -> dict:
 
 def _write_json(args, payload: dict) -> None:
     doc = _sanitize({"config": _config_echo(args), **payload})
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json_dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     _write_text(args, text)
 
 
@@ -190,7 +191,7 @@ def cmd_norm(args) -> int:
                     "log2": repr(nv.log2_value),
                     "linear": repr(nv.linear_value),
                     "attained_j": nv.attained_at.level,
-                    "attained_k": " ".join(map(str, nv.attained_at.index)),
+                    "attained_k": " ".join(map(int_to_decimal, nv.attained_at.index)),
                 }
             ],
         )

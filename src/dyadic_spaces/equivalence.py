@@ -13,15 +13,13 @@ the constant-1 Hoelder embeddings.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._log2 import NEG_INF, log2_to_linear
+from ._log2 import INF, NEG_INF, inv, log2_to_linear
 from .dyadic import DyadicCube
 from .seqspace import (
     CubeSequence,
@@ -34,13 +32,6 @@ from .seqspace import (
     f_inf_inf_norm,
     f_type_norm,
 )
-
-INF = math.inf
-
-
-def _inv(x: float) -> float:
-    x = float(x)
-    return 0.0 if x == INF else 1.0 / x
 
 
 def identity_tolerance(p: float, q: float) -> float:
@@ -59,7 +50,7 @@ def identity_tolerance(p: float, q: float) -> float:
 def collapse_upper_constant_log2(s, tau, p, q, n: int) -> float:
     """log2 of the upper constant of the infinity-infinity collapse."""
     tau, p, q = float(tau), float(p), float(q)
-    delta = tau - _inv(p)
+    delta = tau - inv(p)
     if q == INF:
         if delta < 0:
             raise ParamError("q = inf requires tau >= 1/p", rule="Theorem 1")
@@ -102,14 +93,6 @@ class EquivalenceReport:
             "vacuous": self.vacuous,
             "tol": self.tol,
         }
-
-    def rows_to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["sample_id", "ratio_low", "ratio_high"])
-        for sid, lo, hi in self.rows:
-            writer.writerow([sid, repr(lo), repr(hi)])
-        return buf.getvalue()
 
 
 def _as_sequences(t) -> list[CubeSequence]:
@@ -173,7 +156,7 @@ def check_collapse_f(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
         raise ParamError("the F-type scale requires p < inf", rule="Definition 1(i)")
     n_dim = _uniform_dim(seqs)
     c_log2 = collapse_upper_constant_log2(s, tau, p, q, n_dim)
-    s_eff = float(s) + n_dim * (float(tau) - _inv(p))
+    s_eff = float(s) + n_dim * (float(tau) - inv(p))
 
     def pairs():
         params = SpaceParams(Family.F_TYPE, s, tau, p, q)
@@ -192,7 +175,7 @@ def check_collapse_b(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
     seqs = _as_sequences(t)
     n_dim = _uniform_dim(seqs)
     c_log2 = collapse_upper_constant_log2(s, tau, p, q, n_dim)
-    s_eff = float(s) + n_dim * (float(tau) - _inv(p))
+    s_eff = float(s) + n_dim * (float(tau) - inv(p))
 
     def pairs():
         params = SpaceParams(Family.B_TYPE, s, tau, p, q)
@@ -220,7 +203,7 @@ def check_holder_embeddings(t, s, tau, p, q, tol: float | None = None) -> Equiva
     if tol is None:
         tol = identity_tolerance(p_f, q_f)
     seqs = _as_sequences(t)
-    tau_shift = float(tau) + _inv(q_f) - _inv(p_f)
+    tau_shift = float(tau) + inv(q_f) - inv(p_f)
     diag = SpaceParams(Family.B_TYPE, s, tau_shift, q, q)
     params_f = SpaceParams(Family.F_TYPE, s, tau, p, q) if p_f < INF else None
     params_b = SpaceParams(Family.B_TYPE, s, tau, p, q)
@@ -284,7 +267,7 @@ def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> Equivalen
                 seq, SpaceParams(Family.F_TYPE, s, float(r) / q_f, q, q)
             ).log2_value
         c = bbmo_norm(seq, s, p, q).log2_value
-        d = b_type_norm(seq, SpaceParams(Family.B_TYPE, s, _inv(p), p, q)).log2_value
+        d = b_type_norm(seq, SpaceParams(Family.B_TYPE, s, inv(p), p, q)).log2_value
         pair_ratios = []
         for num, den in ((a, b), (c, d)):
             if num == NEG_INF and den == NEG_INF:
@@ -331,7 +314,7 @@ def check_collapse_inhomogeneous(t, s, tau, p, q, family: str = "f", tol: float 
         raise ParamError("the F-type scale requires p < inf", rule="Definition 1(i)")
     n_dim = _uniform_dim(seqs)
     c_log2 = collapse_upper_constant_log2(s, tau, p, q, n_dim)
-    s_eff = float(s) + n_dim * (float(tau) - _inv(p))
+    s_eff = float(s) + n_dim * (float(tau) - inv(p))
     fam = Family.F_TYPE if family == "f" else Family.B_TYPE
     evaluator = f_type_norm if family == "f" else b_type_norm
     params = SpaceParams(fam, s, tau, p, q, homogeneous=False)

@@ -21,11 +21,21 @@ X computed once per gap and the slope tau*n (F, B), r*n/q (CMO) or n/p
 coarsest cube when the slope is <= 0, else the finest, replaced by the
 coarsest gap cube whose value rounds to the same float, so that ties still
 go to the coarsest level, then the smallest index.
+
+Each kernel evaluates the contents of all candidates in one batched call.
+The B, CMO and BBMO kernels expand (candidate, support node) pairs, in
+batches of at most 2**12 pairs, and reduce them by segmented sums and
+maxima, max-factored per segment: about m log m pairs on saturated trees and
+m**2 / 2 on towers.  The F kernel sweeps the support depths once, touching
+each (support ancestor, node) pair once, then sums each candidate's tops.
+No table of nodes by levels is ever built, so memory stays O(m) plus the
+fixed pair batch, whatever the depth.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -34,11 +44,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._log2 import NEG_INF, log2_sum, log2_to_linear
+from ._log2 import INF, NEG_INF, log2_to_linear
 from .dyadic import DyadicCube, SupportTree
-
-INF = math.inf
-
 
 class Family(str, Enum):
     F_TYPE = "F_type"
@@ -164,7 +171,8 @@ class _Geometry:
     def _compile(self) -> None:
         """One stack pass over the depth-first keys.
 
-        Yields the support parent of every node and the compressed candidate
+        Yields the support parent and support depth (the number of support
+        ancestors) of every node and the compressed candidate
         tree, whose ranges [lo, hi) end each candidate's subtree: a branch
         point is the lowest common ancestor of two depth-first-adjacent
         nodes, found from the bit length of their key XOR.
@@ -172,6 +180,7 @@ class _Geometry:
         n, m, D = self.dim, self.m, self.depth
         keys, depth = self.key, self.node_depth
         parent = [-1] * m
+        sdepth = [0] * m + [-1]  # the entry at index -1 serves the parentless
         c_depth, c_key, c_lo, c_hi, c_up = [0], [0], [0], [m], [-1]
         first = 1 if m and depth[0] == 0 else 0  # is the root a support node?
         # stack entries: (candidate, depth, key, nearest support node at or
@@ -197,7 +206,8 @@ class _Geometry:
                     c_up.append(-1)
                     c_up[last[0]] = cid
                     stack.append((cid, lca, bkey, stack[-1][3]))
-            parent[i] = stack[-1][3]
+            parent[i] = par = stack[-1][3]
+            sdepth[i] = sdepth[par] + 1
             c_up.append(-1)
             c_hi.append(m)
             c_lo.append(i)
@@ -207,6 +217,7 @@ class _Geometry:
         for below, above in zip(stack, stack[1:]):
             c_up[above[0]] = below[0]
         self.parent = np.array(parent, dtype=np.int64)
+        self.sdepth = np.array(sdepth[:m], dtype=np.int64)
         self.cand_level = np.array(c_depth, dtype=np.int64) + self.min_level
         self.cand_lo = np.array(c_lo, dtype=np.int64)
         self.cand_hi = np.array(c_hi, dtype=np.int64)
@@ -217,15 +228,14 @@ class _Geometry:
     def candidates(self, homogeneous: bool) -> tuple:
         """The candidates of the homogeneous supremum (all of them) or of the
         inhomogeneous one (levels >= 0, gaps cut at level 0): their indices,
-        (lo, hi, level) content arguments, levels and gap starts."""
+        depth-first ranges [lo, hi), levels and gap starts."""
         level = self.cand_level
         if homogeneous:
             cand, gap_lo = np.arange(level.size), self.gap_lo
         else:
             cand = np.flatnonzero(level >= 0)
             level, gap_lo = level[cand], np.maximum(self.gap_lo[cand], 0)
-        spans = zip(self.cand_lo[cand].tolist(), self.cand_hi[cand].tolist(), level.tolist())
-        return cand, spans, level, gap_lo
+        return cand, self.cand_lo[cand], self.cand_hi[cand], level, gap_lo
 
     def _shell_measures(self) -> np.ndarray:
         """log2 of each node's volume minus the volume of its support
@@ -271,10 +281,6 @@ class _Geometry:
         lo = bisect_left(self.key, key)
         lo = bisect_left(self.node_depth, d, lo, bisect_right(self.key, key, lo))
         return lo, bisect_left(self.key, key + (1 << shift), lo)
-
-    def tops(self, lo: int, hi: int) -> np.ndarray:
-        """Indices of the support nodes of a range directly under its cube."""
-        return lo + np.nonzero(self.parent[lo:hi] < lo)[0]
 
 
 class CubeSequence:
@@ -396,174 +402,178 @@ class CubeSequence:
 # ---------------------------------------------------------------------------
 #
 # A kernel splits the value of the outer supremum at a cube P of level l into
-# ``slope * l + content(lo, hi, l)``, where [lo, hi) is the depth-first range
-# of the support nodes inside P.  Along a chain gap the range is fixed and no
-# support level lies between the gap's levels, so the content is constant
-# there and the value is monotone in the level.
+# ``slope * l + content``, where the content depends on P through the
+# depth-first range [lo, hi) of the support nodes inside P (and on l only
+# through the inhomogeneous level-0 cut).  Along a chain gap the range is
+# fixed and no support level lies between the gap's levels, so the content is
+# constant there and the value is monotone in the level.
+#
+# ``contents(lo, hi, level)`` evaluates a batch of cubes in one vectorised
+# pass, in which each (cube, support node inside it) pair is one array
+# element.  The work is proportional to the pairs, about m log m on saturated
+# trees and m**2 / 2 on towers, and never to m times the number of levels.
+
+# Pairs expanded at once; one cube whose range is larger forms a batch alone.
+# At 8 bytes an element this keeps each transient array at 32 KiB.
+_PAIR_CHUNK = 1 << 12
+
+
+def _batched(lo: np.ndarray, hi: np.ndarray, reduce) -> np.ndarray:
+    """One value per range [lo, hi); -inf for the empty ones.
+
+    The nonempty ranges are expanded into (cube, node) pairs, a run of
+    consecutive cubes at a time, and ``reduce(idx, owner, node, starts)``
+    gives the run's values: ``idx`` holds the run's cube indices, ``owner``
+    and ``node`` each pair's position in the run and its node, and
+    ``starts`` where each cube's pairs begin.
+    """
+    out = np.full(lo.size, NEG_INF)
+    sizes = hi - lo
+    nonempty = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes[nonempty])
+    a = 0
+    while a < nonempty.size:
+        base = int(ends[a - 1]) if a else 0
+        b = max(int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")), a + 1)
+        idx = nonempty[a:b]
+        size = sizes[idx]
+        starts = ends[a:b] - size - base
+        owner = np.repeat(np.arange(idx.size), size)
+        node = np.arange(int(ends[b - 1]) - base) + np.repeat(lo[idx] - starts, size)
+        out[idx] = reduce(idx, owner, node, starts)
+        a = b
+    return out
+
+
+def _seg_max(vals: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    return np.maximum.reduceat(vals, starts)
+
+
+def _seg_log2_sum(vals: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """log2 of the sum of 2**vals over each segment (``owner`` numbers the
+    segment of every element), max-factored per segment: positive terms only."""
+    top = np.maximum.reduceat(vals, starts)
+    top[top == NEG_INF] = 0.0  # an all -inf segment sums to 0, so stays -inf
+    with np.errstate(divide="ignore"):
+        return top + np.log2(np.add.reduceat(np.exp2(vals - top[owner]), starts))
 
 
 class _FKernel:
-    """The F-type expression for fixed parameters, as slope and content.
+    """The F-type expression for fixed parameters, as slope and contents.
 
-    Chain sums are re-accumulated from the candidate downward on every call
-    (sums of positive terms only); subtracting an above-candidate prefix from
-    a global chain sum would cancel catastrophically on deep towers.
+    The content of a support node t is the log-sum, over the nodes i of its
+    subtree whose shell has positive measure, of mu_i + (p/q) R_i(t), where
+    R_i(t) sums the q-th powers of the weights on the chain from i up to t
+    (the chain maximum at q = inf).  One sweep over the support depths,
+    deepest first, extends every chain by one ancestor per step, so each
+    (ancestor, node) pair is touched once and only positive terms are ever
+    added: subtracting a prefix of a global chain sum would cancel
+    catastrophically on deep towers.  The sweep does one step per support
+    depth and O(m) memory.  The tops of any cube's range share one support
+    depth, and its content is the log-sum of theirs.
     """
 
     def __init__(self, geo: _Geometry, s: float, tau: float, p: float, q: float):
         self.geo = geo
         self.slope = tau * geo.dim
         self.p = p
-        self.q = q
-        n = geo.dim
-        logw = geo.level_f * (s + n / 2.0) + geo.log2t
+        logw = geo.level_f * (s + geo.dim / 2.0) + geo.log2t
         if q == INF:
-            L = geo.max_level - geo.min_level + 1
-            M = np.full((geo.m, L), NEG_INF)
-            for i in range(geo.m):
-                par = int(geo.parent[i])
-                if par >= 0:
-                    M[i] = M[par]
-                rel = int(geo.level[i]) - geo.min_level
-                np.maximum(M[i, : rel + 1], logw[i], out=M[i, : rel + 1])
-            self.chain_max = M
+            combine, w, power = np.maximum, logw, p
         else:
-            self.logwq = (q * logw).tolist()
-            self.parent_list = geo.parent.tolist()
-            self.mu_list = geo.mu_log2.tolist()
-            self._rsub = [NEG_INF] * geo.m
-            self._terms = np.empty(geo.m)
+            combine, w, power = np.logaddexp2, q * logw, p / q
+        sdepth = geo.sdepth
+        live = np.flatnonzero(geo.mu_log2 > NEG_INF)
+        live = live[np.argsort(-sdepth[live], kind="stable")]  # deepest first
+        # the live nodes at support depth >= d are live[:active[d]]
+        active = np.cumsum(np.bincount(sdepth[live], minlength=1)[::-1])[::-1]
+        anc, chain, shell = live.copy(), w[live], geo.mu_log2[live]
+        top = np.full(geo.m, NEG_INF)
+        total = np.zeros(geo.m)
+        for d in range(active.size - 1, -1, -1):
+            k = active[d]
+            if d + 1 < active.size:  # move the deeper chains up to depth d
+                old = active[d + 1]
+                up = geo.parent[anc[:old]]
+                anc[:old] = up
+                chain[:old] = combine(chain[:old], w[up])
+            terms = shell[:k] + power * chain[:k]
+            np.maximum.at(top, anc[:k], terms)
+            np.add.at(total, anc[:k], np.exp2(terms - top[anc[:k]]))
+        with np.errstate(divide="ignore"):
+            node_content = top + np.log2(total)
+        # support nodes ordered by (support depth, depth-first index), so
+        # that the tops of a range are one slice
+        by_depth = np.argsort(sdepth, kind="stable")
+        self.depth_key = sdepth[by_depth] * geo.m + by_depth
+        self.node_content = node_content[by_depth]
 
-    def content(self, lo: int, hi: int, level: int) -> float:
-        geo, p, q = self.geo, self.p, self.q
-        if lo == hi:
-            return NEG_INF
-        if q == INF:
-            rel = max(level, geo.min_level) - geo.min_level
-            mu = geo.mu_log2[lo:hi]
-            terms = mu + p * self.chain_max[lo:hi, rel]
-        else:
-            ppow = p / q
-            rsub = self._rsub
-            logwq = self.logwq
-            parent = self.parent_list
-            mu_list = self.mu_list
-            terms_buf = self._terms
-            log2 = math.log2
-            for i in range(lo, hi):
-                par = parent[i]
-                base = rsub[par] if par >= lo else NEG_INF
-                w = logwq[i]
-                if base == NEG_INF:
-                    v = w
-                elif base >= w:
-                    v = base + log2(1.0 + 2.0 ** (w - base))
-                else:
-                    v = w + log2(1.0 + 2.0 ** (base - w))
-                rsub[i] = v
-                mu_i = mu_list[i]
-                terms_buf[i] = mu_i + ppow * v if mu_i != NEG_INF else NEG_INF
-            terms = terms_buf[lo:hi]
-        logI = log2_sum(terms)
-        if logI == NEG_INF:
-            return NEG_INF
-        return logI / p
+    def contents(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
+        m = self.geo.m
+        if m == 0:
+            return np.full(lo.size, NEG_INF)
+        base = self.geo.sdepth[np.minimum(lo, m - 1)] * m
+        key = self.depth_key
+        values = self.node_content
 
+        def reduce(idx, owner, node, starts):
+            return _seg_log2_sum(values[node], starts, owner)
 
-class _LevelTable:
-    """Per-node subtree aggregates by level, shared by the B-style kernels.
-
-    ``sums`` holds linear-domain level sums of 2**(weight) shifted by a global
-    maximum (max-factored); ``maxes`` holds log-domain level maxima.
-    """
-
-    def __init__(self, geo: _Geometry, z: np.ndarray, want_max: bool):
-        self.geo = geo
-        L = geo.max_level - geo.min_level + 1
-        self.L = L
-        rel = (geo.level - geo.min_level).astype(np.int64)
-        if want_max:
-            SV = np.full((geo.m, L), NEG_INF)
-            for i in range(geo.m - 1, -1, -1):
-                r = int(rel[i])
-                if z[i] > SV[i, r]:
-                    SV[i, r] = z[i]
-                par = int(geo.parent[i])
-                if par >= 0:
-                    np.maximum(SV[par], SV[i], out=SV[par])
-            self.table = SV
-            self.shift = 0.0
-        else:
-            self.shift = float(z.max()) if geo.m else 0.0
-            lin = np.exp2(z - self.shift)
-            SV = np.zeros((geo.m, L))
-            for i in range(geo.m - 1, -1, -1):
-                SV[i, rel[i]] += lin[i]
-                par = int(geo.parent[i])
-                if par >= 0:
-                    SV[par] += SV[i]
-            self.table = SV
-        self.want_max = want_max
-
-    def level_vector(self, lo: int, hi: int) -> np.ndarray | None:
-        """Aggregate over the range's forest tops; None when empty."""
-        tops = self.geo.tops(lo, hi)
-        if tops.size == 0:
-            return None
-        rows = self.table[tops]
-        return rows.max(axis=0) if self.want_max else rows.sum(axis=0)
-
-    def level_logs(self, vec: np.ndarray) -> np.ndarray:
-        """Per-level log2 values from an aggregated vector."""
-        if self.want_max:
-            return vec
-        out = np.full(vec.shape, NEG_INF)
-        pos = vec > 0
-        out[pos] = np.log2(vec[pos]) + self.shift
-        return out
-
-
-def _aggregate_levels(level_logs: np.ndarray, q: float) -> float:
-    if level_logs.size == 0:
-        return NEG_INF
-    if q == INF:
-        return float(level_logs.max())
-    return log2_sum(q * level_logs) / q
+        tops = _batched(np.searchsorted(key, base + lo), np.searchsorted(key, base + hi), reduce)
+        return tops / self.p
 
 
 class _BKernel:
-    """The B-type expression for fixed parameters, as slope and content.
+    """The B-type expression for fixed parameters, as slope and contents.
 
-    The inhomogeneous variant sums only the levels >= 0.
+    The content aggregates the weights inside P per level, by sums of p-th
+    powers (p < inf) or maxima (p = inf), then takes the l^q norm of the
+    level aggregates.  The inhomogeneous variant drops the levels < 0.  The
+    BBMO and CMO contents are this one with other slopes; when p = q the two
+    stages collapse into one sum or maximum over all nodes.
     """
 
     def __init__(
-        self, geo: _Geometry, s: float, tau: float, p: float, q: float,
+        self, geo: _Geometry, s: float, p: float, q: float, slope: float,
         homogeneous: bool = True,
     ):
         self.geo = geo
-        self.slope = tau * geo.dim
+        self.slope = slope
         self.p = p
         self.q = q
         self.homogeneous = homogeneous
-        n = geo.dim
-        logw = geo.level_f * (s + n / 2.0) + geo.log2t
-        if p == INF:
-            self.table = _LevelTable(geo, logw, want_max=True)
-        else:
-            self.table = _LevelTable(geo, p * logw + geo.log2vol, want_max=False)
+        logw = geo.level_f * (s + geo.dim / 2.0) + geo.log2t
+        self.z = logw if p == INF else p * logw + geo.log2vol
 
-    def content(self, lo: int, hi: int, level: int) -> float:
+    def contents(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
         geo, p, q = self.geo, self.p, self.q
-        vec = self.table.level_vector(lo, hi)
-        if vec is None:
-            return NEG_INF
-        start = level if self.homogeneous else max(level, 0)
-        vec = vec[max(start - geo.min_level, 0) :]
-        level_logs = self.table.level_logs(vec)
-        if p != INF:
-            level_logs = level_logs / p
-        return _aggregate_levels(level_logs, q)
+        per_level = _seg_max if p == INF else _seg_log2_sum
+        p_root = 1.0 if p == INF else p  # log2 of an l^p norm: power sum / p
+        width = geo.depth + 1
+        cut = np.maximum(level, 0) if not self.homogeneous and (level < 0).any() else None
+
+        def reduce(idx, owner, node, starts):
+            vals, lev = self.z[node], geo.level[node]
+            if cut is not None:
+                vals[lev < cut[idx][owner]] = NEG_INF
+            if p == q:
+                return per_level(vals, starts, owner) / p_root
+            # group each cube's pairs by level; stable, so that a group keeps
+            # the depth-first order of its nodes
+            key = owner * width + (lev - geo.min_level)
+            order = np.argsort(key, kind="stable")
+            key, vals, owner = key[order], vals[order], owner[order]
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            if first.size < key.size:  # some level holds several nodes
+                group = np.repeat(np.arange(first.size), np.diff(first, append=key.size))
+                vals, owner = per_level(vals, first, group), owner[first]
+            agg = vals / p_root
+            starts = np.flatnonzero(np.diff(owner, prepend=-1))
+            if q == INF:
+                return _seg_max(agg, starts, owner)
+            return _seg_log2_sum(q * agg, starts, owner) / q
+
+        return _batched(lo, hi, reduce)
 
 
 def _argmax(values: np.ndarray, levels: np.ndarray, cube_of) -> tuple[float, DyadicCube]:
@@ -581,15 +591,16 @@ def _supremum(geo: _Geometry, kern, homogeneous: bool = True) -> NormValue:
     """Supremum of ``kern`` over every dyadic subcube of the root that
     contains support, plus the root; level >= 0 only when inhomogeneous.
 
-    Each candidate's content is computed once and serves the chain gap above
-    it too.  On a gap the value ``slope * l + content`` is monotone in the
-    level l (float rounding is monotone as well), so the gap's supremum sits
-    at its coarsest level when slope <= 0.  When slope > 0 it sits at the
+    The contents of all candidates come from one batched kernel call; each
+    serves the chain gap above its candidate too.  On a gap the value
+    ``slope * l + content`` is monotone in the level l (float rounding is
+    monotone as well), so the gap's supremum sits at its coarsest level when
+    slope <= 0.  When slope > 0 it sits at the
     finest level, and bisection finds the coarsest gap level that rounds to
     the same value, which the tie rule prefers.
     """
-    cand, spans, level, gap_lo = geo.candidates(homogeneous)
-    content = np.array([kern.content(*span) for span in spans], dtype=float)
+    cand, lo, hi, level, gap_lo = geo.candidates(homogeneous)
+    content = kern.contents(lo, hi, level)
     if content.size == 0:
         return NormValue.from_log2(NEG_INF, geo.root)
     slope = kern.slope
@@ -649,7 +660,7 @@ def b_type_norm(
     s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
     _check_tau(tau, allow_negative_tau)
     geo = t.geometry
-    kern = _BKernel(geo, s, tau, p, q, params.homogeneous)
+    kern = _BKernel(geo, s, p, q, tau * geo.dim, params.homogeneous)
     return _supremum(geo, kern, params.homogeneous)
 
 
@@ -666,32 +677,6 @@ def f_inf_inf_norm(t: CubeSequence, s_eff: float) -> NormValue:
 
 
 b_inf_inf_norm = f_inf_inf_norm
-
-
-class _CMOKernel:
-    """The CMO expression for fixed parameters, as slope and content."""
-
-    def __init__(self, geo: _Geometry, s: float, q: float, r: float):
-        n = geo.dim
-        self.q = q
-        logw = geo.level_f * (s + n / 2.0) + geo.log2t
-        if q == INF:
-            self.slope = 0.0
-            self.table = _LevelTable(geo, logw, want_max=True)
-        else:
-            self.slope = r * n / q
-            self.table = _LevelTable(geo, q * logw + geo.log2vol, want_max=False)
-
-    def content(self, lo: int, hi: int, level: int) -> float:
-        vec = self.table.level_vector(lo, hi)
-        if vec is None:
-            return NEG_INF
-        if self.q == INF:
-            return float(vec.max())
-        tot = float(vec.sum())
-        if tot <= 0:
-            return NEG_INF
-        return (math.log2(tot) + self.table.shift) / self.q
 
 
 def cmo_norm(t: CubeSequence, s: float, q: float, r: float) -> NormValue:
@@ -711,53 +696,23 @@ def cmo_norm(t: CubeSequence, s: float, q: float, r: float) -> NormValue:
             rule="Proposition 1(iv)",
         )
     geo = t.geometry
-    return _supremum(geo, _CMOKernel(geo, s, q, r))
-
-
-class _BBMOKernel:
-    """The BBMO expression for fixed parameters, as slope and content.
-
-    The per-level average over P is 2**(n l) times the level sum; its factor
-    2**(n l / p) is the slope.
-    """
-
-    def __init__(self, geo: _Geometry, s: float, p: float, q: float):
-        n = geo.dim
-        self.geo = geo
-        self.p = p
-        self.q = q
-        logw = geo.level_f * (s + n / 2.0) + geo.log2t
-        if p == INF:
-            self.slope = 0.0
-            self.table = _LevelTable(geo, logw, want_max=True)
-        else:
-            self.slope = n / p
-            self.table = _LevelTable(geo, p * logw + geo.log2vol, want_max=False)
-
-    def content(self, lo: int, hi: int, level: int) -> float:
-        p, q = self.p, self.q
-        vec = self.table.level_vector(lo, hi)
-        if vec is None:
-            return NEG_INF
-        level_logs = self.table.level_logs(vec[max(level - self.geo.min_level, 0) :])
-        if p == INF:
-            return _aggregate_levels(level_logs, q)
-        if q == INF:
-            return float(level_logs.max()) / p
-        return log2_sum((q / p) * level_logs) / q
+    slope = 0.0 if q == INF else r * geo.dim / q
+    return _supremum(geo, _BKernel(geo, s, q, q, slope))
 
 
 def bbmo_norm(t: CubeSequence, s: float, p: float, q: float) -> NormValue:
     """Besov-flavoured BMO norm: per-level averages over P, then an l^q sum.
 
-    Must agree with the B-type norm at Morrey exponent 1/p; the arrangement
-    here keeps the |P| factor of each level average in the slope.
+    Must agree with the B-type norm at Morrey exponent 1/p.  The per-level
+    average over P is 2**(n l) times the level sum; its factor 2**(n l / p)
+    is the slope, which leaves the B-type content.
     """
     s, p, q = float(s), float(p), float(q)
     if not p > 0 or not q > 0:
         raise ParamError(f"p and q must be positive, got p={p}, q={q}")
     geo = t.geometry
-    return _supremum(geo, _BBMOKernel(geo, s, p, q))
+    slope = 0.0 if p == INF else geo.dim / p
+    return _supremum(geo, _BKernel(geo, s, p, q, slope))
 
 
 def norm(t: CubeSequence, params: SpaceParams, **kwargs) -> NormValue:
@@ -785,22 +740,85 @@ def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) ->
     if params.family == Family.F_TYPE:
         kern = _FKernel(geo, s, tau, p, q)
     elif params.family == Family.B_TYPE:
-        kern = _BKernel(geo, s, tau, p, q, params.homogeneous)
+        kern = _BKernel(geo, s, p, q, tau * geo.dim, params.homogeneous)
     else:
         raise ParamError(f"candidate_value supports F/B families, got {params.family}")
-    return kern.slope * region.level + kern.content(*span, region.level)
+    lo, hi, level = (np.array([x]) for x in (*span, region.level))
+    return float(kern.slope * region.level + kern.contents(lo, hi, level)[0])
 
 
 # ---------------------------------------------------------------------------
 # JSON Lines interchange
 # ---------------------------------------------------------------------------
+#
+# Python refuses int <-> decimal string conversions beyond a digit limit
+# (4300 by default), and the index of a cube at level 20000 has about 6000
+# digits.  Such integers are converted in pieces, which leaves the
+# process-wide limit alone.
+
+_DIGITS = 4000  # decimal digits per piece
+_PIECE = 10**_DIGITS
+_SAFE_BITS = 13000  # at most 3914 digits: converted in one piece
+
+
+def int_to_decimal(k: int) -> str:
+    """Decimal text of an integer of any size."""
+    if k < 0:
+        return "-" + int_to_decimal(-k)
+    pieces = []
+    while k >= _PIECE:
+        k, r = divmod(k, _PIECE)
+        pieces.append(str(r).zfill(_DIGITS))
+    pieces.append(str(k))
+    return "".join(reversed(pieces))
+
+
+def decimal_to_int(text: str) -> int:
+    """The integer of a decimal text of any length."""
+    digits = text.lstrip("+-")
+    value = 0
+    for i in range(0, len(digits), _DIGITS):
+        piece = digits[i : i + _DIGITS]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
+
+
+def json_dumps(obj, **kwargs) -> str:
+    """``json.dumps`` that also writes integers of any size."""
+    try:
+        return json.dumps(obj, **kwargs)
+    except ValueError:  # an integer beyond the limit, or raised again below
+        pass
+    big: list[int] = []
+
+    def swap(o):
+        if isinstance(o, dict):
+            return {k: swap(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [swap(v) for v in o]
+        if isinstance(o, int) and o.bit_length() > _SAFE_BITS:
+            big.append(o)
+            return f"\0{len(big) - 1}"  # a NUL cannot occur in a real string here
+        return o
+
+    text = json.dumps(swap(obj), **kwargs)
+    if big:
+        text = re.sub(r'"\\u0000(\d+)"', lambda m: int_to_decimal(big[int(m[1])]), text)
+    return text
+
+
+def _json_loads(line: str):
+    # a line this short holds no integer beyond the digit limit
+    if len(line) <= _SAFE_BITS // 4:
+        return json.loads(line)
+    return json.loads(line, parse_int=decimal_to_int)
 
 
 def save_jsonl(t: CubeSequence, path: str | Path) -> None:
     """Write header + one record per cube; log2 magnitudes round-trip exactly."""
     root = t.root
     lines = [
-        json.dumps(
+        json_dumps(
             {
                 "dim": t.dim,
                 "root": {"j": root.level, "k": list(root.index)},
@@ -811,7 +829,7 @@ def save_jsonl(t: CubeSequence, path: str | Path) -> None:
     ]
     for cube, lv in t.log2_magnitudes.items():
         lines.append(
-            json.dumps(
+            json_dumps(
                 {
                     "j": cube.level,
                     "k": list(cube.index),
@@ -830,14 +848,14 @@ def load_jsonl(path: str | Path) -> CubeSequence:
     if not lines:
         raise SequenceFormatError(f"{path}: empty sequence file")
     try:
-        header = json.loads(lines[0])
+        header = _json_loads(lines[0])
         dim = int(header["dim"])
         root = DyadicCube(dim, int(header["root"]["j"]), tuple(header["root"]["k"]))
         depth = int(header["depth"])
         log2_values: dict[DyadicCube, float] = {}
         seen: set[DyadicCube] = set()
         for ln in lines[1:]:
-            rec = json.loads(ln)
+            rec = _json_loads(ln)
             cube = DyadicCube(dim, int(rec["j"]), tuple(rec["k"]))
             if cube in seen:
                 raise SequenceFormatError(f"{path}: duplicate record for {cube}")

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._log2 import NEG_INF, log2_sum
+from ._log2 import INF, NEG_INF, inv, log2_sum
 from .dyadic import DyadicCube
 from .seqspace import CubeSequence, Family, SpaceParams, b_type_norm, f_type_norm
-
-INF = math.inf
 
 DEFAULT_DEPTHS_1D = (4, 8, 16, 32, 64)
 DEFAULT_DEPTHS_ND = (4, 8, 16)
@@ -78,17 +76,12 @@ def build_tower(s: float, tau: float, p: float, n: int, J: int) -> TowerWitness:
     """Truncated nested tower with magnitudes computed in the log domain."""
     if J < 0:
         raise ValueError("J must be >= 0")
-    exponent = float(s) + n / 2.0 + n * (float(tau) - _inv(p))
+    exponent = float(s) + n / 2.0 + n * (float(tau) - inv(p))
     values = {
         DyadicCube(n, j, (0,) * n): -j * exponent for j in range(J + 1)
     }
     seq = CubeSequence.from_log2_values(values, root=DyadicCube.unit(n), max_depth=J)
     return TowerWitness(float(s), float(tau), float(p), n, J, seq)
-
-
-def _inv(x: float) -> float:
-    x = float(x)
-    return 0.0 if x == INF else 1.0 / x
 
 
 def tower_b_closed_form(tau: float, p: float, q: float, n: int, J: int) -> float:
@@ -99,7 +92,7 @@ def tower_b_closed_form(tau: float, p: float, q: float, n: int, J: int) -> float
     sum becomes a supremum.  The value does not depend on s.
     """
     tau, p, q = float(tau), float(p), float(q)
-    delta = tau - _inv(p)
+    delta = tau - inv(p)
     if q == INF:
         # weights grow toward depth J whenever delta < 0
         return max(
@@ -107,7 +100,7 @@ def tower_b_closed_form(tau: float, p: float, q: float, n: int, J: int) -> float
             for k in range(J + 1)
         )
     a = delta * q + 1.0
-    a_prime = tau + 1.0 / q - _inv(p)
+    a_prime = tau + 1.0 / q - inv(p)
     best = NEG_INF
     for k in range(J + 1):
         tail = log2_sum(np.array([-j * n * a for j in range(k, J + 1)]))
@@ -117,7 +110,7 @@ def tower_b_closed_form(tau: float, p: float, q: float, n: int, J: int) -> float
 
 def separation_f_bound_log2(tau: float, p: float, n: int) -> float:
     """log2 of the uniform geometric-series bound for the F-side tower norm."""
-    return -_inv(p) * math.log2(1.0 - 2.0 ** (-n * float(tau) * float(p)))
+    return -inv(p) * math.log2(1.0 - 2.0 ** (-n * float(tau) * float(p)))
 
 
 def separation_b_bound_log2(tau: float, q: float, n: int) -> float:
@@ -174,13 +167,13 @@ def validate_separation_params(s, p, q, tau, family: str = "f") -> None:
         raise ValueError(f"the counterexample needs q > p, got p={p}, q={q}")
     if q == INF:
         lo_ok = tau > 0 if family == "f" else tau >= 0
-        if not (lo_ok and tau < _inv(p)):
+        if not (lo_ok and tau < inv(p)):
             raise ValueError(
                 f"with q = inf the counterexample needs tau in "
                 f"{'(0, 1/p)' if family == 'f' else '[0, 1/p)'}, got tau={tau}"
             )
     else:
-        if not (0 < tau <= _inv(p) - 1.0 / q):
+        if not (0 < tau <= inv(p) - 1.0 / q):
             raise ValueError(
                 f"the counterexample needs tau in (0, 1/p - 1/q], got tau={tau}"
             )
@@ -208,7 +201,7 @@ def certify_separation(
         depths = DEFAULT_DEPTHS_1D if n == 1 else DEFAULT_DEPTHS_ND
     depths = tuple(int(J) for J in depths)
 
-    tau_prime = tau + _inv(q) - _inv(p)
+    tau_prime = tau + inv(q) - inv(p)
     div_vals = []
     tgt_vals = []
     for J in depths:
@@ -223,7 +216,7 @@ def certify_separation(
             tgt = b_type_norm(tower, SpaceParams(Family.B_TYPE, s, tau, p, q))
         tgt_vals.append(tgt.log2_value)
 
-    if q < INF and abs(tau - (_inv(p) - 1.0 / q)) < 1e-12:
+    if q < INF and abs(tau - (inv(p) - 1.0 / q)) < 1e-12:
         theoretical = 1.0 / q  # norm is exactly (J+1)**(1/q) at the boundary
     else:
         theoretical = None

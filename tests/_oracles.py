@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
+import numpy as np
+
 from dyadic_spaces import (
     CubeSequence,
     DyadicCube,
@@ -216,13 +218,66 @@ def reference_supremum(seq: CubeSequence, kern, homogeneous: bool = True, candid
     """
     if candidates is None:
         candidates = reference_candidates(seq)
+    kept = [c for c in candidates if homogeneous or c[0].level >= 0]
+    if not kept:
+        return NEG_INF, seq.root, {}
+    cubes, lo, hi = zip(*kept)
+    level = [c.level for c in cubes]
+    contents = kern.contents(*(np.array(x, dtype=np.int64) for x in (lo, hi, level)))
     values = {
-        cube: kern.slope * cube.level + kern.content(lo, hi, cube.level)
-        for cube, lo, hi in candidates
-        if homogeneous or cube.level >= 0
+        cube: kern.slope * cube.level + float(x) for cube, x in zip(cubes, contents)
     }
-    if not values:
-        return NEG_INF, seq.root, values
     best = max(values.values())
     cube = min((c for c, v in values.items() if v == best), key=DyadicCube.sort_key)
     return best, cube, values
+
+
+def _log2_sum(terms) -> float:
+    """log2 of sum(2**t), one positive term at a time in plain floats."""
+    total = NEG_INF
+    for t in terms:
+        hi, lo = max(total, t), min(total, t)
+        total = hi if lo == NEG_INF else hi + math.log2(1.0 + 2.0 ** (lo - hi))
+    return total
+
+
+def loop_f_contents(geo, s, p, q, lo, hi):
+    """F-type contents of the ranges [lo, hi), one cube at a time: every
+    chain is re-accumulated from the top of the range down, in plain floats.
+    The per-candidate loop the batched kernel replaced."""
+    n = geo.dim
+    logw = [lv * (s + n / 2.0) + t for lv, t in zip(geo.level.tolist(), geo.log2t.tolist())]
+    parent, mu = geo.parent.tolist(), geo.mu_log2.tolist()
+    out = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        chain, terms = {}, []
+        for i in range(a, b):
+            w = logw[i] if q == INF else q * logw[i]
+            up = chain.get(parent[i], NEG_INF) if parent[i] >= a else NEG_INF
+            chain[i] = max(up, w) if q == INF else _log2_sum((up, w))
+            if mu[i] > NEG_INF:
+                terms.append(mu[i] + (p if q == INF else p / q) * chain[i])
+        out.append(_log2_sum(terms) / p)
+    return out
+
+
+def loop_b_contents(geo, s, p, q, lo, hi, level, homogeneous=True):
+    """B-type contents of the ranges [lo, hi) at the given levels, one cube
+    at a time: per-level sums (maxima at p = inf), then their l^q norm."""
+    n = geo.dim
+    levels = geo.level.tolist()
+    logw = [lv * (s + n / 2.0) + t for lv, t in zip(levels, geo.log2t.tolist())]
+    out = []
+    for a, b, lv in zip(lo.tolist(), hi.tolist(), level.tolist()):
+        start = lv if homogeneous else max(lv, 0)
+        per_level = {}
+        for i in range(a, b):
+            if levels[i] >= start:
+                z = logw[i] if p == INF else p * logw[i] - n * levels[i]
+                per_level.setdefault(levels[i], []).append(z)
+        aggs = [max(z) if p == INF else _log2_sum(z) / p for z in per_level.values()]
+        if q == INF:
+            out.append(max(aggs, default=NEG_INF))
+        else:
+            out.append(_log2_sum(q * x for x in aggs) / q)
+    return out

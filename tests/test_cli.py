@@ -80,6 +80,25 @@ class TestNorm:
         code = main(["norm", "--family", "f", "--in", str(bad)])
         assert code == 2
 
+    def test_index_beyond_int_string_limit(self, tmp_path):
+        # about 6000 decimal digits, past Python's 4300-digit conversion limit
+        import random
+
+        from dyadic_spaces.seqspace import decimal_to_int, int_to_decimal
+
+        k = random.Random(7).getrandbits(20000)
+        deep = DyadicCube(1, 20000, (k,))
+        path = tmp_path / "deep.jsonl"
+        save_jsonl(CubeSequence.from_values({deep: 0.5}, root=DyadicCube.unit(1)), path)
+        args = ["norm", "--family", "b", "--tau", "1/2", "--in", str(path)]
+        code, raw = run(args, tmp_path)
+        assert code == 0
+        doc = json.loads(raw, parse_int=decimal_to_int)
+        assert doc["attained_at"] == {"j": 20000, "k": [k]}
+        code, raw = run([*args, "--format", "csv"], tmp_path, "out.csv")
+        assert code == 0
+        assert raw.decode().splitlines()[1].split(",")[3] == int_to_decimal(k)
+
     def test_duplicate_record_exit_2(self, tmp_path, capsys):
         dup = tmp_path / "dup.jsonl"
         dup.write_text(

@@ -25,6 +25,8 @@ from dyadic_spaces.equivalence import random_sequence
 from dyadic_spaces.witness import build_tower
 
 from _oracles import (
+    loop_b_contents,
+    loop_f_contents,
     reference_b_norm,
     reference_bbmo,
     reference_cmo,
@@ -481,6 +483,26 @@ class TestJsonl:
         save_jsonl(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_roundtrip_index_beyond_int_string_limit(self, tmp_path):
+        import random
+
+        from dyadic_spaces.seqspace import decimal_to_int, int_to_decimal
+
+        rng = random.Random(11)
+        k = rng.getrandbits(20000)  # about 6000 decimal digits
+        seq = CubeSequence.from_log2_values(
+            {DyadicCube(1, 20000, (k,)): 0.25, Q(3, 5): -1.0}, root=DyadicCube.unit(1)
+        )
+        path = tmp_path / "deep.jsonl"
+        save_jsonl(seq, path)
+        loaded = load_jsonl(path)
+        assert loaded.log2_magnitudes == seq.log2_magnitudes
+        path2 = tmp_path / "deep2.jsonl"
+        save_jsonl(loaded, path2)
+        assert path.read_bytes() == path2.read_bytes()
+        for x in (0, -1, k, -k, 10**4000, 10**4000 - 1, rng.getrandbits(40000)):
+            assert decimal_to_int(int_to_decimal(x)) == x
+
     def test_log2v_takes_precedence(self, tmp_path):
         path = tmp_path / "seq.jsonl"
         path.write_text(
@@ -515,15 +537,23 @@ class TestJsonl:
 @st.composite
 def sparse_fields(draw):
     """Mixed-depth sparse supports clustered around one random path, so that
-    chains, branch points and ancestor pairs are common."""
+    chains, branch points and ancestor pairs are common; on the deeper paths,
+    sometimes with a run of 64 or more consecutive support levels."""
     dim = draw(st.integers(1, 3))
     root = DyadicCube(
         dim, draw(st.sampled_from([0, -2])),
         tuple(draw(st.integers(-2, 2)) for _ in range(dim)),
     )
-    depth = draw(st.sampled_from([3, 8, 30, 70]))
+    depth = draw(st.sampled_from([3, 8, 30, 70, 100]))
     trunk = [draw(st.integers(0, 2**depth - 1)) for _ in range(dim)]
     values = {}
+    if depth >= 70 and draw(st.booleans()):
+        top = draw(st.integers(0, depth - 63))
+        run = draw(st.lists(st.floats(-4, 4), min_size=64, max_size=depth + 1 - top))
+        for d, v in enumerate(run, top):
+            rel = [t >> (depth - d) for t in trunk]
+            index = tuple((r << d) + k for r, k in zip(root.index, rel))
+            values[DyadicCube(dim, root.level + d, index)] = v
     for _ in range(draw(st.integers(0, 6))):
         d = draw(st.integers(0, depth))
         rel = [((t >> (depth - d)) ^ draw(st.integers(0, 3))) % (1 << d) for t in trunk]
@@ -572,13 +602,40 @@ class TestCompressedCandidates:
             (
                 b_type_norm(seq, bp(s, tau, INF if q == 0.5 else p, q, hom),
                             allow_negative_tau=True),
-                seqspace._BKernel(geo, s, tau, INF if q == 0.5 else p, q, hom),
+                seqspace._BKernel(geo, s, INF if q == 0.5 else p, q, tau * seq.dim, hom),
                 hom,
             ),
-            (cmo_norm(seq, s, q, r), seqspace._CMOKernel(geo, s, q, r), True),
-            (bbmo_norm(seq, s, p, q), seqspace._BBMOKernel(geo, s, p, q), True),
+            (
+                cmo_norm(seq, s, q, r),
+                seqspace._BKernel(geo, s, q, q, 0.0 if q == INF else r * seq.dim / q),
+                True,
+            ),
+            (
+                bbmo_norm(seq, s, p, q),
+                seqspace._BKernel(geo, s, p, q, 0.0 if p == INF else seq.dim / p),
+                True,
+            ),
         ):
             assert_same_supremum(nv, reference_supremum(seq, kern, homogeneous, cands))
+        # the batched contents against the per-candidate loop, on every
+        # candidate and on the ancestor-of-root range
+        lo = np.append(geo.cand_lo, 0)
+        hi = np.append(geo.cand_hi, geo.m)
+        level = np.append(geo.cand_level, seq.root.level - 3)
+        for kern, want in (
+            (seqspace._FKernel(geo, s, tau, p, q), loop_f_contents(geo, s, p, q, lo, hi)),
+            (
+                seqspace._BKernel(geo, s, p, q, 0.0, hom),
+                loop_b_contents(geo, s, p, q, lo, hi, level, hom),
+            ),
+            (
+                seqspace._BKernel(geo, s, q, q, 0.0),
+                loop_b_contents(geo, s, q, q, lo, hi, level),
+            ),
+        ):
+            assert kern.contents(lo, hi, level).tolist() == pytest.approx(
+                want, rel=1e-12, abs=1e-12
+            )
         weights = {
             c: c.level * (s + seq.dim / 2) + v for c, v in seq.log2_magnitudes.items()
         }
@@ -624,3 +681,121 @@ class TestCompressedCandidates:
         )
         assert nv.attained_at == cube == Q(9, 0)
         assert nv.log2_value == best
+
+
+class TestKernelMemory:
+    """No kernel allocates a nodes x levels table: on a 2049-level tower and
+    on 21 cubes 200000 levels deep (both 33.6 MB as such a table), every
+    norm's own allocations stay under a fixed bound."""
+
+    BOUND = 8 * 2**20
+
+    @pytest.mark.parametrize("field", ["tower", "deep-sparse"])
+    def test_peak_under_bound(self, field):
+        import random
+        import tracemalloc
+
+        if field == "tower":
+            seq = build_tower(0, 0.5, 1, 1, 2048).sequence
+        else:
+            rng = random.Random(5)
+            k = rng.getrandbits(200000)
+            seq = CubeSequence.from_log2_values(
+                {Q(j, k >> (200000 - j)): rng.uniform(-3, 3) for j in range(199980, 200001)},
+                root=Q(0, 0),
+            )
+        seq.geometry
+        for fn, params in (
+            (b_type_norm, bp(0, 0.5, 1, 2)),
+            (b_type_norm, bp(0, 0.5, INF, 2)),
+            (f_type_norm, fp(0, 0.5, 1, 2)),
+            (f_type_norm, fp(0, 0.5, 1, INF)),
+        ):
+            tracemalloc.start()
+            try:
+                fn(seq, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < self.BOUND, (params, peak)
+
+
+# one CLI norm per family, with finite and infinite exponents
+NORM_ARGS = (
+    ("--family", "f", "--tau", "1/2", "--p", "1", "--q", "2"),
+    ("--family", "f", "--s", "1/2", "--p", "2", "--q", "inf"),
+    ("--family", "b", "--tau", "1/4", "--p", "inf", "--q", "2"),
+    ("--family", "b", "--tau", "1/2", "--p", "2", "--q", "2", "--inhomogeneous"),
+    ("--family", "cmo", "--q", "2", "--r", "1/2"),
+    ("--family", "bbmo", "--p", "1", "--q", "inf"),
+    ("--family", "finfinf", "--s", "1/2"),
+    ("--family", "binfinf", "--s=-1/2"),
+)
+
+
+def _cli_norms(path):
+    """Every NORM_ARGS output for the file at ``path``, as bytes."""
+    from dyadic_spaces.cli import main
+
+    out = path.with_suffix(".out")
+    docs = []
+    for args in NORM_ARGS:
+        assert main(["norm", *args, "--in", str(path), "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    return docs
+
+
+class TestRecordProperties:
+    """What a JSONL file's record order and zero records may not change."""
+
+    @given(sparse_fields(), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_shuffled_records_give_identical_output(self, seq, rnd):
+        import tempfile
+        from pathlib import Path
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            save_jsonl(seq, path)
+            before = _cli_norms(path)
+            header, *records = path.read_text().splitlines()
+            rnd.shuffle(records)
+            path.write_text("\n".join([header, *records]) + "\n")
+            assert _cli_norms(path) == before
+
+    @given(sparse_fields(), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_zero_records_change_no_norm(self, seq, rnd):
+        import json
+        import tempfile
+        from pathlib import Path
+
+        root, depth = seq.root, seq.tree.max_depth
+        zeros = set()
+        for _ in range(rnd.randint(1, 5)):
+            d = rnd.randint(0, depth)
+            index = tuple((r << d) + rnd.getrandbits(d) for r in root.index)
+            cube = DyadicCube(seq.dim, root.level + d, index)
+            if cube not in seq.log2_magnitudes:
+                zeros.add(cube)
+        padded = CubeSequence.from_log2_values(  # the zeros join the support tree
+            seq.log2_magnitudes, root=root, keys=[*seq.support, *zeros]
+        )
+        for fn, params in (
+            (f_type_norm, fp(0.5, 0.25, 1, 2)),
+            (b_type_norm, bp(0, 0.5, 2, INF)),
+        ):
+            assert fn(padded, params) == fn(seq, params)
+        assert cmo_norm(padded, 0, 2, 0.5) == cmo_norm(seq, 0, 2, 0.5)
+        assert bbmo_norm(padded, 0, 1, 2) == bbmo_norm(seq, 0, 1, 2)
+        assert f_inf_inf_norm(padded, 0.5) == f_inf_inf_norm(seq, 0.5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            save_jsonl(seq, path)
+            before = _cli_norms(path)
+            lines = path.read_text().splitlines()
+            for cube in zeros:
+                record = json.dumps({"j": cube.level, "k": list(cube.index), "v": 0.0})
+                lines.insert(rnd.randint(1, len(lines)), record)
+            path.write_text("\n".join(lines) + "\n")
+            assert _cli_norms(path) == before
