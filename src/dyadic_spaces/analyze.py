@@ -245,7 +245,9 @@ def coefficients(f: GridFunction, bank: FilterBank, max_level: int) -> CubeSeque
         raise ValueError(f"max_level {max_level} outside {bank.valid_levels}")
     L = f.log_resolution
     dim = f.dim
-    values: dict[DyadicCube, float] = {}
+    levels: list[int] = []
+    indices: list[list[int]] = []
+    log2_values: list[float] = []
     for j in range(0, max_level + 1):
         conv = lp_convolve(f, bank, j).samples
         step = 1 << (L - j)
@@ -254,13 +256,13 @@ def coefficients(f: GridFunction, bank: FilterBank, max_level: int) -> CubeSeque
         else:
             block = conv[::step, ::step]
         mags = np.abs(block) * 2.0 ** (-j * dim / 2.0)
-        it = np.ndindex(*block.shape)
-        for idx in it:
-            v = float(mags[idx])
-            if v > 0.0:
-                values[DyadicCube(dim, j, tuple(int(k) for k in idx))] = v
+        nonzero = mags > 0.0
+        found = np.argwhere(nonzero).tolist()
+        levels += [j] * len(found)
+        indices += found
+        log2_values += map(math.log2, mags[nonzero].tolist())
     root = DyadicCube.unit(dim)
-    return CubeSequence.from_values(values, root=root, max_depth=max_level)
+    return CubeSequence.from_records(root, levels, indices, log2_values, max_level)
 
 
 def _unit_subcubes(dim: int, max_level: int):

@@ -483,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("witness", help="tower growth certification")
     _add_params(sp, r=False)
+    # the README's separating pair; the shared defaults p = q = 2 fail q > p
+    sp.set_defaults(tau=Fraction(1, 2), p=1, q=2)
     sp.add_argument("--depths", default="4,8,16,32,64")
     sp.add_argument("--part", choices=("f", "b"), default="f")
     _add_common(sp)

@@ -10,6 +10,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
+# Python refuses int <-> decimal string conversions beyond a digit limit (4300
+# by default), and the index of a cube at level 20000 has about 6000 digits.
+# Such integers are converted in pieces, which leaves the process-wide limit
+# alone.
+_DIGITS = 4000  # decimal digits per piece
+_PIECE = 10**_DIGITS
+
+
+def int_to_decimal(k: int) -> str:
+    """Decimal text of an integer of any size."""
+    if k < 0:
+        return "-" + int_to_decimal(-k)
+    pieces = []
+    while k >= _PIECE:
+        k, r = divmod(k, _PIECE)
+        pieces.append(str(r).zfill(_DIGITS))
+    pieces.append(str(k))
+    return "".join(reversed(pieces))
+
+
+def decimal_to_int(text: str) -> int:
+    """The integer of a decimal text of any length."""
+    digits = text.lstrip("+-")
+    value = 0
+    for i in range(0, len(digits), _DIGITS):
+        piece = digits[i : i + _DIGITS]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
+
 
 class DimensionMismatchError(ValueError):
     """Two cubes of different ambient dimension were combined."""
@@ -122,8 +151,8 @@ class DyadicCube:
         return cube
 
     def __repr__(self) -> str:
-        k = self.index[0] if self.dim == 1 else list(self.index)
-        return f"Q(j={self.level}, k={k})"
+        k = ", ".join(map(int_to_decimal, self.index))
+        return f"Q(j={self.level}, k={k if self.dim == 1 else f'[{k}]'})"
 
 
 def contains(outer: DyadicCube, inner: DyadicCube) -> bool:

@@ -30,22 +30,38 @@ m**2 / 2 on towers.  The F kernel sweeps the support depths once, touching
 each (support ancestor, node) pair once, then sums each candidate's tops.
 No table of nodes by levels is ever built, so memory stays O(m) plus the
 fixed pair batch, whatever the depth.
+
+Every input reaches the geometry through one validating constructor,
+``CubeSequence.from_records``, which takes (level, index, log2 magnitude)
+records.  ``load_jsonl`` scans each line with the json module's scanner and
+takes the fields off the parsed records; ``from_values`` and
+``from_log2_values`` read them off their cubes, and ``analyze.coefficients``
+off the nonzero entries of each block.  The constructor checks the records
+(root, depth bound, index length, finite magnitudes, the key-memory bound),
+builds each Morton key one axis at a time, sorts once by (key, depth) and
+finds duplicates as equal neighbours in that order.  The sequence keeps the
+sorted keys, depths and log2 magnitudes, which the geometry compiles as they
+are; no cube object is built on the way, and the cube views (``support``,
+``log2_magnitudes``, ``tree``) are built from the arrays on first use.
 """
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
+import operator
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._geometry import Geometry, key_cube, morton_keys
 from ._log2 import INF, NEG_INF, log2_to_linear
-from .dyadic import DyadicCube, SupportTree
+from .dyadic import DyadicCube, SupportTree, decimal_to_int, int_to_decimal
 
 class Family(str, Enum):
     F_TYPE = "F_type"
@@ -113,199 +129,115 @@ class NormValue:
         return self.log2_value == NEG_INF
 
 
-def _morton(rel: Iterable[int], depth: int, dim: int) -> int:
-    """Z-order code of a relative index: the child codes of the path from
-    the root, most significant first, dimension 0 in the lowest bit of each."""
-    if dim == 1:
-        return next(iter(rel))
-    if depth == 0:
-        return 0
-    bits = [format(k, f"0{depth}b") for k in reversed(tuple(rel))]
-    return int("".join(map("".join, zip(*bits))), 2)
-
-
-class _Geometry:
-    """Compiled support geometry shared by all norm evaluations of a sequence.
-
-    Support nodes are kept in depth-first order.  Each node gets a Morton
-    key: its path from the root as a Z-order code, shifted left to the full
-    width of ``depth * dim`` bits (``depth`` is that of the deepest node), so
-    that sorting by (key, node depth) gives the depth-first order and a
-    node's subtree is a contiguous range.
-
-    The candidate set for the outer supremum is the root, the support nodes
-    and the branch points (cubes whose children lead to two or more support
-    subtrees), at most 2m cubes.  Every other dyadic subcube of the root
-    that contains support lies in a chain gap: strictly between a candidate
-    and its nearest candidate ancestor, with exactly the support of the
-    candidate below it.  Candidates are stored as arrays (``cand_level``,
-    ``cand_lo``, ``cand_hi``, ``cand_key``), with ``gap_lo`` the coarsest
-    level of the gap above each candidate; the gap ends just above the
-    candidate's own level.
-    """
-
-    def __init__(self, root: DyadicCube, entries: list[tuple[DyadicCube, float]]):
-        self.root = root
-        n = self.dim = root.dim
-        j0 = self.min_level = root.level
-        m = self.m = len(entries)
-        self.max_level = max((q.level for q, _ in entries), default=j0)
-        D = self.depth = self.max_level - j0
-        depth = [q.level - j0 for q, _ in entries]
-        rel = [
-            [k - (r << d) for k, r in zip(q.index, root.index)]
-            for (q, _), d in zip(entries, depth)
-        ]
-        keys = [_morton(r, d, n) << n * (D - d) for r, d in zip(rel, depth)]
-        order = sorted(range(m), key=lambda i: (keys[i], depth[i]))
-        self.nodes = [entries[i][0] for i in order]
-        self.key = [keys[i] for i in order]
-        self.node_depth = [depth[i] for i in order]
-        self.level = np.array(self.node_depth, dtype=np.int64) + j0
-        self.level_f = self.level.astype(float)
-        self.log2t = np.array([entries[i][1] for i in order], dtype=float)
-        self.log2vol = -self.level_f * n
-        self._compile()
-        self.mu_log2 = self._shell_measures()
-
-    def _compile(self) -> None:
-        """One stack pass over the depth-first keys.
-
-        Yields the support parent and support depth (the number of support
-        ancestors) of every node and the compressed candidate
-        tree, whose ranges [lo, hi) end each candidate's subtree: a branch
-        point is the lowest common ancestor of two depth-first-adjacent
-        nodes, found from the bit length of their key XOR.
-        """
-        n, m, D = self.dim, self.m, self.depth
-        keys, depth = self.key, self.node_depth
-        parent = [-1] * m
-        sdepth = [0] * m + [-1]  # the entry at index -1 serves the parentless
-        c_depth, c_key, c_lo, c_hi, c_up = [0], [0], [0], [m], [-1]
-        first = 1 if m and depth[0] == 0 else 0  # is the root a support node?
-        # stack entries: (candidate, depth, key, nearest support node at or
-        # above); they form the candidate chain above the last node
-        stack = [(0, 0, 0, first - 1)]
-        for i in range(first, m):
-            k, d = keys[i], depth[i]
-            top = stack[-1]
-            lca = min(d, top[1], (n * D - (k ^ top[2]).bit_length()) // n)
-            if lca < top[1]:
-                while stack[-1][1] > lca:
-                    last = stack.pop()
-                    c_hi[last[0]] = i
-                    c_up[last[0]] = stack[-1][0]
-                if stack[-1][1] < lca:  # new branch point between the two
-                    cid = len(c_depth)
-                    shift = n * (D - lca)
-                    bkey = k >> shift << shift
-                    c_depth.append(lca)
-                    c_key.append(bkey)
-                    c_lo.append(c_lo[last[0]])
-                    c_hi.append(m)
-                    c_up.append(-1)
-                    c_up[last[0]] = cid
-                    stack.append((cid, lca, bkey, stack[-1][3]))
-            parent[i] = par = stack[-1][3]
-            sdepth[i] = sdepth[par] + 1
-            c_up.append(-1)
-            c_hi.append(m)
-            c_lo.append(i)
-            c_key.append(k)
-            c_depth.append(d)
-            stack.append((len(c_depth) - 1, d, k, i))
-        for below, above in zip(stack, stack[1:]):
-            c_up[above[0]] = below[0]
-        self.parent = np.array(parent, dtype=np.int64)
-        self.sdepth = np.array(sdepth[:m], dtype=np.int64)
-        self.cand_level = np.array(c_depth, dtype=np.int64) + self.min_level
-        self.cand_lo = np.array(c_lo, dtype=np.int64)
-        self.cand_hi = np.array(c_hi, dtype=np.int64)
-        self.cand_key = c_key
-        up = np.array(c_up, dtype=np.int64)
-        self.gap_lo = np.where(up >= 0, self.cand_level[up] + 1, self.cand_level)
-
-    def candidates(self, homogeneous: bool) -> tuple:
-        """The candidates of the homogeneous supremum (all of them) or of the
-        inhomogeneous one (levels >= 0, gaps cut at level 0): their indices,
-        depth-first ranges [lo, hi), levels and gap starts."""
-        level = self.cand_level
-        if homogeneous:
-            cand, gap_lo = np.arange(level.size), self.gap_lo
-        else:
-            cand = np.flatnonzero(level >= 0)
-            level, gap_lo = level[cand], np.maximum(self.gap_lo[cand], 0)
-        return cand, self.cand_lo[cand], self.cand_hi[cand], level, gap_lo
-
-    def _shell_measures(self) -> np.ndarray:
-        """log2 of each node's volume minus the volume of its support
-        children, exact in integer arithmetic at the finest child's scale."""
-        n = self.dim
-        depth = self.node_depth
-        shifts: dict[int, list[int]] = {}
-        for c, par in enumerate(self.parent.tolist()):
-            if par >= 0:
-                shifts.setdefault(par, []).append(n * (depth[c] - depth[par]))
-        mu = self.log2vol.copy()
-        for par, sh in shifts.items():
-            top = max(sh)
-            rest = (1 << top) - sum(1 << (top - s) for s in sh)
-            mu[par] = math.log2(rest) - top + mu[par] if rest > 0 else NEG_INF
-        return mu
-
-    def cube(self, key: int, level: int) -> DyadicCube:
-        """The cube at ``level`` on the path from the root to the key's node."""
-        n, root = self.dim, self.root
-        d = level - self.min_level
-        code = key >> n * (self.depth - d)
-        if n == 1:
-            rel = (code,)
-        else:
-            bits = format(code, f"0{d * n}b") if d else ""
-            rel = tuple(int(bits[n - 1 - i :: n] or "0", 2) for i in range(n))
-        return DyadicCube(n, level, tuple((r << d) + k for r, k in zip(root.index, rel)))
-
-    def locate(self, cube: DyadicCube) -> tuple[int, int] | None:
-        """Depth-first range [lo, hi) of the support nodes inside an arbitrary
-        cube; None when the cube is disjoint from the root."""
-        if cube.contains(self.root):
-            return 0, self.m
-        if not self.root.contains(cube):
-            return None
-        n, d = self.dim, cube.level - self.min_level
-        if d > self.depth:  # finer than every support node
-            return 0, 0
-        rel = [k - (r << d) for k, r in zip(cube.index, self.root.index)]
-        shift = n * (self.depth - d)
-        key = _morton(rel, d, n) << shift
-        lo = bisect_left(self.key, key)
-        lo = bisect_left(self.node_depth, d, lo, bisect_right(self.key, key, lo))
-        return lo, bisect_left(self.key, key + (1 << shift), lo)
+# The key-memory bound: each of m records gets a Morton key dim * depth bits
+# wide, depth being that of the deepest record, so the keys alone take
+# m * dim * depth bits; a sequence needing more than this (128 MiB) is refused.
+KEY_BITS_BOUND = 1 << 30
 
 
 class CubeSequence:
     """Finitely supported map from dyadic cubes to coefficient magnitudes.
 
     Only magnitudes are stored: every implemented norm depends on the
-    coefficients through their absolute values alone.
+    coefficients through their absolute values alone.  They are held as the
+    arrays the geometry compiles, in depth-first order: each node's Morton
+    key and depth below the root, and its log2 magnitude.  The cube views
+    (``support``, ``log2_magnitudes``, ``tree``) are built on first use.
     """
 
-    def __init__(self, tree: SupportTree, log2_values: Mapping[DyadicCube, float]):
-        self.tree = tree
-        items = {}
-        for cube, lv in log2_values.items():
-            lv = float(lv)
-            if lv == NEG_INF:
-                continue
-            if not math.isfinite(lv):
-                raise ValueError(f"non-finite log2 magnitude {lv} at {cube}")
-            if cube not in tree.nodes:
-                raise ValueError(f"value attached to {cube} outside the support tree")
-            items[cube] = lv
-        self._log2 = dict(sorted(items.items(), key=lambda kv: kv[0].sort_key()))
-        self._geometry: _Geometry | None = None
+    def __init__(
+        self, root: DyadicCube, max_depth: int, width: int, key: list[int],
+        node_depth: list[int], log2t: np.ndarray, cubes: list[DyadicCube] | None = None,
+    ):
+        self.root = root
+        self.max_depth = max_depth
+        self._width = width
+        self._key = key
+        self._node_depth = node_depth
+        self._log2t = log2t
+        self._cubes = cubes
+        self._log2: dict[DyadicCube, float] | None = None
+        self._tree: SupportTree | None = None
+        self._geometry: Geometry | None = None
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def from_records(
+        cls,
+        root: DyadicCube,
+        levels: Sequence[int],
+        indices: Sequence[Sequence[int]],
+        log2_values: Sequence[float],
+        max_depth: int | None = None,
+        cubes: Sequence[DyadicCube] | None = None,
+    ) -> "CubeSequence":
+        """The sequence of the records (level, index, log2 magnitude).
+
+        Every record must lie in the root, at most ``max_depth`` levels
+        below it (default: the deepest record's depth), with an index of
+        ``root.dim`` integers, once only, and with a log2 magnitude that is
+        finite or -inf; -inf is a zero magnitude, validated and then
+        dropped.  The records are sorted once, depth-first, and a duplicate
+        shows as two equal adjacent (key, depth) pairs.  ``cubes``, the
+        records as cubes when the caller has them, serve the cube views.
+        Raises ValueError naming the rule a record breaks.
+        """
+        n, j0, m = root.dim, root.level, len(levels)
+
+        def record(i: int) -> DyadicCube:  # a record as a cube, for messages
+            return DyadicCube(n, levels[i], tuple(indices[i]))
+
+        depth = [j - j0 for j in levels]
+        D = max(depth, default=0)
+        if max_depth is None:
+            max_depth = D
+        if max_depth < 0:
+            raise ValueError(f"depth must be >= 0, got {max_depth}")
+        if not all(len(k) == n for k in indices):
+            i = next(i for i, k in enumerate(indices) if len(k) != n)
+            raise ValueError(
+                f"index length {len(indices[i])} != dim {n} in a record at level {levels[i]}"
+            )
+        if depth and (min(depth) < 0 or D > max_depth):
+            i = next(i for i, d in enumerate(depth) if not 0 <= d <= max_depth)
+            if depth[i] < 0:
+                raise ValueError(f"{record(i)} lies outside the root {root}")
+            raise ValueError(f"{record(i)} lies below level {j0 + max_depth}, the depth bound")
+        if m * n * D > KEY_BITS_BOUND:
+            raise ValueError(
+                f"{m} records {D} levels deep need {m * n * D} bits of keys, over "
+                f"the bound of 2**30 [key-memory bound]"
+            )
+        log2t = np.array(log2_values, dtype=float)
+        if not (log2t < INF).all():
+            i = int(np.flatnonzero(~(log2t < INF))[0])
+            raise ValueError(f"non-finite log2 magnitude {log2t[i]} at {record(i)}")
+        key = morton_keys(root, indices, depth, D)
+        if key is None:
+            cube = next(c for c in map(record, range(m)) if not root.contains(c))
+            raise ValueError(f"{cube} lies outside the root {root}")
+        # one sort, by (key, depth): the depth-first order
+        shift = D.bit_length()
+        pair = [k << shift | d for k, d in zip(key, depth)]
+        order = sorted(range(m), key=pair.__getitem__)
+        pair = [pair[i] for i in order]
+        if any(map(operator.eq, pair, pair[1:])):
+            t = next(t for t in range(1, m) if pair[t] == pair[t - 1])
+            raise ValueError(f"duplicate record for {record(order[t])}")
+        nonzero = log2t > NEG_INF
+        if not nonzero.all():
+            nonzero = nonzero.tolist()
+            order = [i for i in order if nonzero[i]]
+        return cls(
+            root,
+            max_depth,
+            D,
+            [key[i] for i in order],
+            [depth[i] for i in order],
+            log2t[order],
+            None if cubes is None else [cubes[i] for i in order],
+        )
 
     @classmethod
     def from_values(
@@ -314,14 +246,12 @@ class CubeSequence:
         root: DyadicCube | None = None,
         max_depth: int | None = None,
     ) -> "CubeSequence":
-        log2_values = {}
-        for cube, v in values.items():
-            v = float(v)
-            if v < 0 or not math.isfinite(v):
-                raise ValueError(f"magnitude must be finite and >= 0, got {v} at {cube}")
-            if v > 0:
-                log2_values[cube] = math.log2(v)
-        return cls.from_log2_values(log2_values, root, max_depth, keys=values.keys())
+        mags = [float(v) for v in values.values()]
+        if not all(0.0 <= v < INF for v in mags):
+            cube, v = next((c, v) for c, v in zip(values, mags) if not 0.0 <= v < INF)
+            raise ValueError(f"magnitude must be finite and >= 0, got {v} at {cube}")
+        log2_values = [math.log2(v) if v > 0 else NEG_INF for v in mags]
+        return cls._from_cubes(list(values), log2_values, root, max_depth)
 
     @classmethod
     def from_log2_values(
@@ -329,69 +259,96 @@ class CubeSequence:
         log2_values: Mapping[DyadicCube, float],
         root: DyadicCube | None = None,
         max_depth: int | None = None,
-        keys: Iterable[DyadicCube] | None = None,
     ) -> "CubeSequence":
-        nodes = set(keys) if keys is not None else set(log2_values.keys())
-        if root is None and not nodes:
-            raise ValueError("an empty sequence needs an explicit root")
-        tree = SupportTree.build(nodes, root=root, max_depth=max_depth)
-        return cls(tree, log2_values)
+        """The sequence of the given log2 magnitudes; -inf is a zero."""
+        return cls._from_cubes(list(log2_values), list(log2_values.values()), root, max_depth)
+
+    @classmethod
+    def _from_cubes(cls, cubes, log2_values, root, max_depth) -> "CubeSequence":
+        if root is None:
+            if not cubes:
+                raise ValueError("an empty sequence needs an explicit root")
+            root = DyadicCube.unit(cubes[0].dim)
+        levels = [c.level for c in cubes]
+        indices = [c.index for c in cubes]
+        return cls.from_records(root, levels, indices, log2_values, max_depth, cubes)
 
     @classmethod
     def zero(cls, root: DyadicCube) -> "CubeSequence":
-        return cls(SupportTree(root, frozenset(), 0), {})
+        return cls.from_records(root, [], [], [], 0)
 
     # -- views ----------------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.tree.root.dim
+        return self.root.dim
+
+    def _entries(self) -> dict[DyadicCube, float]:
+        """Cube -> log2 magnitude, in (level, index) order; built once."""
+        if self._log2 is None:
+            cubes = self._cubes
+            if cubes is None:
+                j0 = self.root.level
+                cubes = [
+                    key_cube(self.root, self._width, k, j0 + d)
+                    for k, d in zip(self._key, self._node_depth)
+                ]
+            values = self._log2t.tolist()
+            order = sorted(range(len(cubes)), key=lambda i: cubes[i].sort_key())
+            self._log2 = {cubes[i]: values[i] for i in order}
+        return self._log2
 
     @property
-    def root(self) -> DyadicCube:
-        return self.tree.root
+    def tree(self) -> SupportTree:
+        """The support as a ``SupportTree`` under the root."""
+        if self._tree is None:
+            self._tree = SupportTree(self.root, frozenset(self._entries()), self.max_depth)
+        return self._tree
 
     @property
     def support(self) -> tuple[DyadicCube, ...]:
-        return tuple(self._log2.keys())
+        return tuple(self._entries())
 
     @property
     def log2_magnitudes(self) -> dict[DyadicCube, float]:
-        return dict(self._log2)
+        return dict(self._entries())
 
     def log2_value(self, cube: DyadicCube) -> float:
-        return self._log2.get(cube, NEG_INF)
+        return self._entries().get(cube, NEG_INF)
 
     def value(self, cube: DyadicCube) -> float:
         return log2_to_linear(self.log2_value(cube))
 
     @property
     def is_zero(self) -> bool:
-        return not self._log2
+        return not self._key
 
     def min_support_level(self) -> int | None:
-        return min((q.level for q in self._log2), default=None)
+        return min(self._node_depth) + self.root.level if self._key else None
 
     # -- derived sequences ------------------------------------------------------
 
     def scaled_log2(self, shift: float) -> "CubeSequence":
         """The sequence with every magnitude multiplied by 2**shift."""
-        return CubeSequence(self.tree, {q: v + shift for q, v in self._log2.items()})
+        values = {q: v + shift for q, v in self._entries().items()}
+        return CubeSequence.from_log2_values(values, self.root, self.max_depth)
 
     def with_entry(self, cube: DyadicCube, log2_value: float) -> "CubeSequence":
-        values = dict(self._log2)
+        values = dict(self._entries())
         values[cube] = log2_value
         root = self.root if self.root.contains(cube) else None
         return CubeSequence.from_log2_values(values, root=root)
 
     @property
-    def geometry(self) -> _Geometry:
+    def geometry(self) -> Geometry:
         if self._geometry is None:
-            self._geometry = _Geometry(self.root, list(self._log2.items()))
+            self._geometry = Geometry(
+                self.root, self._width, self._key, self._node_depth, self._log2t
+            )
         return self._geometry
 
     def __len__(self) -> int:
-        return len(self._log2)
+        return len(self._key)
 
     def __repr__(self) -> str:
         return f"CubeSequence(dim={self.dim}, entries={len(self)}, root={self.root})"
@@ -473,7 +430,7 @@ class _FKernel:
     depth, and its content is the log-sum of theirs.
     """
 
-    def __init__(self, geo: _Geometry, s: float, tau: float, p: float, q: float):
+    def __init__(self, geo: Geometry, s: float, tau: float, p: float, q: float):
         self.geo = geo
         self.slope = tau * geo.dim
         self.p = p
@@ -534,7 +491,7 @@ class _BKernel:
     """
 
     def __init__(
-        self, geo: _Geometry, s: float, p: float, q: float, slope: float,
+        self, geo: Geometry, s: float, p: float, q: float, slope: float,
         homogeneous: bool = True,
     ):
         self.geo = geo
@@ -587,7 +544,7 @@ def _argmax(values: np.ndarray, levels: np.ndarray, cube_of) -> tuple[float, Dya
     return float(best), min(map(cube_of, tied.tolist()), key=DyadicCube.sort_key)
 
 
-def _supremum(geo: _Geometry, kern, homogeneous: bool = True) -> NormValue:
+def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> NormValue:
     """Supremum of ``kern`` over every dyadic subcube of the root that
     contains support, plus the root; level >= 0 only when inhomogeneous.
 
@@ -673,7 +630,9 @@ def f_inf_inf_norm(t: CubeSequence, s_eff: float) -> NormValue:
     if geo.m == 0:
         return NormValue.from_log2(NEG_INF, geo.root)
     arr = geo.level_f * (float(s_eff) + geo.dim / 2.0) + geo.log2t
-    return NormValue.from_log2(*_argmax(arr, geo.level, geo.nodes.__getitem__))
+    return NormValue.from_log2(
+        *_argmax(arr, geo.level, lambda i: geo.cube(geo.key[i], int(geo.level[i])))
+    )
 
 
 b_inf_inf_norm = f_inf_inf_norm
@@ -751,36 +710,15 @@ def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) ->
 # JSON Lines interchange
 # ---------------------------------------------------------------------------
 #
-# Python refuses int <-> decimal string conversions beyond a digit limit
-# (4300 by default), and the index of a cube at level 20000 has about 6000
-# digits.  Such integers are converted in pieces, which leaves the
-# process-wide limit alone.
+# Integers past Python's int-string digit limit (cube indices below level
+# about 14000) are written and read in pieces, by ``dyadic.int_to_decimal``
+# and ``dyadic.decimal_to_int``.
 
-_DIGITS = 4000  # decimal digits per piece
-_PIECE = 10**_DIGITS
 _SAFE_BITS = 13000  # at most 3914 digits: converted in one piece
-
-
-def int_to_decimal(k: int) -> str:
-    """Decimal text of an integer of any size."""
-    if k < 0:
-        return "-" + int_to_decimal(-k)
-    pieces = []
-    while k >= _PIECE:
-        k, r = divmod(k, _PIECE)
-        pieces.append(str(r).zfill(_DIGITS))
-    pieces.append(str(k))
-    return "".join(reversed(pieces))
-
-
-def decimal_to_int(text: str) -> int:
-    """The integer of a decimal text of any length."""
-    digits = text.lstrip("+-")
-    value = 0
-    for i in range(0, len(digits), _DIGITS):
-        piece = digits[i : i + _DIGITS]
-        value = value * 10 ** len(piece) + int(piece)
-    return -value if text.startswith("-") else value
+# a line this short holds no integer beyond the digit limit
+_SAFE_LINE = _SAFE_BITS // 4
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+_SCAN_BIG = json.scanner.make_scanner(json.JSONDecoder(parse_int=decimal_to_int))
 
 
 def json_dumps(obj, **kwargs) -> str:
@@ -808,8 +746,7 @@ def json_dumps(obj, **kwargs) -> str:
 
 
 def _json_loads(line: str):
-    # a line this short holds no integer beyond the digit limit
-    if len(line) <= _SAFE_BITS // 4:
+    if len(line) <= _SAFE_LINE:
         return json.loads(line)
     return json.loads(line, parse_int=decimal_to_int)
 
@@ -822,7 +759,7 @@ def save_jsonl(t: CubeSequence, path: str | Path) -> None:
             {
                 "dim": t.dim,
                 "root": {"j": root.level, "k": list(root.index)},
-                "depth": t.tree.max_depth,
+                "depth": t.max_depth,
             },
             sort_keys=True,
         )
@@ -842,38 +779,103 @@ def save_jsonl(t: CubeSequence, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_lines(path, text: str) -> list:
+    """The JSON value of every nonblank line of ``text``.
+
+    The json module's scanner reads each line from its first character, so
+    a value may not run past its line; where one fails, ``json.loads`` reads
+    the lines again one by one and the first error names its line.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    scan = _SCAN_BIG if max(map(len, lines), default=0) > _SAFE_LINE else _SCAN
+    try:
+        # a line the scanner cannot start a value on ends the map early (it
+        # raises StopIteration), which the comparison of the ends catches
+        values, ends = zip(*map(scan, lines, repeat(0)))
+        if ends == tuple(map(len, lines)):
+            return list(values)
+    except ValueError:  # a JSON error, or no value at all
+        pass
+    values = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                values.append(_json_loads(line))
+            except ValueError as exc:
+                raise SequenceFormatError(f"{path}: line {number}: {exc}") from exc
+    return values
+
+
+def _line_number(text: str, i: int) -> int:
+    """The 1-based line of the i-th nonblank line of ``text`` (i from 0)."""
+    nonblank = (n for n, line in enumerate(text.splitlines(), 1) if line.strip())
+    return next(n for k, n in enumerate(nonblank) if k == i)
+
+
+def _log2_field(rec: dict) -> float:
+    """A record's log2 magnitude: ``log2v``, else log2 of ``v`` (-inf at 0)."""
+    if "log2v" in rec:
+        return float(rec["log2v"])
+    v = float(rec["v"])
+    if not 0.0 <= v < INF:
+        raise ValueError(f"bad magnitude {v}")
+    return math.log2(v) if v > 0 else NEG_INF
+
+
+def _record_fields(records: list, text: str) -> tuple[list, list, list]:
+    """Levels, indices and log2 magnitudes of the parsed records.
+
+    A level must be an integer, an index a list of integers, and a record
+    needs ``log2v`` or ``v``.  Raises ValueError naming the line (in
+    ``text``, whose first nonblank line is the header) of the first record
+    that breaks a rule.
+    """
+    try:
+        levels = [r["j"] for r in records]
+        indices = [r["k"] for r in records]
+        log2v = [r.get("log2v") for r in records]
+        if None in log2v:  # some record gives "v" instead
+            log2v = list(map(_log2_field, records))
+        else:
+            log2v = list(map(float, log2v))
+        if (
+            set(map(type, levels)) <= {int}
+            and set(map(type, indices)) <= {list}
+            and set(map(type, chain.from_iterable(indices))) <= {int}
+        ):
+            return levels, indices, log2v
+    except (AttributeError, KeyError, TypeError, ValueError):
+        pass
+    for i, rec in enumerate(records):
+        try:
+            if type(rec) is not dict:
+                raise TypeError("a record must be a JSON object")
+            if not (
+                type(rec["j"]) is int and type(rec["k"]) is list
+                and all(type(x) is int for x in rec["k"])
+            ):
+                raise TypeError('"j" must be an integer and "k" a list of integers')
+            _log2_field(rec)
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"line {_line_number(text, i + 1)}: {what}") from exc
+    raise ValueError("malformed record")
+
+
 def load_jsonl(path: str | Path) -> CubeSequence:
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    values = _parse_lines(path, text)
+    if not values:
         raise SequenceFormatError(f"{path}: empty sequence file")
     try:
-        header = _json_loads(lines[0])
-        dim = int(header["dim"])
-        root = DyadicCube(dim, int(header["root"]["j"]), tuple(header["root"]["k"]))
-        depth = int(header["depth"])
-        log2_values: dict[DyadicCube, float] = {}
-        seen: set[DyadicCube] = set()
-        for ln in lines[1:]:
-            rec = _json_loads(ln)
-            cube = DyadicCube(dim, int(rec["j"]), tuple(rec["k"]))
-            if cube in seen:
-                raise SequenceFormatError(f"{path}: duplicate record for {cube}")
-            seen.add(cube)
-            if "log2v" in rec:
-                lv = float(rec["log2v"])
-            else:
-                v = float(rec["v"])
-                if v < 0 or not math.isfinite(v):
-                    raise SequenceFormatError(f"{path}: bad magnitude {v}")
-                lv = math.log2(v) if v > 0 else NEG_INF
-            if lv != NEG_INF:
-                log2_values[cube] = lv
-    except SequenceFormatError:
-        raise
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise SequenceFormatError(f"{path}: {exc}") from exc
-    try:
-        return CubeSequence.from_log2_values(log2_values, root=root, max_depth=depth)
-    except ValueError as exc:
+        header = values[0]
+        dim, depth = header["dim"], header["depth"]
+        level, index = header["root"]["j"], header["root"]["k"]
+        if not (type(index) is list and set(map(type, [dim, depth, level, *index])) <= {int}):
+            raise ValueError('the header needs integers "dim", "depth" and root "j", '
+                             'and a list of integers root "k"')
+        root = DyadicCube(dim, level, tuple(index))
+        levels, indices, log2v = _record_fields(values[1:], text)
+        return CubeSequence.from_records(root, levels, indices, log2v, depth)
+    except (KeyError, ValueError, TypeError) as exc:
         raise SequenceFormatError(f"{path}: {exc}") from exc

@@ -108,7 +108,84 @@ class TestNorm:
         )
         code = main(["norm", "--family", "f", "--in", str(dup)])
         assert code == 2
-        assert "duplicate" in capsys.readouterr().err
+        # the file's path holds the test's name, so match the whole message
+        assert "duplicate record for Q(j=1, k=0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "depth,records",
+        [
+            pytest.param(1, ['{"j": 1, "k": [2], "v": 1.0}'], id="outside-root"),
+            pytest.param(1, ['{"j": 3, "k": [0], "v": 1.0}'], id="deeper-than-header"),
+            pytest.param(1, ['{"j": -1, "k": [0], "v": 1.0}'], id="coarser-than-root"),
+            pytest.param(1, ['{"j": 1, "k": [0, 0], "v": 1.0}'], id="index-length"),
+            pytest.param(1, ['{"j": 1, "k": 0, "v": 1.0}'], id="scalar-index"),
+            pytest.param(1, ['{"j": 1, "k": [0], "log2v": NaN}'], id="log2v-nan"),
+            pytest.param(1, ['{"j": 1, "k": [0], "log2v": Infinity}'], id="log2v-inf"),
+            pytest.param(1, ['{"j": 1, "k": [0], "v": -1.0}'], id="negative-v"),
+            pytest.param(-1, ['{"j": 0, "k": [0], "v": 1.0}'], id="negative-header-depth"),
+            pytest.param(
+                1, ['{"j": 0, "k": [0], "v": 1.0}', '{"j": 1, "k": [0], "v": 1.0'],
+                id="bad-json-line-3",
+            ),
+        ],
+    )
+    def test_malformed_input_exit_2(self, depth, records, tmp_path, capsys):
+        header = f'{{"dim": 1, "root": {{"j": 0, "k": [0]}}, "depth": {depth}}}'
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([header, *records]) + "\n")
+        code = main(["norm", "--family", "f", "--in", str(path)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_json_error_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 1}\n'
+            "\n"
+            '{"j": 0, "k": [0], "v": 1.0}\n'
+            '{"j": 1, "k": [0], "v": 1.0\n'
+        )
+        assert main(["norm", "--family", "f", "--in", str(path)]) == 2
+        assert f"{path}: line 4:" in capsys.readouterr().err
+
+    def test_key_memory_bound_exit_2(self, tmp_path, capsys):
+        # 801 keys 4,000,000 levels wide would take 3.2e9 bits (400 MB)
+        import time
+
+        path = tmp_path / "wide.jsonl"
+        records = [f'{{"j": 10, "k": [{k}], "v": 1.0}}' for k in range(800)]
+        records.append('{"j": 4000000, "k": [0], "v": 1.0}')
+        header = '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 4000000}'
+        path.write_text("\n".join([header, *records]) + "\n")
+        start = time.perf_counter()
+        assert main(["norm", "--family", "finfinf", "--in", str(path)]) == 2
+        assert time.perf_counter() - start < 10
+        assert "key-memory bound" in capsys.readouterr().err
+
+    def test_duplicate_big_index_record_exit_2(self, tmp_path, capsys):
+        # the error message names a cube whose index has about 6000 digits
+        import random
+
+        from dyadic_spaces.seqspace import int_to_decimal
+
+        k = int_to_decimal(random.Random(3).getrandbits(20000))
+        record = f'{{"j": 20000, "k": [{k}], "v": 1.0}}'
+        path = tmp_path / "dup.jsonl"
+        path.write_text(
+            '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 20000}\n'
+            + f"{record}\n{record}\n"
+        )
+        assert main(["norm", "--family", "f", "--in", str(path)]) == 2
+        assert f"duplicate record for Q(j=20000, k={k})" in capsys.readouterr().err
+
+    def test_header_fields_must_be_integers(self, tmp_path, capsys):
+        path = tmp_path / "header.jsonl"
+        path.write_text(
+            '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 1.5}\n'
+            '{"j": 1, "k": [0], "v": 1.0}\n'
+        )
+        assert main(["norm", "--family", "f", "--in", str(path)]) == 2
+        assert "header" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self):
         code = main(["norm", "--family", "f", "--in", "/nonexistent/x.jsonl"])
@@ -146,6 +223,16 @@ class TestWitness:
         doc = json.loads(raw)
         assert doc["divergent"]["log2_values"] == [0.0]
         assert doc["bounded"]["log2_values"] == [0.0]
+
+    def test_defaults_are_the_readme_pair(self, tmp_path):
+        code, raw = run(["witness", "--depths", "4,8,16"], tmp_path, "bare.json")
+        assert code == 0
+        _, explicit = run(
+            ["witness", "--s", "0", "--tau", "1/2", "--p", "1", "--q", "2",
+             "--depths", "4,8,16"],
+            tmp_path, "explicit.json",
+        )
+        assert raw == explicit
 
     def test_invalid_region_exit_3(self, tmp_path):
         code = main(["witness", "--s", "0", "--tau", "2", "--p", "1", "--q", "2"])

@@ -53,6 +53,20 @@ class TestContains:
         assert not Q(-1, -1).contains(Q(0, 0))
 
 
+class TestRepr:
+    def test_small_indices(self):
+        assert repr(DyadicCube(1, 3, (5,))) == "Q(j=3, k=5)"
+        assert repr(DyadicCube(2, 3, (1, -2))) == "Q(j=3, k=[1, -2])"
+
+    def test_index_beyond_int_string_limit(self):
+        import random
+
+        from dyadic_spaces.seqspace import int_to_decimal
+
+        k = random.Random(2).getrandbits(20000)  # about 6000 digits
+        assert repr(DyadicCube(2, 20000, (k, 1))) == f"Q(j=20000, k=[{int_to_decimal(k)}, 1])"
+
+
 class TestAncestor:
     def test_to_root(self):
         assert Q(3, 5).ancestor_at(0) == Q(0, 0)

@@ -522,8 +522,24 @@ class TestJsonl:
             '{"j": 0, "k": [0], "v": 1.0}\n'
             '{"j": 0, "k": [0], "v": 5.0}\n'
         )
-        with pytest.raises(SequenceFormatError, match="duplicate"):
+        with pytest.raises(SequenceFormatError, match=r"duplicate record for Q\(j=0, k=0\)"):
             load_jsonl(path)
+
+    def test_key_memory_bound(self):
+        from dyadic_spaces.seqspace import KEY_BITS_BOUND
+
+        cubes = {Q(10, k): 0.0 for k in range(800)}
+        cubes[Q(4_000_000, 0)] = 0.0
+        assert len(cubes) * 4_000_000 > KEY_BITS_BOUND
+        with pytest.raises(ValueError, match="key-memory bound"):
+            CubeSequence.from_log2_values(cubes, root=Q(0, 0))
+
+    def test_zero_magnitudes_are_validated(self):
+        with pytest.raises(ValueError, match="outside the root"):
+            CubeSequence.from_values({Q(1, 0): 1.0, Q(1, 2): 0.0}, root=Q(0, 0))
+        seq = CubeSequence.from_values({Q(1, 0): 1.0, Q(3, 7): 0.0}, root=Q(0, 0))
+        assert seq.support == (Q(1, 0),)
+        assert seq.max_depth == 3  # the zero record still counts for the depth
 
     def test_malformed_raises_format_error(self, tmp_path):
         from dyadic_spaces import SequenceFormatError
@@ -590,7 +606,8 @@ class TestCompressedCandidates:
         from dyadic_spaces import seqspace
 
         geo = seq.geometry
-        assert geo.nodes == sorted(seq.support, key=lambda c: c.path_from(seq.root))
+        nodes = [geo.cube(k, level) for k, level in zip(geo.key, geo.level.tolist())]
+        assert nodes == sorted(seq.support, key=lambda c: c.path_from(seq.root))
         assert geo.cand_level.size <= max(1, 2 * len(seq))
         cands = reference_candidates(seq)
         for nv, kern, homogeneous in (
@@ -778,8 +795,8 @@ class TestRecordProperties:
             cube = DyadicCube(seq.dim, root.level + d, index)
             if cube not in seq.log2_magnitudes:
                 zeros.add(cube)
-        padded = CubeSequence.from_log2_values(  # the zeros join the support tree
-            seq.log2_magnitudes, root=root, keys=[*seq.support, *zeros]
+        padded = CubeSequence.from_log2_values(  # zero magnitudes: log2 -inf
+            {**seq.log2_magnitudes, **dict.fromkeys(zeros, -INF)}, root=root
         )
         for fn, params in (
             (f_type_norm, fp(0.5, 0.25, 1, 2)),
