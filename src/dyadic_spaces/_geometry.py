@@ -11,6 +11,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -56,18 +57,37 @@ def morton_keys(
     return list(map(operator.lshift, key, [n * (width - d) for d in depth]))
 
 
+def _unspread(code: int, d: int, n: int) -> tuple[int, ...]:
+    """The n axes of a Z-order code d levels long."""
+    bits = format(code, f"0{d * n}b") if d else ""
+    return tuple(int(bits[n - 1 - i :: n] or "0", 2) for i in range(n))
+
+
 def key_cube(root: DyadicCube, width: int, key: int, level: int) -> DyadicCube:
     """The cube at ``level`` on the path from the root to a node whose key
     is ``key``, the keys being ``width`` levels wide."""
     n = root.dim
     d = level - root.level
     code = key >> n * (width - d)
-    if n == 1:
-        rel = (code,)
-    else:
-        bits = format(code, f"0{d * n}b") if d else ""
-        rel = tuple(int(bits[n - 1 - i :: n] or "0", 2) for i in range(n))
+    rel = (code,) if n == 1 else _unspread(code, d, n)
     return DyadicCube(n, level, tuple((r << d) + k for r, k in zip(root.index, rel)))
+
+
+def key_indices(
+    root: DyadicCube, width: int, key: Sequence[int], depth: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The index of every node from its key and depth below the root, the
+    keys being ``width`` levels wide: the inverse of ``morton_keys``."""
+    n = root.dim
+    code = list(map(operator.rshift, key, [n * (width - d) for d in depth]))
+    if n == 1:
+        rel = [code]
+    else:
+        rel = list(zip(*map(_unspread, code, depth, repeat(n)))) or [[]] * n
+    axes = [
+        list(map(operator.add, [r << d for d in depth], x)) for r, x in zip(root.index, rel)
+    ]
+    return list(zip(*axes))
 
 
 class Geometry:

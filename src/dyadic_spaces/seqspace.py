@@ -33,33 +33,33 @@ fixed pair batch, whatever the depth.
 
 Every input reaches the geometry through one validating constructor,
 ``CubeSequence.from_records``, which takes (level, index, log2 magnitude)
-records.  ``load_jsonl`` scans each line with the json module's scanner and
-takes the fields off the parsed records; ``from_values`` and
+records.  ``load_jsonl`` decodes and checks the file line by line and
+hands over the fields of its records; ``from_values`` and
 ``from_log2_values`` read them off their cubes, and ``analyze.coefficients``
 off the nonzero entries of each block.  The constructor checks the records
 (root, depth bound, index length, finite magnitudes, the key-memory bound),
 builds each Morton key one axis at a time, sorts once by (key, depth) and
 finds duplicates as equal neighbours in that order.  The sequence keeps the
-sorted keys, depths and log2 magnitudes, which the geometry compiles as they
-are; no cube object is built on the way, and the cube views (``support``,
-``log2_magnitudes``, ``tree``) are built from the arrays on first use.
+sorted keys of its nonzero records, as wide as the deepest of them, with
+their depths and log2 magnitudes, which the geometry compiles as they are;
+no cube object is built on the way.  The cube views (``support``,
+``log2_magnitudes``, ``tree``) and ``save_jsonl`` decode the keys back into
+indices on use.
 """
 from __future__ import annotations
 
 import json
-import json.scanner
 import math
 import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._geometry import Geometry, key_cube, morton_keys
+from ._geometry import Geometry, key_indices, morton_keys
 from ._log2 import INF, NEG_INF, log2_to_linear
 from .dyadic import DyadicCube, SupportTree, decimal_to_int, int_to_decimal
 
@@ -129,9 +129,10 @@ class NormValue:
         return self.log2_value == NEG_INF
 
 
-# The key-memory bound: each of m records gets a Morton key dim * depth bits
-# wide, depth being that of the deepest record, so the keys alone take
-# m * dim * depth bits; a sequence needing more than this (128 MiB) is refused.
+# The key-memory bound: each of m records, zero ones too, gets a Morton key
+# dim * depth bits wide for the duplicate check, depth being that of the
+# deepest record, so the keys alone take m * dim * depth bits; a sequence
+# needing more than this (128 MiB) is refused.
 KEY_BITS_BOUND = 1 << 30
 
 
@@ -147,7 +148,7 @@ class CubeSequence:
 
     def __init__(
         self, root: DyadicCube, max_depth: int, width: int, key: list[int],
-        node_depth: list[int], log2t: np.ndarray, cubes: list[DyadicCube] | None = None,
+        node_depth: list[int], log2t: np.ndarray,
     ):
         self.root = root
         self.max_depth = max_depth
@@ -155,7 +156,6 @@ class CubeSequence:
         self._key = key
         self._node_depth = node_depth
         self._log2t = log2t
-        self._cubes = cubes
         self._log2: dict[DyadicCube, float] | None = None
         self._tree: SupportTree | None = None
         self._geometry: Geometry | None = None
@@ -170,7 +170,6 @@ class CubeSequence:
         indices: Sequence[Sequence[int]],
         log2_values: Sequence[float],
         max_depth: int | None = None,
-        cubes: Sequence[DyadicCube] | None = None,
     ) -> "CubeSequence":
         """The sequence of the records (level, index, log2 magnitude).
 
@@ -179,8 +178,9 @@ class CubeSequence:
         ``root.dim`` integers, once only, and with a log2 magnitude that is
         finite or -inf; -inf is a zero magnitude, validated and then
         dropped.  The records are sorted once, depth-first, and a duplicate
-        shows as two equal adjacent (key, depth) pairs.  ``cubes``, the
-        records as cubes when the caller has them, serve the cube views.
+        shows as two equal adjacent (key, depth) pairs.  Zero records count
+        toward the key-memory bound, as every record's key is built for that
+        check; the keys kept are as wide as the deepest nonzero record.
         Raises ValueError naming the rule a record breaks.
         """
         n, j0, m = root.dim, root.level, len(levels)
@@ -226,18 +226,15 @@ class CubeSequence:
             t = next(t for t in range(1, m) if pair[t] == pair[t - 1])
             raise ValueError(f"duplicate record for {record(order[t])}")
         nonzero = log2t > NEG_INF
-        if not nonzero.all():
+        if nonzero.all():
+            key = [key[i] for i in order]
+        else:  # drop the zeros and narrow the keys to the nonzero depth
             nonzero = nonzero.tolist()
             order = [i for i in order if nonzero[i]]
-        return cls(
-            root,
-            max_depth,
-            D,
-            [key[i] for i in order],
-            [depth[i] for i in order],
-            log2t[order],
-            None if cubes is None else [cubes[i] for i in order],
-        )
+            width = max([depth[i] for i in order], default=0)
+            key = [key[i] >> n * (D - width) for i in order]
+            D = width
+        return cls(root, max_depth, D, key, [depth[i] for i in order], log2t[order])
 
     @classmethod
     def from_values(
@@ -271,7 +268,7 @@ class CubeSequence:
             root = DyadicCube.unit(cubes[0].dim)
         levels = [c.level for c in cubes]
         indices = [c.index for c in cubes]
-        return cls.from_records(root, levels, indices, log2_values, max_depth, cubes)
+        return cls.from_records(root, levels, indices, log2_values, max_depth)
 
     @classmethod
     def zero(cls, root: DyadicCube) -> "CubeSequence":
@@ -283,19 +280,17 @@ class CubeSequence:
     def dim(self) -> int:
         return self.root.dim
 
+    def _records(self) -> list[tuple[int, tuple[int, ...], float]]:
+        """(level, index, log2 magnitude) of every node, in (level, index) order."""
+        index = key_indices(self.root, self._width, self._key, self._node_depth)
+        j0 = self.root.level
+        return sorted(zip([j0 + d for d in self._node_depth], index, self._log2t.tolist()))
+
     def _entries(self) -> dict[DyadicCube, float]:
         """Cube -> log2 magnitude, in (level, index) order; built once."""
         if self._log2 is None:
-            cubes = self._cubes
-            if cubes is None:
-                j0 = self.root.level
-                cubes = [
-                    key_cube(self.root, self._width, k, j0 + d)
-                    for k, d in zip(self._key, self._node_depth)
-                ]
-            values = self._log2t.tolist()
-            order = sorted(range(len(cubes)), key=lambda i: cubes[i].sort_key())
-            self._log2 = {cubes[i]: values[i] for i in order}
+            n = self.dim
+            self._log2 = {DyadicCube(n, j, k): v for j, k, v in self._records()}
         return self._log2
 
     @property
@@ -717,8 +712,8 @@ def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) ->
 _SAFE_BITS = 13000  # at most 3914 digits: converted in one piece
 # a line this short holds no integer beyond the digit limit
 _SAFE_LINE = _SAFE_BITS // 4
-_SCAN = json.scanner.make_scanner(json.JSONDecoder())
-_SCAN_BIG = json.scanner.make_scanner(json.JSONDecoder(parse_int=decimal_to_int))
+_DECODER = json.JSONDecoder()
+_DECODER_BIG = json.JSONDecoder(parse_int=decimal_to_int)
 
 
 def json_dumps(obj, **kwargs) -> str:
@@ -745,12 +740,6 @@ def json_dumps(obj, **kwargs) -> str:
     return text
 
 
-def _json_loads(line: str):
-    if len(line) <= _SAFE_LINE:
-        return json.loads(line)
-    return json.loads(line, parse_int=decimal_to_int)
-
-
 def save_jsonl(t: CubeSequence, path: str | Path) -> None:
     """Write header + one record per cube; log2 magnitudes round-trip exactly."""
     root = t.root
@@ -764,12 +753,12 @@ def save_jsonl(t: CubeSequence, path: str | Path) -> None:
             sort_keys=True,
         )
     ]
-    for cube, lv in t.log2_magnitudes.items():
+    for level, index, lv in t._records():
         lines.append(
             json_dumps(
                 {
-                    "j": cube.level,
-                    "k": list(cube.index),
+                    "j": level,
+                    "k": list(index),
                     "v": log2_to_linear(lv),
                     "log2v": lv,
                 },
@@ -777,39 +766,6 @@ def save_jsonl(t: CubeSequence, path: str | Path) -> None:
             )
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _parse_lines(path, text: str) -> list:
-    """The JSON value of every nonblank line of ``text``.
-
-    The json module's scanner reads each line from its first character, so
-    a value may not run past its line; where one fails, ``json.loads`` reads
-    the lines again one by one and the first error names its line.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    scan = _SCAN_BIG if max(map(len, lines), default=0) > _SAFE_LINE else _SCAN
-    try:
-        # a line the scanner cannot start a value on ends the map early (it
-        # raises StopIteration), which the comparison of the ends catches
-        values, ends = zip(*map(scan, lines, repeat(0)))
-        if ends == tuple(map(len, lines)):
-            return list(values)
-    except ValueError:  # a JSON error, or no value at all
-        pass
-    values = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            try:
-                values.append(_json_loads(line))
-            except ValueError as exc:
-                raise SequenceFormatError(f"{path}: line {number}: {exc}") from exc
-    return values
-
-
-def _line_number(text: str, i: int) -> int:
-    """The 1-based line of the i-th nonblank line of ``text`` (i from 0)."""
-    nonblank = (n for n, line in enumerate(text.splitlines(), 1) if line.strip())
-    return next(n for k, n in enumerate(nonblank) if k == i)
 
 
 def _log2_field(rec: dict) -> float:
@@ -822,60 +778,53 @@ def _log2_field(rec: dict) -> float:
     return math.log2(v) if v > 0 else NEG_INF
 
 
-def _record_fields(records: list, text: str) -> tuple[list, list, list]:
-    """Levels, indices and log2 magnitudes of the parsed records.
-
-    A level must be an integer, an index a list of integers, and a record
-    needs ``log2v`` or ``v``.  Raises ValueError naming the line (in
-    ``text``, whose first nonblank line is the header) of the first record
-    that breaks a rule.
-    """
-    try:
-        levels = [r["j"] for r in records]
-        indices = [r["k"] for r in records]
-        log2v = [r.get("log2v") for r in records]
-        if None in log2v:  # some record gives "v" instead
-            log2v = list(map(_log2_field, records))
-        else:
-            log2v = list(map(float, log2v))
-        if (
-            set(map(type, levels)) <= {int}
-            and set(map(type, indices)) <= {list}
-            and set(map(type, chain.from_iterable(indices))) <= {int}
-        ):
-            return levels, indices, log2v
-    except (AttributeError, KeyError, TypeError, ValueError):
-        pass
-    for i, rec in enumerate(records):
-        try:
-            if type(rec) is not dict:
-                raise TypeError("a record must be a JSON object")
-            if not (
-                type(rec["j"]) is int and type(rec["k"]) is list
-                and all(type(x) is int for x in rec["k"])
-            ):
-                raise TypeError('"j" must be an integer and "k" a list of integers')
-            _log2_field(rec)
-        except (KeyError, TypeError, ValueError) as exc:
-            what = f"missing {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"line {_line_number(text, i + 1)}: {what}") from exc
-    raise ValueError("malformed record")
+def _header(header) -> tuple[DyadicCube, int]:
+    """The root cube and depth bound of a header record."""
+    dim, depth = header["dim"], header["depth"]
+    level, index = header["root"]["j"], header["root"]["k"]
+    if not (type(index) is list and set(map(type, [dim, depth, level, *index])) <= {int}):
+        raise ValueError('the header needs integers "dim", "depth" and root "j", '
+                         'and a list of integers root "k"')
+    return DyadicCube(dim, level, tuple(index)), depth
 
 
 def load_jsonl(path: str | Path) -> CubeSequence:
+    """The sequence of a JSONL file: a header line, then one record a line.
+
+    A level must be an integer, an index a list of integers, and a record
+    needs ``log2v`` or ``v``.  Raises SequenceFormatError naming the
+    1-based line of the first line that breaks a rule.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    values = _parse_lines(path, text)
-    if not values:
+    root = depth = None
+    levels, indices, log2v = [], [], []
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:  # the line must hold one JSON value alone
+            decoder = _DECODER if len(line) <= _SAFE_LINE else _DECODER_BIG
+            rec, end = decoder.raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            if root is None:
+                root, depth = _header(rec)
+                continue
+            if type(rec) is not dict:
+                raise TypeError("a record must be a JSON object")
+            j, k = rec["j"], rec["k"]
+            if not (type(j) is int and type(k) is list and all(type(x) is int for x in k)):
+                raise TypeError('"j" must be an integer and "k" a list of integers')
+            lv = _log2_field(rec)
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise SequenceFormatError(f"{path}: line {number}: {what}") from exc
+        levels.append(j)
+        indices.append(k)
+        log2v.append(lv)
+    if root is None:
         raise SequenceFormatError(f"{path}: empty sequence file")
     try:
-        header = values[0]
-        dim, depth = header["dim"], header["depth"]
-        level, index = header["root"]["j"], header["root"]["k"]
-        if not (type(index) is list and set(map(type, [dim, depth, level, *index])) <= {int}):
-            raise ValueError('the header needs integers "dim", "depth" and root "j", '
-                             'and a list of integers root "k"')
-        root = DyadicCube(dim, level, tuple(index))
-        levels, indices, log2v = _record_fields(values[1:], text)
         return CubeSequence.from_records(root, levels, indices, log2v, depth)
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise SequenceFormatError(f"{path}: {exc}") from exc

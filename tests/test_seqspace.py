@@ -541,6 +541,45 @@ class TestJsonl:
         assert seq.support == (Q(1, 0),)
         assert seq.max_depth == 3  # the zero record still counts for the depth
 
+    def test_deep_zero_record_keeps_no_wide_key(self):
+        # a zero record counts toward the key-memory bound, but the keys kept
+        # are only as wide as the deepest nonzero record
+        values = {DyadicCube(2, 3, (k, 7 - k)): 1.0 for k in range(8)}
+        values[DyadicCube(2, 100_000, (0, 0))] = 0.0
+        seq = CubeSequence.from_values(values)
+        assert seq.max_depth == 100_000
+        assert seq.geometry.depth == 3
+        assert max(seq.geometry.key).bit_length() <= 2 * 3
+        assert seq.log2_magnitudes == {c: 0.0 for c in list(values)[:8]}
+
+    @pytest.mark.parametrize("dim,depth", [(1, 70), (2, 5), (2, 40), (3, 3), (3, 30)])
+    def test_views_rebuild_the_records(self, dim, depth):
+        import random
+
+        rng = random.Random(100 * dim + depth)
+        root = DyadicCube(dim, -1, tuple(rng.randrange(-2, 2) for _ in range(dim)))
+        values = {}
+        for d in [depth] + [rng.randint(0, depth) for _ in range(40)]:
+            index = tuple((r << d) + rng.randrange(1 << d) for r in root.index)
+            values[DyadicCube(dim, root.level + d, index)] = rng.uniform(-3, 3)
+        seq = CubeSequence.from_log2_values(values, root=root)
+        assert list(seq.support) == sorted(values, key=DyadicCube.sort_key)
+        assert seq.log2_magnitudes == values
+
+    def test_each_line_holds_one_value(self, tmp_path):
+        from dyadic_spaces import SequenceFormatError
+
+        path = tmp_path / "seq.jsonl"
+        header = '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 1}\n'
+        path.write_text(header + '  {"j": 1, "k": [1], "v": 2.0}\t\n')
+        assert load_jsonl(path).value(Q(1, 1)) == 2.0
+        path.write_text(header + '{"j": 1, "k": [1], "v": 2.0} {"j": 1, "k": [0], "v": 1.0}\n')
+        with pytest.raises(SequenceFormatError, match="line 2: Extra data"):
+            load_jsonl(path)
+        path.write_text(header + '\n{"j": 1, "k": [1.0], "v": 2.0}\n')
+        with pytest.raises(SequenceFormatError, match="line 3: .* a list of integers"):
+            load_jsonl(path)
+
     def test_malformed_raises_format_error(self, tmp_path):
         from dyadic_spaces import SequenceFormatError
 
