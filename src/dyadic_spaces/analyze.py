@@ -26,6 +26,8 @@ from .seqspace import (
     NormValue,
     ParamError,
     SpaceParams,
+    _argmax,
+    norm,
 )
 
 RISE_LO = 0.5
@@ -124,6 +126,8 @@ class GridFunction:
         expected = (N,) * self.dim
         if self.samples.shape != expected:
             raise ValueError(f"samples shape {self.samples.shape} != {expected}")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("samples must be finite: no NaN or infinite values")
 
     @property
     def n_samples(self) -> int:
@@ -300,10 +304,8 @@ def function_norm(
     h_n = (1.0 / (1 << L)) ** dim
     levels = list(range(0, max_level + 1))
     mags = [np.abs(lp_convolve(f, bank, j).samples) for j in levels]
-
-    best = NEG_INF
-    best_cube = DyadicCube.unit(dim)
-    best_key = None
+    cubes = list(_unit_subcubes(dim, max_level))
+    values = []
 
     if params.family == Family.F_TYPE:
         if q == INF:
@@ -312,18 +314,15 @@ def function_norm(
         else:
             stack = np.stack([(2.0 ** (j * s * q)) * mags[j] ** q for j in levels])
             suffix = np.cumsum(stack[::-1], axis=0)[::-1]
-        for cube in _unit_subcubes(dim, max_level):
+        for cube in cubes:
             g = _block(suffix[cube.level], cube, L)
             if q == INF:
                 integral = float(np.sum(g**p)) * h_n
             else:
                 integral = float(np.sum(g ** (p / q))) * h_n
-            val = _location_value(integral, tau, p, dim, cube)
-            best, best_cube, best_key = _tie_update(
-                val, cube, best, best_cube, best_key
-            )
+            values.append(_location_value(integral, tau, p, dim, cube))
     else:
-        for cube in _unit_subcubes(dim, max_level):
+        for cube in cubes:
             per_level = []
             for j in range(cube.level, max_level + 1):
                 block = _block(mags[j], cube, L)
@@ -338,24 +337,17 @@ def function_norm(
             else:
                 agg = float(np.sum(arr**q)) ** (1.0 / q)
             weight = 2.0 ** (tau * dim * cube.level)
-            val = NEG_INF if agg == 0.0 else math.log2(weight * agg)
-            best, best_cube, best_key = _tie_update(
-                val, cube, best, best_cube, best_key
-            )
-    return NormValue.from_log2(best, best_cube)
+            values.append(NEG_INF if agg == 0.0 else math.log2(weight * agg))
+    best, cube = _argmax(
+        np.array(values), np.array([c.level for c in cubes]), cubes.__getitem__
+    )
+    return NormValue.from_log2(best, cube)
 
 
 def _location_value(integral: float, tau: float, p: float, dim: int, cube) -> float:
     if integral <= 0.0:
         return NEG_INF
     return tau * dim * cube.level + math.log2(integral) / p
-
-
-def _tie_update(val, cube, best, best_cube, best_key):
-    key = cube.sort_key()
-    if best_key is None or val > best or (val == best and key < best_key):
-        return val, cube, key
-    return best, best_cube, best_key
 
 
 @dataclass(frozen=True)
@@ -409,9 +401,7 @@ def transform_consistency(
     limited = band_limit_fraction(f, max_level) < 1e-10
     fn = function_norm(f, bank, params, max_level)
     seq = coefficients(f, bank, max_level)
-    from .seqspace import norm as seq_norm_dispatch
-
-    sn = seq_norm_dispatch(seq, params)
+    sn = norm(seq, params)
     if fn.is_zero or sn.is_zero:
         ratio = None
     else:

@@ -12,9 +12,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,22 +68,6 @@ def parse_extended(text: str):
         return int(text)
     except ValueError:
         return float(text)
-
-
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("DYADIC_SPACES_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _pmap(fn, items, threads: int):
-    """Deterministic parallel map: results always in submission order."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _config_echo(args) -> dict:
@@ -242,7 +224,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    threads = _threads_from(args)
+    if args.samples < 1:
+        raise ParamError(f"--samples must be >= 1, got {args.samples}")
     samples = random_sample_set(
         args.seed,
         args.samples,
@@ -251,61 +234,35 @@ def cmd_equiv(args) -> int:
         depth_nd=args.depth,
     )
     check = args.check
-    s, tau, p, q = args.s, args.tau, args.p, args.q
-
-    def run(batch):
-        if check == "collapse-f":
-            return check_collapse_f(batch, s, tau, p, q, tol=args.tol)
-        if check == "collapse-b":
-            return check_collapse_b(batch, s, tau, p, q, tol=args.tol)
-        if check == "holder":
-            return check_holder_embeddings(batch, s, tau, p, q)
-        if check == "identities":
-            r = args.r if args.r is not None else 0
-            return check_exact_identities(batch, s, p, q, r)
-        if check == "inhom-f":
-            return check_collapse_inhomogeneous(batch, s, tau, p, q, family="f", tol=args.tol)
-        if check == "inhom-b":
-            return check_collapse_inhomogeneous(batch, s, tau, p, q, family="b", tol=args.tol)
+    s, tau, p, q, tol = args.s, args.tau, args.p, args.q, args.tol
+    if check == "collapse-f":
+        report = check_collapse_f(samples, s, tau, p, q, tol=tol)
+    elif check == "collapse-b":
+        report = check_collapse_b(samples, s, tau, p, q, tol=tol)
+    elif check == "holder":
+        report = check_holder_embeddings(samples, s, tau, p, q)
+    elif check == "identities":
+        r = args.r if args.r is not None else 0
+        report = check_exact_identities(samples, s, p, q, r)
+    elif check in ("inhom-f", "inhom-b"):
+        family = check.removeprefix("inhom-")
+        report = check_collapse_inhomogeneous(samples, s, tau, p, q, family=family, tol=tol)
+    else:  # pragma: no cover - argparse choices guard this
         raise ParamError(f"unknown check {check}")
-
-    chunks = [samples[i::threads] for i in range(threads)] if threads > 1 else [samples]
-    chunks = [c for c in chunks if c]
-    reports = _pmap(run, chunks, threads)
-    worst_low = min(r.worst_ratio_low for r in reports)
-    worst_high = max(r.worst_ratio_high for r in reports)
-    base = reports[0]
-    ok = all(r.all_ok for r in reports)
-    payload = {
-        "check": base.check,
-        "lower_constant": base.lower_constant,
-        "upper_constant": base.upper_constant,
-        "worst_ratio_low": worst_low,
-        "worst_ratio_high": worst_high,
-        "samples": sum(r.samples for r in reports),
-        "vacuous": sum(r.vacuous for r in reports),
-        "tol": base.tol,
-        "all_ok": ok,
-    }
     if args.format == "json":
-        _write_json(args, payload)
+        fields = ("check", "lower_constant", "upper_constant", "worst_ratio_low",
+                  "worst_ratio_high", "samples", "vacuous", "tol", "all_ok")
+        _write_json(args, {key: getattr(report, key) for key in fields})
     else:
-        # reconstruct original sample ids so row order is thread-independent
-        stride = max(len(chunks), 1)
-        rows = []
-        for chunk_idx, rpt in enumerate(reports):
-            for local_id, lo, hi in rpt.rows:
-                rows.append((chunk_idx + local_id * stride, lo, hi))
-        rows.sort()
         _write_csv(
             args,
             ["sample_id", "ratio_low", "ratio_high"],
             [
                 {"sample_id": sid, "ratio_low": repr(lo), "ratio_high": repr(hi)}
-                for sid, lo, hi in rows
+                for sid, lo, hi in report.rows
             ],
         )
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if report.all_ok else EXIT_VERIFICATION_FAILED
 
 
 def cmd_classify(args) -> int:
@@ -360,13 +317,9 @@ def cmd_sweep(args) -> int:
     taus = [parse_extended(x) for x in args.tau_grid.split(",")]
     ps = [parse_extended(x) for x in args.p_grid.split(",")]
     qs = [parse_extended(x) for x in args.q_grid.split(",")]
-    threads = _threads_from(args)
     fam = {"f": "F_type", "b": "B_type"}[args.family]
 
-    cells = [(tau, p, q) for tau in taus for p in ps for q in qs]
-
-    def run(cell):
-        tau, p, q = cell
+    def run(tau, p, q):
         if fam == "F_type" and float(p) == INF:
             return {
                 "tau": str(tau), "p": str(p), "q": str(q),
@@ -393,7 +346,7 @@ def cmd_sweep(args) -> int:
             row["ratio_high"] = repr(eqr.worst_ratio_high)
         return row
 
-    rows = _pmap(run, cells, threads)
+    rows = [run(tau, p, q) for tau in taus for p in ps for q in qs]
     if args.format == "json":
         _write_json(args, {"cells": rows})
     else:
@@ -447,7 +400,7 @@ def _add_common(sp, *, seed=True):
     sp.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker cap (default env DYADIC_SPACES_THREADS or 1)")
+                    help="ignored; every command runs serially")
     if seed:
         sp.add_argument("--seed", type=int, default=0)
 

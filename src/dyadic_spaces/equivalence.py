@@ -38,9 +38,12 @@ def identity_tolerance(p: float, q: float) -> float:
     """Relative tolerance for identity checks.
 
     Powering by large exponent ratios amplifies rounding, so the tolerance
-    relaxes from 1e-12 to 1e-9 once the exponent ratio exceeds 8.
+    relaxes from 1e-12 to 1e-9 once the exponent ratio exceeds 8.  Raises
+    ``ParamError`` unless both exponents are positive.
     """
     p, q = float(p), float(q)
+    if not (p > 0 and q > 0):
+        raise ParamError(f"p and q must be positive, got p={p}, q={q}")
     if p == INF or q == INF:
         return 1e-12
     ratio = max(p / q, q / p)
@@ -109,83 +112,103 @@ def _uniform_dim(seqs: list[CubeSequence]) -> int:
     return dims.pop()
 
 
+def _ratios(*pairs: tuple[float, float]) -> tuple[float, ...]:
+    """Linear ratios of (numerator, denominator) log2 norm pairs; a pair that
+    is zero on both sides has no ratio."""
+    return tuple(
+        log2_to_linear(num - den)
+        for num, den in pairs
+        if not (num == NEG_INF and den == NEG_INF)
+    )
+
+
 def _ratio_report(
     check: str,
-    pairs: Iterable[tuple[float, float]],
+    ratios: Iterable[tuple[float, ...]],
     lower_constant: float,
     upper_constant: float,
     tol: float,
 ) -> EquivalenceReport:
+    """Check lower (1 - tol) <= ratio <= upper (1 + tol) over every sample.
+
+    ``ratios`` yields one tuple per sample; an empty tuple marks the sample
+    vacuous.  A sample's CSV row holds its first and its last ratio.  When
+    every sample is vacuous, both worst ratios read ``lower_constant``.
+    """
     worst_low = INF
     worst_high = -INF
     rows = []
-    vacuous = 0
     n = 0
-    for i, (num_log2, den_log2) in enumerate(pairs):
+    for i, sample in enumerate(ratios):
         n += 1
-        if num_log2 == NEG_INF and den_log2 == NEG_INF:
-            vacuous += 1
-            continue
-        ratio = log2_to_linear(num_log2 - den_log2)
-        worst_low = min(worst_low, ratio)
-        worst_high = max(worst_high, ratio)
-        rows.append((i, ratio, ratio))
-    if worst_high == -INF:  # all samples vacuous
-        worst_low, worst_high = lower_constant, lower_constant
-    lower_ok = worst_low >= lower_constant * (1.0 - tol)
-    upper_ok = worst_high <= upper_constant * (1.0 + tol)
+        if sample:
+            worst_low = min(worst_low, *sample)
+            worst_high = max(worst_high, *sample)
+            rows.append((i, sample[0], sample[-1]))
+    if not rows:
+        worst_low = worst_high = lower_constant
     return EquivalenceReport(
         check,
-        lower_ok,
-        upper_ok,
+        worst_low >= lower_constant * (1.0 - tol),
+        worst_high <= upper_constant * (1.0 + tol),
         lower_constant,
         upper_constant,
         worst_low,
         worst_high,
         n,
         tol,
-        vacuous,
+        n - len(rows),
         rows,
     )
 
 
-def check_collapse_f(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
-    """Two-sided collapse check for the Triebel-Lizorkin-type scale."""
+def _collapse(
+    check: str, t, s, tau, p, q, family: Family, tol: float, homogeneous: bool = True
+) -> EquivalenceReport:
+    """Collapse onto the infinity-infinity scale: 1 <= norm / f_inf_inf <= C.
+
+    The inhomogeneous scale has no coarser frequencies to compare against, so
+    there every sequence must be supported at levels >= 0.
+    """
     seqs = _as_sequences(t)
-    if float(p) == INF:
-        raise ParamError("the F-type scale requires p < inf", rule="Definition 1(i)")
+    if not homogeneous:
+        for seq in seqs:
+            lvl = seq.min_support_level()
+            if lvl is not None and lvl < 0:
+                raise ParamError(
+                    "inhomogeneous comparison requires support at levels >= 0",
+                    rule="Definition 5",
+                )
+    params = SpaceParams(family, s, tau, p, q, homogeneous=homogeneous)
     n_dim = _uniform_dim(seqs)
     c_log2 = collapse_upper_constant_log2(s, tau, p, q, n_dim)
     s_eff = float(s) + n_dim * (float(tau) - inv(p))
-
-    def pairs():
-        params = SpaceParams(Family.F_TYPE, s, tau, p, q)
-        for seq in seqs:
-            yield f_type_norm(seq, params).log2_value, f_inf_inf_norm(
-                seq, s_eff
-            ).log2_value
-
-    return _ratio_report(
-        "collapse_f", pairs(), 1.0, log2_to_linear(c_log2), tol
+    evaluator = f_type_norm if family == Family.F_TYPE else b_type_norm
+    ratios = (
+        _ratios((evaluator(seq, params).log2_value, f_inf_inf_norm(seq, s_eff).log2_value))
+        for seq in seqs
     )
+    return _ratio_report(check, ratios, 1.0, log2_to_linear(c_log2), tol)
+
+
+def check_collapse_f(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
+    """Two-sided collapse check for the Triebel-Lizorkin-type scale."""
+    return _collapse("collapse_f", t, s, tau, p, q, Family.F_TYPE, tol)
 
 
 def check_collapse_b(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
     """Two-sided collapse check for the Besov-type scale (p = inf allowed)."""
-    seqs = _as_sequences(t)
-    n_dim = _uniform_dim(seqs)
-    c_log2 = collapse_upper_constant_log2(s, tau, p, q, n_dim)
-    s_eff = float(s) + n_dim * (float(tau) - inv(p))
+    return _collapse("collapse_b", t, s, tau, p, q, Family.B_TYPE, tol)
 
-    def pairs():
-        params = SpaceParams(Family.B_TYPE, s, tau, p, q)
-        for seq in seqs:
-            yield b_type_norm(seq, params).log2_value, f_inf_inf_norm(
-                seq, s_eff
-            ).log2_value
 
-    return _ratio_report(
-        "collapse_b", pairs(), 1.0, log2_to_linear(c_log2), tol
+def check_collapse_inhomogeneous(t, s, tau, p, q, family: str = "f", tol: float = 1e-9) -> EquivalenceReport:
+    """Inhomogeneous collapse check; constants identical to the homogeneous case.
+
+    Sequences must be supported at levels >= 0.
+    """
+    fam = Family.F_TYPE if family == "f" else Family.B_TYPE
+    return _collapse(
+        f"collapse_inhomogeneous_{family}", t, s, tau, p, q, fam, tol, homogeneous=False
     )
 
 
@@ -195,70 +218,44 @@ def check_holder_embeddings(t, s, tau, p, q, tol: float | None = None) -> Equiva
     For q > p, both the F-type and the B-type norms at (s, tau, p, q) are
     dominated by the diagonal Besov-type norm at exponent tau + 1/q - 1/p;
     Hoelder's inequality on the cube carries the measure factor into the
-    exponent shift, with constant exactly 1.
+    exponent shift, with constant exactly 1.  Each sample's ratios are
+    (F, B), in that order.
     """
     p_f, q_f = float(p), float(q)
     if not q_f > p_f:
         raise ParamError(f"the embedding needs q > p, got p={p}, q={q}")
+    params_f = SpaceParams(Family.F_TYPE, s, tau, p, q)  # q > p makes p finite
+    params_b = SpaceParams(Family.B_TYPE, s, tau, p, q)
     if tol is None:
         tol = identity_tolerance(p_f, q_f)
-    seqs = _as_sequences(t)
     tau_shift = float(tau) + inv(q_f) - inv(p_f)
     diag = SpaceParams(Family.B_TYPE, s, tau_shift, q, q)
-    params_f = SpaceParams(Family.F_TYPE, s, tau, p, q) if p_f < INF else None
-    params_b = SpaceParams(Family.B_TYPE, s, tau, p, q)
 
-    worst_low = INF
-    worst_high = -INF
-    rows = []
-    vacuous = 0
-    for i, seq in enumerate(seqs):
+    def ratios(seq):
         rhs = b_type_norm(seq, diag, allow_negative_tau=True).log2_value
-        if rhs == NEG_INF:
-            vacuous += 1
-            continue
-        ratios = []
-        if params_f is not None:
-            ratios.append(log2_to_linear(f_type_norm(seq, params_f).log2_value - rhs))
-        ratios.append(log2_to_linear(b_type_norm(seq, params_b).log2_value - rhs))
-        worst_low = min(worst_low, *ratios)
-        worst_high = max(worst_high, *ratios)
-        if params_f is not None:
-            rows.append((i, ratios[0], ratios[-1]))
-        else:
-            rows.append((i, ratios[-1], ratios[-1]))
-    if worst_high == -INF:
-        worst_low = worst_high = 0.0
-    report = EquivalenceReport(
-        "holder_embeddings",
-        True,
-        worst_high <= 1.0 + tol,
-        0.0,
-        1.0,
-        worst_low,
-        worst_high,
-        len(seqs),
-        tol,
-        vacuous,
-        rows,
+        return _ratios(
+            (f_type_norm(seq, params_f).log2_value, rhs),
+            (b_type_norm(seq, params_b).log2_value, rhs),
+        )
+
+    return _ratio_report(
+        "holder_embeddings", map(ratios, _as_sequences(t)), 0.0, 1.0, tol
     )
-    return report
 
 
 def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> EquivalenceReport:
-    """Exact identities: Carleson-style norms equal their Morrey-weighted twins."""
+    """Exact identities: Carleson-style norms equal their Morrey-weighted twins.
+
+    Each sample's ratios are sorted, so its CSV row reads (min, max) over the
+    two identity pairs.
+    """
     if float(r) < 0:
         raise ParamError("r must be >= 0", rule="Definition 4(i)")
     if tol is None:
         tol = identity_tolerance(p, q)
-    seqs = _as_sequences(t)
     q_f = float(q)
 
-    worst_low = INF
-    worst_high = -INF
-    rows = []
-    vacuous = 0
-    for i, seq in enumerate(seqs):
+    def ratios(seq):
         a = cmo_norm(seq, s, q, r).log2_value
         if q_f == INF:
             b = f_inf_inf_norm(seq, s).log2_value
@@ -268,65 +265,10 @@ def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> Equivalen
             ).log2_value
         c = bbmo_norm(seq, s, p, q).log2_value
         d = b_type_norm(seq, SpaceParams(Family.B_TYPE, s, inv(p), p, q)).log2_value
-        pair_ratios = []
-        for num, den in ((a, b), (c, d)):
-            if num == NEG_INF and den == NEG_INF:
-                continue
-            pair_ratios.append(log2_to_linear(num - den))
-        if not pair_ratios:
-            vacuous += 1
-            continue
-        worst_low = min(worst_low, *pair_ratios)
-        worst_high = max(worst_high, *pair_ratios)
-        rows.append((i, min(pair_ratios), max(pair_ratios)))
-    if worst_high == -INF:
-        worst_low = worst_high = 1.0
-    return EquivalenceReport(
-        "exact_identities",
-        worst_low >= 1.0 - tol,
-        worst_high <= 1.0 + tol,
-        1.0,
-        1.0,
-        worst_low,
-        worst_high,
-        len(seqs),
-        tol,
-        vacuous,
-        rows,
-    )
-
-
-def check_collapse_inhomogeneous(t, s, tau, p, q, family: str = "f", tol: float = 1e-9) -> EquivalenceReport:
-    """Inhomogeneous collapse check; constants identical to the homogeneous case.
-
-    Sequences must be supported at levels >= 0 (the inhomogeneous scale has no
-    coarser frequencies to compare against).
-    """
-    seqs = _as_sequences(t)
-    for seq in seqs:
-        lvl = seq.min_support_level()
-        if lvl is not None and lvl < 0:
-            raise ParamError(
-                "inhomogeneous comparison requires support at levels >= 0",
-                rule="Definition 5",
-            )
-    if family == "f" and float(p) == INF:
-        raise ParamError("the F-type scale requires p < inf", rule="Definition 1(i)")
-    n_dim = _uniform_dim(seqs)
-    c_log2 = collapse_upper_constant_log2(s, tau, p, q, n_dim)
-    s_eff = float(s) + n_dim * (float(tau) - inv(p))
-    fam = Family.F_TYPE if family == "f" else Family.B_TYPE
-    evaluator = f_type_norm if family == "f" else b_type_norm
-    params = SpaceParams(fam, s, tau, p, q, homogeneous=False)
-
-    def pairs():
-        for seq in seqs:
-            yield evaluator(seq, params).log2_value, f_inf_inf_norm(
-                seq, s_eff
-            ).log2_value
+        return tuple(sorted(_ratios((a, b), (c, d))))
 
     return _ratio_report(
-        f"collapse_inhomogeneous_{family}", pairs(), 1.0, log2_to_linear(c_log2), tol
+        "exact_identities", map(ratios, _as_sequences(t)), 1.0, 1.0, tol
     )
 
 

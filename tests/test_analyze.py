@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dyadic_spaces import (
+    DyadicCube,
     Family,
     GridFunction,
     SpaceParams,
@@ -164,6 +165,15 @@ class TestFunctionNorm:
         )
         assert nv.is_zero
 
+    @pytest.mark.parametrize("family", [Family.F_TYPE, Family.B_TYPE])
+    def test_zero_function_attained_at_unit_cube(self, bank, family):
+        # every cube ties at -inf; the tie goes to the coarsest level
+        nv = function_norm(
+            GridFunction.zeros(1, 8), bank, SpaceParams(family, 0, 0, 2, 2), 5
+        )
+        assert nv.log2_value == -INF
+        assert nv.attained_at == DyadicCube.unit(1)
+
     def test_harmonic_parseval_value(self, bank):
         # cos at |m| = 2^j0, s=0, tau=0, p=q=2: norm^2 = sum_j profile(2^(j0-j))^2 / 2
         j0 = 4
@@ -239,6 +249,24 @@ class TestTransformConsistency:
             f = GridFunction.harmonic(1, 8, 1 << j0)
             ratios.append(transform_consistency(f, bank, params, 6).ratio)
         assert max(ratios) / min(ratios) - 1 < 0.10
+
+
+class TestGridFunction:
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_rejects_non_finite_samples(self, bad):
+        samples = np.zeros(1 << 6)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction(1, 6, samples)
+
+    def test_load_rejects_non_finite_samples(self, tmp_path):
+        base = tmp_path / "grid.bin"
+        save_grid_function(GridFunction.zeros(2, 3), base)
+        samples = np.zeros((8, 8))
+        samples[1, 2] = math.nan
+        base.write_bytes(samples.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="finite"):
+            load_grid_function(base)
 
 
 class TestGridIO:

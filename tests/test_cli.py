@@ -1,9 +1,22 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
-from dyadic_spaces import CubeSequence, DyadicCube, save_jsonl
+from dyadic_spaces import (
+    CubeSequence,
+    DyadicCube,
+    Family,
+    SpaceParams,
+    b_type_norm,
+    bbmo_norm,
+    cmo_norm,
+    f_type_norm,
+    random_sample_set,
+    save_jsonl,
+)
 from dyadic_spaces.cli import main, parse_extended
 from fractions import Fraction
 
@@ -262,6 +275,91 @@ class TestEquiv:
         assert lines[0] == "sample_id,ratio_low,ratio_high,config"
         assert len(lines) > 1
 
+    def test_zero_samples_exit_3(self, tmp_path, capsys):
+        code, raw = run(
+            ["equiv", "--check", "collapse-f", "--s", "0", "--tau", "3/2", "--p", "1",
+             "--q", "2", "--samples", "0"],
+            tmp_path,
+        )
+        assert code == 3 and raw == b""
+        assert "--samples must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            ["collapse-b", "--p", "0", "--q", "2", "--tau", "1"],
+            ["collapse-f", "--p", "1", "--q", "0", "--tau", "2"],
+            ["inhom-b", "--p", "0", "--q", "2", "--tau", "1"],
+            ["holder", "--p", "0", "--q", "2", "--tau", "1"],
+            ["identities", "--p", "0", "--q", "2", "--r", "1"],
+            ["identities", "--p", "2", "--q", "0", "--r", "1"],
+        ],
+    )
+    def test_zero_exponent_exit_3(self, check, tmp_path, capsys):
+        # a zero exponent used to divide by zero before any check named it
+        code, raw = run(["equiv", "--check", *check, "--samples", "3"], tmp_path)
+        assert code == 3 and raw == b""
+        assert "must be positive" in capsys.readouterr().err
+
+
+class TestEquivCsvRows:
+    """Each CSV row holds one sample's ratios, recomputed here through the
+    library from the same seeded samples."""
+
+    SAMPLES, DEPTH, SEED = 12, 6, 4
+
+    def rows_and_samples(self, args, tmp_path):
+        code, raw = run(
+            ["equiv", *args, "--samples", str(self.SAMPLES), "--depth", str(self.DEPTH),
+             "--seed", str(self.SEED), "--format", "csv"],
+            tmp_path, "rows.csv",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(raw.decode())))
+        assert [int(row["sample_id"]) for row in rows] == list(range(self.SAMPLES))
+        samples = random_sample_set(
+            self.SEED, self.SAMPLES, dims=(1,), depth_1d=self.DEPTH, depth_nd=self.DEPTH
+        )
+        return [(float(r["ratio_low"]), float(r["ratio_high"])) for r in rows], samples
+
+    def test_holder_rows_are_f_then_b_ratio(self, tmp_path):
+        s, tau, p, q = 0.0, 0.25, 1.0, 2.0
+        rows, samples = self.rows_and_samples(
+            ["--check", "holder", "--s", "0", "--tau", "1/4", "--p", "1", "--q", "2"],
+            tmp_path,
+        )
+        diag = SpaceParams(Family.B_TYPE, s, tau + 1 / q - 1 / p, q, q)
+        for (low, high), seq in zip(rows, samples):
+            rhs = b_type_norm(seq, diag, allow_negative_tau=True).log2_value
+            f = f_type_norm(seq, SpaceParams(Family.F_TYPE, s, tau, p, q)).log2_value
+            b = b_type_norm(seq, SpaceParams(Family.B_TYPE, s, tau, p, q)).log2_value
+            assert low == pytest.approx(2.0 ** (f - rhs), rel=1e-12)
+            assert high == pytest.approx(2.0 ** (b - rhs), rel=1e-12)
+        # with p < q the F ratio is the larger one, so the columns are not (min, max)
+        assert any(low > high * (1 + 1e-9) for low, high in rows)
+
+    def test_identities_rows_are_min_then_max_over_the_pairs(self, tmp_path):
+        s, p, q, r = 0.0, 2.0, 2.0, 1.0
+        rows, samples = self.rows_and_samples(
+            ["--check", "identities", "--s", "0", "--p", "2", "--q", "2", "--r", "1"],
+            tmp_path,
+        )
+        orders = set()
+        for (low, high), seq in zip(rows, samples):
+            carleson = 2.0 ** (
+                cmo_norm(seq, s, q, r).log2_value
+                - f_type_norm(seq, SpaceParams(Family.F_TYPE, s, r / q, q, q)).log2_value
+            )
+            bmo = 2.0 ** (
+                bbmo_norm(seq, s, p, q).log2_value
+                - b_type_norm(seq, SpaceParams(Family.B_TYPE, s, 1 / p, p, q)).log2_value
+            )
+            # repr round-trips, and the library is deterministic: compare exactly
+            assert (low, high) == (min(carleson, bmo), max(carleson, bmo))
+            orders.add((carleson > bmo) - (carleson < bmo))
+        # rounding orders the two pairs both ways, so neither fixed order passes
+        assert {-1, 1} <= orders
+
 
 class TestClassify:
     def test_report_shape(self, tmp_path):
@@ -344,6 +442,15 @@ class TestThreadsEnv:
             tmp_path, "noenv.json",
         )
         assert raw == raw2
+
+    def test_env_var_is_not_read(self, tmp_path, monkeypatch):
+        args = ["equiv", "--check", "collapse-b", "--s", "0", "--tau", "3/2", "--p", "1",
+                "--q", "2", "--samples", "12"]
+        _, plain = run(args, tmp_path, "plain.json")
+        monkeypatch.setenv("DYADIC_SPACES_THREADS", "abc")
+        code, raw = run(args, tmp_path, "abc.json")
+        assert code == 0
+        assert raw == plain
 
 
 class TestDeterminism:

@@ -61,6 +61,7 @@ class TestCollapseF:
         rep = check_collapse_f(CubeSequence.zero(DyadicCube.unit(1)), 0, 1.5, 1, 2)
         assert rep.all_ok
         assert rep.vacuous == 1
+        assert rep.worst_ratio_low == rep.worst_ratio_high == 1.0
 
     @pytest.mark.parametrize("q", [0.5, 1, 2, INF])
     @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0])
@@ -172,12 +173,20 @@ class TestHolder:
         with pytest.raises(ParamError):
             check_holder_embeddings(batch(1, 1), 0, 0.5, 2, 2)
 
+    def test_zero_sequence_vacuous(self):
+        rep = check_holder_embeddings(CubeSequence.zero(DyadicCube.unit(1)), 0, 0.5, 1, 2)
+        assert rep.all_ok
+        assert rep.vacuous == 1
+        assert rep.worst_ratio_low == rep.worst_ratio_high == 0.0
+        assert rep.rows == []
+
 
 class TestExactIdentities:
     def test_zero_sequence(self):
         rep = check_exact_identities(CubeSequence.zero(DyadicCube.unit(1)), 0, 2, 2, 1)
         assert rep.all_ok
         assert rep.vacuous == 1
+        assert rep.worst_ratio_low == rep.worst_ratio_high == 1.0
 
     def test_random_grid(self):
         for s, p, q, r in [(0, 2, 2, 1), (0.5, 1, 3, 0.2), (-0.4, 4, 0.5, 2.0)]:
