@@ -34,11 +34,7 @@ from .classify import (
 from .dyadic import (
     DimensionMismatchError,
     DyadicCube,
-    Shell,
     SupportTree,
-    ancestor_at,
-    contains,
-    shell_decomposition,
 )
 from .equivalence import (
     EquivalenceReport,
@@ -57,6 +53,7 @@ from .equivalence import (
 from .seqspace import (
     CubeSequence,
     Family,
+    Forest,
     NormValue,
     ParamError,
     SequenceFormatError,

@@ -1,4 +1,4 @@
-"""Morton keys and the compiled support geometry of a coefficient sequence.
+"""Morton keys and the compiled support geometry of coefficient sequences.
 
 A support node's key is its path from the root as a Z-order code: the child
 codes from the root down, most significant first, dimension 0 in the lowest
@@ -91,92 +91,112 @@ def key_indices(
 
 
 class Geometry:
-    """Compiled support geometry shared by all norm evaluations of a sequence.
+    """Compiled support geometry of a forest: one or more sequences under
+    one root, each a segment, evaluated together by every norm kernel.
 
     Support nodes are kept in depth-first order, as ``CubeSequence`` stores
-    them.  Each node has a Morton key: its path from the root as a Z-order
-    code, shifted left to the full width of ``depth * dim`` bits (``depth``
-    is that of the deepest record), so that sorting by (key, node depth)
-    gives the depth-first order and a node's subtree is a contiguous range.
+    them, one segment after another.  Each node has a Morton key: its path
+    from the root as a Z-order code, shifted left to the full width of
+    ``depth * dim`` bits (``depth`` is that of the deepest record in the
+    forest), so that sorting a segment by (key, node depth) gives its
+    depth-first order and a node's subtree is a contiguous range.  Segment s
+    holds the nodes ``[seg_lo[s], seg_lo[s + 1])`` and the candidates
+    ``[seg_cand[s], seg_cand[s + 1])``.
 
-    The candidate set for the outer supremum is the root, the support nodes
-    and the branch points (cubes whose children lead to two or more support
-    subtrees), at most 2m cubes.  Every other dyadic subcube of the root
-    that contains support lies in a chain gap: strictly between a candidate
-    and its nearest candidate ancestor, with exactly the support of the
-    candidate below it.  Candidates are stored as arrays (``cand_level``,
-    ``cand_lo``, ``cand_hi``, ``cand_key``), with ``gap_lo`` the coarsest
-    level of the gap above each candidate; the gap ends just above the
-    candidate's own level.
+    The candidate set for the outer supremum of a segment is the root, its
+    support nodes and its branch points (cubes whose children lead to two or
+    more support subtrees), at most 2m cubes.  Every other dyadic subcube of
+    the root that contains support lies in a chain gap: strictly between a
+    candidate and its nearest candidate ancestor, with exactly the support
+    of the candidate below it.  Candidates are stored as arrays
+    (``cand_level``, ``cand_lo``, ``cand_hi``, ``cand_key``), with ``gap_lo``
+    the coarsest level of the gap above each candidate; the gap ends just
+    above the candidate's own level.
     """
 
     def __init__(
-        self, root: DyadicCube, width: int, key: list[int], node_depth: list[int],
-        log2t: np.ndarray,
+        self, root: DyadicCube,
+        segments: Sequence[tuple[int, list[int], list[int], np.ndarray]],
     ):
+        """``segments`` holds the (key width, keys, depths, log2 magnitudes)
+        of each sequence, in depth-first order."""
         self.root = root
         n = self.dim = root.dim
         j0 = self.min_level = root.level
-        self.m = len(key)
-        self.depth = width
-        self.key = key
-        self.node_depth = node_depth
-        self.level = np.array(node_depth, dtype=np.int64) + j0
+        width = self.depth = max(w for w, *_ in segments)
+        if len(segments) == 1:
+            _, self.key, self.node_depth, self.log2t = segments[0]
+        else:
+            self.key = [k << n * (width - w) for w, keys, *_ in segments for k in keys]
+            self.node_depth = [d for _, _, depth, _ in segments for d in depth]
+            self.log2t = np.concatenate([t for *_, t in segments])
+        self.m = len(self.key)
+        self.seg_lo = np.cumsum([0] + [len(keys) for _, keys, *_ in segments])
+        self.level = np.array(self.node_depth, dtype=np.int64) + j0
         self.max_level = int(self.level.max()) if self.m else j0
         self.level_f = self.level.astype(float)
-        self.log2t = log2t
         self.log2vol = -self.level_f * n
         self._compile()
         self.mu_log2 = self._shell_measures()
 
     def _compile(self) -> None:
-        """One stack pass over the depth-first keys.
+        """One stack pass over the depth-first keys of each segment.
 
         Yields the support parent and support depth (the number of support
         ancestors) of every node and the compressed candidate
         tree, whose ranges [lo, hi) end each candidate's subtree: a branch
         point is the lowest common ancestor of two depth-first-adjacent
-        nodes, found from the bit length of their key XOR.
+        nodes, found from the bit length of their key XOR.  Each segment
+        starts at a root candidate of its own.
         """
         n, m, D = self.dim, self.m, self.depth
         keys, depth = self.key, self.node_depth
         parent = [-1] * m
         sdepth = [0] * m + [-1]  # the entry at index -1 serves the parentless
-        c_depth, c_key, c_lo, c_hi, c_up = [0], [0], [0], [m], [-1]
-        first = 1 if m and depth[0] == 0 else 0  # is the root a support node?
-        # stack entries: (candidate, depth, key, nearest support node at or
-        # above); they form the candidate chain above the last node
-        stack = [(0, 0, 0, first - 1)]
-        for i in range(first, m):
-            k, d = keys[i], depth[i]
-            top = stack[-1]
-            lca = min(d, top[1], (n * D - (k ^ top[2]).bit_length()) // n)
-            if lca < top[1]:
-                while stack[-1][1] > lca:
-                    last = stack.pop()
-                    c_hi[last[0]] = i
-                    c_up[last[0]] = stack[-1][0]
-                if stack[-1][1] < lca:  # new branch point between the two
-                    cid = len(c_depth)
-                    shift = n * (D - lca)
-                    bkey = k >> shift << shift
-                    c_depth.append(lca)
-                    c_key.append(bkey)
-                    c_lo.append(c_lo[last[0]])
-                    c_hi.append(m)
-                    c_up.append(-1)
-                    c_up[last[0]] = cid
-                    stack.append((cid, lca, bkey, stack[-1][3]))
-            parent[i] = par = stack[-1][3]
-            sdepth[i] = sdepth[par] + 1
+        c_depth, c_key, c_lo, c_hi, c_up, seg_cand = [], [], [], [], [], []
+        for a, b in zip(self.seg_lo.tolist(), self.seg_lo[1:].tolist()):
+            seg_cand.append(len(c_depth))
+            c_depth.append(0)
+            c_key.append(0)
+            c_lo.append(a)
+            c_hi.append(b)
             c_up.append(-1)
-            c_hi.append(m)
-            c_lo.append(i)
-            c_key.append(k)
-            c_depth.append(d)
-            stack.append((len(c_depth) - 1, d, k, i))
-        for below, above in zip(stack, stack[1:]):
-            c_up[above[0]] = below[0]
+            root_node = a < b and depth[a] == 0  # is the root a support node?
+            # stack entries: (candidate, depth, key, nearest support node at
+            # or above); they form the candidate chain above the last node
+            stack = [(seg_cand[-1], 0, 0, a if root_node else -1)]
+            for i in range(a + root_node, b):
+                k, d = keys[i], depth[i]
+                top = stack[-1]
+                lca = min(d, top[1], (n * D - (k ^ top[2]).bit_length()) // n)
+                if lca < top[1]:
+                    while stack[-1][1] > lca:
+                        last = stack.pop()
+                        c_hi[last[0]] = i
+                        c_up[last[0]] = stack[-1][0]
+                    if stack[-1][1] < lca:  # new branch point between the two
+                        cid = len(c_depth)
+                        shift = n * (D - lca)
+                        bkey = k >> shift << shift
+                        c_depth.append(lca)
+                        c_key.append(bkey)
+                        c_lo.append(c_lo[last[0]])
+                        c_hi.append(b)
+                        c_up.append(-1)
+                        c_up[last[0]] = cid
+                        stack.append((cid, lca, bkey, stack[-1][3]))
+                parent[i] = par = stack[-1][3]
+                sdepth[i] = sdepth[par] + 1
+                c_up.append(-1)
+                c_hi.append(b)
+                c_lo.append(i)
+                c_key.append(k)
+                c_depth.append(d)
+                stack.append((len(c_depth) - 1, d, k, i))
+            for below, above in zip(stack, stack[1:]):
+                c_up[above[0]] = below[0]
+        seg_cand.append(len(c_depth))
+        self.seg_cand = np.array(seg_cand, dtype=np.int64)
         self.parent = np.array(parent, dtype=np.int64)
         self.sdepth = np.array(sdepth[:m], dtype=np.int64)
         self.cand_level = np.array(c_depth, dtype=np.int64) + self.min_level
@@ -220,7 +240,8 @@ class Geometry:
 
     def locate(self, cube: DyadicCube) -> tuple[int, int] | None:
         """Depth-first range [lo, hi) of the support nodes inside an arbitrary
-        cube; None when the cube is disjoint from the root."""
+        cube, in a forest of one; None when the cube is disjoint from the
+        root."""
         if cube.contains(self.root):
             return 0, self.m
         if not self.root.contains(cube):

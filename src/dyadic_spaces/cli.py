@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -32,6 +33,7 @@ from .equivalence import (
 )
 from .seqspace import (
     Family,
+    Forest,
     ParamError,
     SequenceFormatError,
     SpaceParams,
@@ -319,6 +321,12 @@ def cmd_sweep(args) -> int:
     qs = [parse_extended(x) for x in args.q_grid.split(",")]
     fam = {"f": "F_type", "b": "B_type"}[args.family]
 
+    @functools.cache
+    def samples() -> Forest:  # one sample set and forest for every cell
+        return Forest(random_sample_set(
+            args.seed, args.samples, dims=(args.dim,), depth_1d=6, depth_nd=4
+        ))
+
     def run(tau, p, q):
         if fam == "F_type" and float(p) == INF:
             return {
@@ -337,11 +345,8 @@ def cmd_sweep(args) -> int:
             "ratio_high": "",
         }
         if report.verdict.value in ("F_inf_inf", "B_inf_inf") and args.samples > 0:
-            samples = random_sample_set(
-                args.seed, args.samples, dims=(args.dim,), depth_1d=6, depth_nd=4
-            )
             checker = check_collapse_f if fam == "F_type" else check_collapse_b
-            eqr = checker(samples, args.s, tau, p, q, tol=args.tol)
+            eqr = checker(samples(), args.s, tau, p, q, tol=args.tol)
             row["ratio_low"] = repr(eqr.worst_ratio_low)
             row["ratio_high"] = repr(eqr.worst_ratio_high)
         return row
@@ -356,7 +361,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# The grid-size bound: ``analyze`` samples 2**(dim * L) points, and the filter
+# bank and the band-passes hold several arrays of that size.
+GRID_BITS_BOUND = 24
+
+
 def cmd_analyze(args) -> int:
+    if args.dim * args.L > GRID_BITS_BOUND:
+        raise ParamError(
+            f"--dim {args.dim} and --L {args.L} make a grid of 2**{args.dim * args.L} "
+            f"points, over the bound of 2**{GRID_BITS_BOUND}", rule="grid-size bound"
+        )
     bank = build_filter_bank(args.L)
     rng = np.random.default_rng(args.seed)
     if args.signal == "harmonic":
@@ -506,6 +521,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except (ParamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    except MemoryError:
+        print("error: out of memory: the input or the parameters need more than is available",
+              file=sys.stderr)
         return EXIT_PARAMS
 
 

@@ -1,4 +1,4 @@
-"""Dyadic cubes, support trees and exact shell decompositions.
+"""Dyadic cubes and support trees.
 
 A dyadic cube at level j with integer index k is the half-open box
 2**-j * ([0,1)**n + k).  Half-openness makes same-level cubes a partition of
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 # Python refuses int <-> decimal string conversions beyond a digit limit (4300
 # by default), and the index of a cube at level 20000 has about 6000 digits.
@@ -131,38 +131,9 @@ class DyadicCube:
         for code in range(1 << self.dim):
             yield self.child(code)
 
-    def path_from(self, ancestor: "DyadicCube") -> tuple[int, ...]:
-        """Child-code path from ``ancestor`` down to this cube."""
-        if not ancestor.contains(self):
-            raise ValueError(f"{ancestor} does not contain {self}")
-        codes = []
-        for lvl in range(ancestor.level + 1, self.level + 1):
-            shift = self.level - lvl
-            code = 0
-            for d, k in enumerate(self.index):
-                code |= ((k >> shift) & 1) << d
-            codes.append(code)
-        return tuple(codes)
-
-    def descendant(self, path: Iterable[int]) -> "DyadicCube":
-        cube = self
-        for code in path:
-            cube = cube.child(code)
-        return cube
-
     def __repr__(self) -> str:
         k = ", ".join(map(int_to_decimal, self.index))
         return f"Q(j={self.level}, k={k if self.dim == 1 else f'[{k}]'})"
-
-
-def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
-    """Module-level alias for :meth:`DyadicCube.contains`."""
-    return outer.contains(inner)
-
-
-def ancestor_at(cube: DyadicCube, level: int) -> DyadicCube:
-    """Module-level alias for :meth:`DyadicCube.ancestor_at`."""
-    return cube.ancestor_at(level)
 
 
 @dataclass(frozen=True)
@@ -206,72 +177,3 @@ class SupportTree:
         elif max_depth < depth:
             raise ValueError(f"max_depth {max_depth} below actual depth {depth}")
         return cls(root, nodes, max_depth)
-
-
-class Shell(NamedTuple):
-    """One piece of a shell decomposition.
-
-    ``region`` is the cube whose shell this is (the geometric region is that
-    cube minus its support descendants), ``active`` is the set of support
-    cubes containing every point of the shell, ``measure`` is the exact
-    Lebesgue measure of the shell.
-    """
-
-    region: DyadicCube
-    active: frozenset[DyadicCube]
-    measure: Fraction
-
-
-def _chain_in(tree: SupportTree, cube: DyadicCube) -> frozenset[DyadicCube]:
-    """Support cubes of ``tree`` that contain ``cube``."""
-    chain = set()
-    lo = tree.root.level
-    for lvl in range(lo, cube.level + 1):
-        a = cube.ancestor_at(lvl)
-        if a in tree.nodes:
-            chain.add(a)
-    return frozenset(chain)
-
-
-def shell_decomposition(tree: SupportTree, region: DyadicCube) -> list[Shell]:
-    """Partition ``region`` into shells on which the active support is constant.
-
-    Returns one shell per support node inside the region (the node minus its
-    support descendants) plus, when the region itself is not a support node,
-    a top shell for the part of the region not covered by any support cube.
-    Zero-measure shells are dropped; the returned measures sum to the measure
-    of the region exactly.
-    """
-    root = tree.root
-    if not (root.contains(region) or region.contains(root)):
-        raise ValueError(f"{region} is neither inside nor an ancestor of the root")
-    inside = [q for q in tree.nodes if region.contains(q)]
-    inside.sort(key=lambda q: q.path_from(region))
-    paths = [q.path_from(region) for q in inside]
-
-    parent = [-1] * len(inside)
-    stack: list[int] = []
-    for i, pth in enumerate(paths):
-        while stack and paths[stack[-1]] != pth[: len(paths[stack[-1]])]:
-            stack.pop()
-        parent[i] = stack[-1] if stack else -1
-        stack.append(i)
-
-    child_vol = [Fraction(0)] * len(inside)
-    top_vol = Fraction(0)
-    for i, q in enumerate(inside):
-        if parent[i] >= 0:
-            child_vol[parent[i]] += q.volume
-        else:
-            top_vol += q.volume
-
-    shells: list[Shell] = []
-    if region not in tree.nodes:
-        mu_top = region.volume - top_vol
-        if mu_top != 0:
-            shells.append(Shell(region, _chain_in(tree, region), mu_top))
-    for i, q in enumerate(inside):
-        mu = q.volume - child_vol[i]
-        if mu != 0:
-            shells.append(Shell(q, _chain_in(tree, q), mu))
-    return shells

@@ -10,28 +10,24 @@ obtained by summing the geometric tail of per-level weights.  This module
 verifies the bounds sample-by-sample, together with the exact identities
 between the Carleson-style norms and their Morrey-weighted counterparts and
 the constant-1 Hoelder embeddings.
+
+Each check takes one sequence, a list of them or a ``Forest``, and
+evaluates the samples as one forest: a compile and one kernel call per norm
+for the whole set, with every sample's log2 norm in one array.  Generating
+the samples and compiling their forest now take most of a check's time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._log2 import INF, NEG_INF, inv, log2_to_linear
 from .dyadic import DyadicCube
-from .seqspace import (
-    CubeSequence,
-    Family,
-    ParamError,
-    SpaceParams,
-    b_type_norm,
-    bbmo_norm,
-    cmo_norm,
-    f_inf_inf_norm,
-    f_type_norm,
-)
+from .seqspace import CubeSequence, Family, Forest, ParamError, SpaceParams
 
 
 def identity_tolerance(p: float, q: float) -> float:
@@ -83,23 +79,12 @@ class EquivalenceReport:
     def all_ok(self) -> bool:
         return self.lower_ok and self.upper_ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-            "lower_constant": self.lower_constant,
-            "upper_constant": self.upper_constant,
-            "worst_ratio_low": self.worst_ratio_low,
-            "worst_ratio_high": self.worst_ratio_high,
-            "samples": self.samples,
-            "vacuous": self.vacuous,
-            "tol": self.tol,
-        }
 
-
-def _as_sequences(t) -> list[CubeSequence]:
-    return [t] if isinstance(t, CubeSequence) else list(t)
+def _forest(t) -> Forest:
+    """The samples of a check, one sequence or many, as a ``Forest``."""
+    if isinstance(t, Forest):
+        return t
+    return Forest([t] if isinstance(t, CubeSequence) else t)
 
 
 def _uniform_dim(seqs: list[CubeSequence]) -> int:
@@ -170,9 +155,9 @@ def _collapse(
     The inhomogeneous scale has no coarser frequencies to compare against, so
     there every sequence must be supported at levels >= 0.
     """
-    seqs = _as_sequences(t)
+    forest = _forest(t)
     if not homogeneous:
-        for seq in seqs:
+        for seq in forest.sequences:
             lvl = seq.min_support_level()
             if lvl is not None and lvl < 0:
                 raise ParamError(
@@ -180,14 +165,12 @@ def _collapse(
                     rule="Definition 5",
                 )
     params = SpaceParams(family, s, tau, p, q, homogeneous=homogeneous)
-    n_dim = _uniform_dim(seqs)
+    n_dim = _uniform_dim(forest.sequences)
     c_log2 = collapse_upper_constant_log2(s, tau, p, q, n_dim)
     s_eff = float(s) + n_dim * (float(tau) - inv(p))
-    evaluator = f_type_norm if family == Family.F_TYPE else b_type_norm
-    ratios = (
-        _ratios((evaluator(seq, params).log2_value, f_inf_inf_norm(seq, s_eff).log2_value))
-        for seq in seqs
-    )
+    num = forest.log2_norms(family, params).tolist()
+    den = forest.log2_norms(Family.F_INF_INF, s_eff).tolist()
+    ratios = (_ratios(pair) for pair in zip(num, den))
     return _ratio_report(check, ratios, 1.0, log2_to_linear(c_log2), tol)
 
 
@@ -230,17 +213,12 @@ def check_holder_embeddings(t, s, tau, p, q, tol: float | None = None) -> Equiva
         tol = identity_tolerance(p_f, q_f)
     tau_shift = float(tau) + inv(q_f) - inv(p_f)
     diag = SpaceParams(Family.B_TYPE, s, tau_shift, q, q)
-
-    def ratios(seq):
-        rhs = b_type_norm(seq, diag, allow_negative_tau=True).log2_value
-        return _ratios(
-            (f_type_norm(seq, params_f).log2_value, rhs),
-            (b_type_norm(seq, params_b).log2_value, rhs),
-        )
-
-    return _ratio_report(
-        "holder_embeddings", map(ratios, _as_sequences(t)), 0.0, 1.0, tol
-    )
+    forest = _forest(t)
+    rhs = forest.log2_norms(Family.B_TYPE, diag, allow_negative_tau=True).tolist()
+    f = forest.log2_norms(Family.F_TYPE, params_f).tolist()
+    b = forest.log2_norms(Family.B_TYPE, params_b).tolist()
+    ratios = (_ratios((x, r), (y, r)) for x, y, r in zip(f, b, rhs))
+    return _ratio_report("holder_embeddings", ratios, 0.0, 1.0, tol)
 
 
 def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> EquivalenceReport:
@@ -254,22 +232,19 @@ def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> Equivalen
     if tol is None:
         tol = identity_tolerance(p, q)
     q_f = float(q)
-
-    def ratios(seq):
-        a = cmo_norm(seq, s, q, r).log2_value
-        if q_f == INF:
-            b = f_inf_inf_norm(seq, s).log2_value
-        else:
-            b = f_type_norm(
-                seq, SpaceParams(Family.F_TYPE, s, float(r) / q_f, q, q)
-            ).log2_value
-        c = bbmo_norm(seq, s, p, q).log2_value
-        d = b_type_norm(seq, SpaceParams(Family.B_TYPE, s, inv(p), p, q)).log2_value
-        return tuple(sorted(_ratios((a, b), (c, d))))
-
-    return _ratio_report(
-        "exact_identities", map(ratios, _as_sequences(t)), 1.0, 1.0, tol
+    forest = _forest(t)
+    a = forest.log2_norms(Family.CMO, s, q, r)
+    if q_f == INF:
+        b = forest.log2_norms(Family.F_INF_INF, s)
+    else:
+        b = forest.log2_norms(Family.F_TYPE, SpaceParams(Family.F_TYPE, s, float(r) / q_f, q, q))
+    c = forest.log2_norms(Family.BBMO, s, p, q)
+    d = forest.log2_norms(Family.B_TYPE, SpaceParams(Family.B_TYPE, s, inv(p), p, q))
+    ratios = (
+        tuple(sorted(_ratios((w, x), (y, z))))
+        for w, x, y, z in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())
     )
+    return _ratio_report("exact_identities", ratios, 1.0, 1.0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +266,28 @@ def random_sequence(
     The root is always kept; each child of a kept cube survives with
     probability ``retain`` down to the depth bound.  Magnitudes are log2-
     uniform over [log2_low, log2_high], exercising extreme dynamic range.
+    The tree grows a level at a time as lists of integer indices, one per
+    axis, with a draw per child in child-code order.
     """
     if root is None:
         root = DyadicCube.unit(dim)
-    cubes = [root]
-    frontier = [root]
-    for _ in range(max_depth):
-        nxt = []
-        for cube in frontier:
-            for child in cube.children():
-                if rng.random() < retain:
-                    nxt.append(child)
-        cubes.extend(nxt)
-        frontier = nxt
-        if not frontier:
+    frontier = [[k] for k in root.index]
+    levels, axes = [root.level], [[k] for k in root.index]
+    n = root.dim
+    bits = [[code >> axis & 1 for code in range(1 << n)] for axis in range(n)]
+    for depth in range(1, max_depth + 1):
+        keep = (rng.random(size=len(frontier[0]) << n) < retain).tolist()
+        frontier = [
+            list(compress([2 * k + b for k in ks for b in bit], keep))
+            for ks, bit in zip(frontier, bits)
+        ]
+        if not frontier[0]:
             break
-    levels = rng.uniform(log2_low, log2_high, size=len(cubes))
-    values = dict(zip(cubes, levels.tolist()))
-    return CubeSequence.from_log2_values(values, root=root, max_depth=max_depth)
+        levels += [root.level + depth] * len(frontier[0])
+        for axis, ks in zip(axes, frontier):
+            axis += ks
+    log2_values = rng.uniform(log2_low, log2_high, size=len(levels))
+    return CubeSequence.from_records(root, levels, list(zip(*axes)), log2_values, max_depth)
 
 
 def random_sample_set(

@@ -22,14 +22,24 @@ coarsest cube when the slope is <= 0, else the finest, replaced by the
 coarsest gap cube whose value rounds to the same float, so that ties still
 go to the coarsest level, then the smallest index.
 
-Each kernel evaluates the contents of all candidates in one batched call.
-The B, CMO and BBMO kernels expand (candidate, support node) pairs, in
-batches of at most 2**12 pairs, and reduce them by segmented sums and
-maxima, max-factored per segment: about m log m pairs on saturated trees and
-m**2 / 2 on towers.  The F kernel sweeps the support depths once, touching
-each (support ancestor, node) pair once, then sums each candidate's tops.
-No table of nodes by levels is ever built, so memory stays O(m) plus the
-fixed pair batch, whatever the depth.
+Each kernel (module ``_kernels``) evaluates the contents of all candidates
+in one batched call.  The B, CMO and BBMO kernels expand (candidate, support
+node) pairs, in batches of at most 2**12 pairs, and reduce them by segmented
+sums and maxima, max-factored per segment: about m log m pairs on saturated
+trees and m**2 / 2 on towers.  The F kernel sweeps the support depths once,
+touching each (support ancestor, node) pair once, then sums each candidate's
+tops.  No table of nodes by levels is ever built, so memory stays O(m) plus
+the fixed pair batch, whatever the depth.
+
+A sample set is evaluated as one forest, after the segmented scan of
+Blelloch ("Vector Models for Data-Parallel Computing", 1990).  ``Forest``
+compiles the sequences under a root into one ``Geometry``, a segment per
+sequence.  Each kernel runs once over all segments and touches each target
+in the same order as for a sequence alone.  A segmented maximum gives each
+sequence's log2 norm without decoding a cube.  The fixed costs of a norm
+call (compile, kernel set-up, reduction) are thus paid once per set.  A
+sequence's own ``geometry`` is a forest of one; the norm functions decode
+the attained cube from it.
 
 Every input reaches the geometry through one validating constructor,
 ``CubeSequence.from_records``, which takes (level, index, log2 magnitude)
@@ -55,11 +65,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._geometry import Geometry, key_indices, morton_keys
+from ._kernels import _BKernel, _FKernel
 from ._log2 import INF, NEG_INF, log2_to_linear
 from .dyadic import DyadicCube, SupportTree, decimal_to_int, int_to_decimal
 
@@ -335,11 +346,15 @@ class CubeSequence:
         return CubeSequence.from_log2_values(values, root=root)
 
     @property
+    def _segment(self) -> tuple:
+        """The arrays a ``Geometry`` compiles, as one segment of a forest."""
+        return self._width, self._key, self._node_depth, self._log2t
+
+    @property
     def geometry(self) -> Geometry:
+        """The compiled geometry of this sequence: a forest of one."""
         if self._geometry is None:
-            self._geometry = Geometry(
-                self.root, self._width, self._key, self._node_depth, self._log2t
-            )
+            self._geometry = Geometry(self.root, [self._segment])
         return self._geometry
 
     def __len__(self) -> int:
@@ -350,182 +365,8 @@ class CubeSequence:
 
 
 # ---------------------------------------------------------------------------
-# evaluation kernels
+# suprema
 # ---------------------------------------------------------------------------
-#
-# A kernel splits the value of the outer supremum at a cube P of level l into
-# ``slope * l + content``, where the content depends on P through the
-# depth-first range [lo, hi) of the support nodes inside P (and on l only
-# through the inhomogeneous level-0 cut).  Along a chain gap the range is
-# fixed and no support level lies between the gap's levels, so the content is
-# constant there and the value is monotone in the level.
-#
-# ``contents(lo, hi, level)`` evaluates a batch of cubes in one vectorised
-# pass, in which each (cube, support node inside it) pair is one array
-# element.  The work is proportional to the pairs, about m log m on saturated
-# trees and m**2 / 2 on towers, and never to m times the number of levels.
-
-# Pairs expanded at once; one cube whose range is larger forms a batch alone.
-# At 8 bytes an element this keeps each transient array at 32 KiB.
-_PAIR_CHUNK = 1 << 12
-
-
-def _batched(lo: np.ndarray, hi: np.ndarray, reduce) -> np.ndarray:
-    """One value per range [lo, hi); -inf for the empty ones.
-
-    The nonempty ranges are expanded into (cube, node) pairs, a run of
-    consecutive cubes at a time, and ``reduce(idx, owner, node, starts)``
-    gives the run's values: ``idx`` holds the run's cube indices, ``owner``
-    and ``node`` each pair's position in the run and its node, and
-    ``starts`` where each cube's pairs begin.
-    """
-    out = np.full(lo.size, NEG_INF)
-    sizes = hi - lo
-    nonempty = np.flatnonzero(sizes)
-    ends = np.cumsum(sizes[nonempty])
-    a = 0
-    while a < nonempty.size:
-        base = int(ends[a - 1]) if a else 0
-        b = max(int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")), a + 1)
-        idx = nonempty[a:b]
-        size = sizes[idx]
-        starts = ends[a:b] - size - base
-        owner = np.repeat(np.arange(idx.size), size)
-        node = np.arange(int(ends[b - 1]) - base) + np.repeat(lo[idx] - starts, size)
-        out[idx] = reduce(idx, owner, node, starts)
-        a = b
-    return out
-
-
-def _seg_max(vals: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    return np.maximum.reduceat(vals, starts)
-
-
-def _seg_log2_sum(vals: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """log2 of the sum of 2**vals over each segment (``owner`` numbers the
-    segment of every element), max-factored per segment: positive terms only."""
-    top = np.maximum.reduceat(vals, starts)
-    top[top == NEG_INF] = 0.0  # an all -inf segment sums to 0, so stays -inf
-    with np.errstate(divide="ignore"):
-        return top + np.log2(np.add.reduceat(np.exp2(vals - top[owner]), starts))
-
-
-class _FKernel:
-    """The F-type expression for fixed parameters, as slope and contents.
-
-    The content of a support node t is the log-sum, over the nodes i of its
-    subtree whose shell has positive measure, of mu_i + (p/q) R_i(t), where
-    R_i(t) sums the q-th powers of the weights on the chain from i up to t
-    (the chain maximum at q = inf).  One sweep over the support depths,
-    deepest first, extends every chain by one ancestor per step, so each
-    (ancestor, node) pair is touched once and only positive terms are ever
-    added: subtracting a prefix of a global chain sum would cancel
-    catastrophically on deep towers.  The sweep does one step per support
-    depth and O(m) memory.  The tops of any cube's range share one support
-    depth, and its content is the log-sum of theirs.
-    """
-
-    def __init__(self, geo: Geometry, s: float, tau: float, p: float, q: float):
-        self.geo = geo
-        self.slope = tau * geo.dim
-        self.p = p
-        logw = geo.level_f * (s + geo.dim / 2.0) + geo.log2t
-        if q == INF:
-            combine, w, power = np.maximum, logw, p
-        else:
-            combine, w, power = np.logaddexp2, q * logw, p / q
-        sdepth = geo.sdepth
-        live = np.flatnonzero(geo.mu_log2 > NEG_INF)
-        live = live[np.argsort(-sdepth[live], kind="stable")]  # deepest first
-        # the live nodes at support depth >= d are live[:active[d]]
-        active = np.cumsum(np.bincount(sdepth[live], minlength=1)[::-1])[::-1]
-        anc, chain, shell = live.copy(), w[live], geo.mu_log2[live]
-        top = np.full(geo.m, NEG_INF)
-        total = np.zeros(geo.m)
-        for d in range(active.size - 1, -1, -1):
-            k = active[d]
-            if d + 1 < active.size:  # move the deeper chains up to depth d
-                old = active[d + 1]
-                up = geo.parent[anc[:old]]
-                anc[:old] = up
-                chain[:old] = combine(chain[:old], w[up])
-            terms = shell[:k] + power * chain[:k]
-            np.maximum.at(top, anc[:k], terms)
-            np.add.at(total, anc[:k], np.exp2(terms - top[anc[:k]]))
-        with np.errstate(divide="ignore"):
-            node_content = top + np.log2(total)
-        # support nodes ordered by (support depth, depth-first index), so
-        # that the tops of a range are one slice
-        by_depth = np.argsort(sdepth, kind="stable")
-        self.depth_key = sdepth[by_depth] * geo.m + by_depth
-        self.node_content = node_content[by_depth]
-
-    def contents(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
-        m = self.geo.m
-        if m == 0:
-            return np.full(lo.size, NEG_INF)
-        base = self.geo.sdepth[np.minimum(lo, m - 1)] * m
-        key = self.depth_key
-        values = self.node_content
-
-        def reduce(idx, owner, node, starts):
-            return _seg_log2_sum(values[node], starts, owner)
-
-        tops = _batched(np.searchsorted(key, base + lo), np.searchsorted(key, base + hi), reduce)
-        return tops / self.p
-
-
-class _BKernel:
-    """The B-type expression for fixed parameters, as slope and contents.
-
-    The content aggregates the weights inside P per level, by sums of p-th
-    powers (p < inf) or maxima (p = inf), then takes the l^q norm of the
-    level aggregates.  The inhomogeneous variant drops the levels < 0.  The
-    BBMO and CMO contents are this one with other slopes; when p = q the two
-    stages collapse into one sum or maximum over all nodes.
-    """
-
-    def __init__(
-        self, geo: Geometry, s: float, p: float, q: float, slope: float,
-        homogeneous: bool = True,
-    ):
-        self.geo = geo
-        self.slope = slope
-        self.p = p
-        self.q = q
-        self.homogeneous = homogeneous
-        logw = geo.level_f * (s + geo.dim / 2.0) + geo.log2t
-        self.z = logw if p == INF else p * logw + geo.log2vol
-
-    def contents(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
-        geo, p, q = self.geo, self.p, self.q
-        per_level = _seg_max if p == INF else _seg_log2_sum
-        p_root = 1.0 if p == INF else p  # log2 of an l^p norm: power sum / p
-        width = geo.depth + 1
-        cut = np.maximum(level, 0) if not self.homogeneous and (level < 0).any() else None
-
-        def reduce(idx, owner, node, starts):
-            vals, lev = self.z[node], geo.level[node]
-            if cut is not None:
-                vals[lev < cut[idx][owner]] = NEG_INF
-            if p == q:
-                return per_level(vals, starts, owner) / p_root
-            # group each cube's pairs by level; stable, so that a group keeps
-            # the depth-first order of its nodes
-            key = owner * width + (lev - geo.min_level)
-            order = np.argsort(key, kind="stable")
-            key, vals, owner = key[order], vals[order], owner[order]
-            first = np.flatnonzero(np.diff(key, prepend=-1))
-            if first.size < key.size:  # some level holds several nodes
-                group = np.repeat(np.arange(first.size), np.diff(first, append=key.size))
-                vals, owner = per_level(vals, first, group), owner[first]
-            agg = vals / p_root
-            starts = np.flatnonzero(np.diff(owner, prepend=-1))
-            if q == INF:
-                return _seg_max(agg, starts, owner)
-            return _seg_log2_sum(q * agg, starts, owner) / q
-
-        return _batched(lo, hi, reduce)
 
 
 def _argmax(values: np.ndarray, levels: np.ndarray, cube_of) -> tuple[float, DyadicCube]:
@@ -539,22 +380,57 @@ def _argmax(values: np.ndarray, levels: np.ndarray, cube_of) -> tuple[float, Dya
     return float(best), min(map(cube_of, tied.tolist()), key=DyadicCube.sort_key)
 
 
-def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> NormValue:
-    """Supremum of ``kern`` over every dyadic subcube of the root that
-    contains support, plus the root; level >= 0 only when inhomogeneous.
+class _Maxima:
+    """The values of the cubes evaluated for the suprema over a forest.
 
-    The contents of all candidates come from one batched kernel call; each
-    serves the chain gap above its candidate too.  On a gap the value
-    ``slope * l + content`` is monotone in the level l (float rounding is
-    monotone as well), so the gap's supremum sits at its coarsest level when
-    slope <= 0.  When slope > 0 it sits at the
+    Entry i is the cube at ``level[i]`` on the path from the root to the node
+    keyed ``keys[ref[i]]``; ``starts`` splits the refs into segments.  The
+    maximum per segment is a segmented reduction; only ``norm_value`` builds
+    cubes.
+    """
+
+    def __init__(self, geo: Geometry, values, level, ref, keys, starts):
+        self.geo, self.values, self.level = geo, values, level
+        self.ref, self.keys, self.starts = ref, keys, starts
+
+    def _segments(self) -> np.ndarray:
+        return np.searchsorted(self.starts, self.ref, "right") - 1
+
+    def log2_values(self) -> np.ndarray:
+        """The supremum of every segment; -inf for one without cubes."""
+        best = np.full(self.starts.size - 1, NEG_INF)
+        np.maximum.at(best, self._segments(), self.values)
+        return best
+
+    def norm_value(self, segment: int = 0) -> NormValue:
+        """The supremum of one segment and the cube attaining it, ties going
+        to the coarsest level, then the smallest index."""
+        geo, values, level, ref = self.geo, self.values, self.level, self.ref
+        if self.starts.size > 2:
+            mine = np.flatnonzero(self._segments() == segment)
+            values, level, ref = values[mine], level[mine], ref[mine]
+        if values.size == 0:
+            return NormValue.from_log2(NEG_INF, geo.root)
+        return NormValue.from_log2(*_argmax(
+            values, level, lambda i: geo.cube(self.keys[ref[i]], int(level[i]))
+        ))
+
+
+def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> _Maxima:
+    """Supremum of ``kern`` over every dyadic subcube of the root that
+    contains support, plus the root, for each segment; level >= 0 only when
+    inhomogeneous.
+
+    The contents of all candidates of all segments come from one batched
+    kernel call; each serves the chain gap above its candidate too.  On a
+    gap the value ``slope * l + content`` is monotone in the level l (float
+    rounding is monotone as well), so the gap's supremum sits at its
+    coarsest level when slope <= 0.  When slope > 0 it sits at the
     finest level, and bisection finds the coarsest gap level that rounds to
     the same value, which the tie rule prefers.
     """
     cand, lo, hi, level, gap_lo = geo.candidates(homogeneous)
     content = kern.contents(lo, hi, level)
-    if content.size == 0:
-        return NormValue.from_log2(NEG_INF, geo.root)
     slope = kern.slope
     values = slope * level + content
     gaps = np.flatnonzero(gap_lo < level)
@@ -573,10 +449,7 @@ def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> NormValue:
         values = np.concatenate([values, slope * lo + x])
         level = np.concatenate([level, lo])
         cand = np.concatenate([cand, cand[gaps]])
-    best, cube = _argmax(
-        values, level, lambda i: geo.cube(geo.cand_key[cand[i]], int(level[i]))
-    )
-    return NormValue.from_log2(best, cube)
+    return _Maxima(geo, values, level, cand, geo.cand_key, geo.seg_cand)
 
 
 def _check_tau(tau: float, allow_negative_tau: bool):
@@ -587,16 +460,61 @@ def _check_tau(tau: float, allow_negative_tau: bool):
         )
 
 
-def f_type_norm(
-    t: CubeSequence, params: SpaceParams, *, allow_negative_tau: bool = False
-) -> NormValue:
-    """Discrete Triebel-Lizorkin-type norm of a coefficient field."""
+# Each norm validates its parameters and returns a function from a geometry
+# to the ``_Maxima`` of its suprema, for a forest of one or of many.
+
+
+def _f_type(params: SpaceParams, allow_negative_tau: bool = False):
     if params.family != Family.F_TYPE:
         raise ParamError(f"f_type_norm requires the F-type family, got {params.family}")
     s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
     _check_tau(tau, allow_negative_tau)
-    geo = t.geometry
-    return _supremum(geo, _FKernel(geo, s, tau, p, q), params.homogeneous)
+    return lambda geo: _supremum(geo, _FKernel(geo, s, tau, p, q), params.homogeneous)
+
+
+def _b_type(params: SpaceParams, allow_negative_tau: bool = False):
+    if params.family != Family.B_TYPE:
+        raise ParamError(f"b_type_norm requires the B-type family, got {params.family}")
+    s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
+    _check_tau(tau, allow_negative_tau)
+    hom = params.homogeneous
+    return lambda geo: _supremum(geo, _BKernel(geo, s, p, q, tau * geo.dim, hom), hom)
+
+
+def _inf_inf(s_eff: float):
+    s_eff = float(s_eff)
+    return lambda geo: _Maxima(
+        geo, geo.level_f * (s_eff + geo.dim / 2.0) + geo.log2t, geo.level,
+        np.arange(geo.m), geo.key, geo.seg_lo,
+    )
+
+
+def _cmo(s: float, q: float, r: float):
+    s, q, r = float(s), float(q), float(r)
+    if not q > 0:
+        raise ParamError(f"q must be positive, got {q}")
+    if r < 0:
+        raise ParamError(
+            "r < 0 is classifier territory (the space degenerates)",
+            rule="Proposition 1(iv)",
+        )
+    return lambda geo: _supremum(
+        geo, _BKernel(geo, s, q, q, 0.0 if q == INF else r * geo.dim / q)
+    )
+
+
+def _bbmo(s: float, p: float, q: float):
+    s, p, q = float(s), float(p), float(q)
+    if not p > 0 or not q > 0:
+        raise ParamError(f"p and q must be positive, got p={p}, q={q}")
+    return lambda geo: _supremum(geo, _BKernel(geo, s, p, q, 0.0 if p == INF else geo.dim / p))
+
+
+def f_type_norm(
+    t: CubeSequence, params: SpaceParams, *, allow_negative_tau: bool = False
+) -> NormValue:
+    """Discrete Triebel-Lizorkin-type norm of a coefficient field."""
+    return _f_type(params, allow_negative_tau)(t.geometry).norm_value()
 
 
 def b_type_norm(
@@ -607,13 +525,7 @@ def b_type_norm(
     Same-level cubes are disjoint, so each per-level integral reduces exactly
     to a weighted power sum over the level; the evaluator uses that reduction.
     """
-    if params.family != Family.B_TYPE:
-        raise ParamError(f"b_type_norm requires the B-type family, got {params.family}")
-    s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
-    _check_tau(tau, allow_negative_tau)
-    geo = t.geometry
-    kern = _BKernel(geo, s, p, q, tau * geo.dim, params.homogeneous)
-    return _supremum(geo, kern, params.homogeneous)
+    return _b_type(params, allow_negative_tau)(t.geometry).norm_value()
 
 
 def f_inf_inf_norm(t: CubeSequence, s_eff: float) -> NormValue:
@@ -621,13 +533,7 @@ def f_inf_inf_norm(t: CubeSequence, s_eff: float) -> NormValue:
 
     The same formula serves both infinity-infinity scales.
     """
-    geo = t.geometry
-    if geo.m == 0:
-        return NormValue.from_log2(NEG_INF, geo.root)
-    arr = geo.level_f * (float(s_eff) + geo.dim / 2.0) + geo.log2t
-    return NormValue.from_log2(
-        *_argmax(arr, geo.level, lambda i: geo.cube(geo.key[i], int(geo.level[i])))
-    )
+    return _inf_inf(s_eff)(t.geometry).norm_value()
 
 
 b_inf_inf_norm = f_inf_inf_norm
@@ -641,17 +547,7 @@ def cmo_norm(t: CubeSequence, s: float, q: float, r: float) -> NormValue:
     inside P, so no shell decomposition is needed.  At q = inf the usual
     modification degenerates to the weighted supremum and r drops out.
     """
-    s, q, r = float(s), float(q), float(r)
-    if not q > 0:
-        raise ParamError(f"q must be positive, got {q}")
-    if r < 0:
-        raise ParamError(
-            "r < 0 is classifier territory (the space degenerates)",
-            rule="Proposition 1(iv)",
-        )
-    geo = t.geometry
-    slope = 0.0 if q == INF else r * geo.dim / q
-    return _supremum(geo, _BKernel(geo, s, q, q, slope))
+    return _cmo(s, q, r)(t.geometry).norm_value()
 
 
 def bbmo_norm(t: CubeSequence, s: float, p: float, q: float) -> NormValue:
@@ -661,12 +557,7 @@ def bbmo_norm(t: CubeSequence, s: float, p: float, q: float) -> NormValue:
     average over P is 2**(n l) times the level sum; its factor 2**(n l / p)
     is the slope, which leaves the B-type content.
     """
-    s, p, q = float(s), float(p), float(q)
-    if not p > 0 or not q > 0:
-        raise ParamError(f"p and q must be positive, got p={p}, q={q}")
-    geo = t.geometry
-    slope = 0.0 if p == INF else geo.dim / p
-    return _supremum(geo, _BKernel(geo, s, p, q, slope))
+    return _bbmo(s, p, q)(t.geometry).norm_value()
 
 
 def norm(t: CubeSequence, params: SpaceParams, **kwargs) -> NormValue:
@@ -678,6 +569,44 @@ def norm(t: CubeSequence, params: SpaceParams, **kwargs) -> NormValue:
     if params.family in (Family.F_INF_INF, Family.B_INF_INF):
         return f_inf_inf_norm(t, params.s)
     raise ParamError(f"norm() does not dispatch family {params.family}")
+
+
+_EVALUATORS = {
+    Family.F_TYPE: _f_type,
+    Family.B_TYPE: _b_type,
+    Family.CMO: _cmo,
+    Family.BBMO: _bbmo,
+    Family.F_INF_INF: _inf_inf,
+    Family.B_INF_INF: _inf_inf,
+}
+
+
+class Forest:
+    """Sequences compiled for evaluation as one batch: those under each
+    root form one ``Geometry``, a segment per sequence (a lone sequence
+    keeps its own), so a norm costs one kernel call per root."""
+
+    def __init__(self, sequences: Iterable[CubeSequence]):
+        self.sequences = list(sequences)
+        groups: dict[DyadicCube, list[int]] = {}
+        for i, seq in enumerate(self.sequences):
+            groups.setdefault(seq.root, []).append(i)
+        self._groups = [
+            (idx, Geometry(root, [self.sequences[i]._segment for i in idx])
+             if len(idx) > 1 else self.sequences[idx[0]].geometry)
+            for root, idx in groups.items()
+        ]
+
+    def log2_norms(self, family: Family, *args, **kwargs) -> np.ndarray:
+        """log2 of one norm of every sequence, in order, each equal to the
+        norm function's ``log2_value``; the arguments after ``family`` are
+        those of that function after the sequence."""
+        out = np.full(len(self.sequences), NEG_INF)
+        if self._groups:
+            evaluate = _EVALUATORS[Family(family)](*args, **kwargs)
+            for idx, geo in self._groups:
+                out[idx] = evaluate(geo).log2_values()
+        return out
 
 
 def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) -> float:

@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These evaluate the norms by literal shell integration with exact Fraction
-measures and plain float powers.  They share nothing with the production
-log-domain subtree kernels except the cube type and shell_decomposition,
-and are only meant for small, benign inputs.
+measures and plain float powers, from ``shell_decomposition`` below.  They
+share nothing with the production log-domain subtree kernels except the
+cube and support-tree types, and are only meant for small, benign inputs.
 
 ``reference_candidates`` and ``reference_supremum`` are the other kind of
 reference: they run the production kernels over the full, uncompressed
@@ -13,17 +13,102 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from dyadic_spaces import (
-    CubeSequence,
-    DyadicCube,
-    shell_decomposition,
-)
+from dyadic_spaces import CubeSequence, DyadicCube, SupportTree
 
 INF = math.inf
 NEG_INF = float("-inf")
+
+
+def path_from(cube: DyadicCube, ancestor: DyadicCube) -> tuple[int, ...]:
+    """Child-code path from ``ancestor`` down to ``cube``."""
+    if not ancestor.contains(cube):
+        raise ValueError(f"{ancestor} does not contain {cube}")
+    codes = []
+    for lvl in range(ancestor.level + 1, cube.level + 1):
+        shift = cube.level - lvl
+        codes.append(sum(((k >> shift) & 1) << d for d, k in enumerate(cube.index)))
+    return tuple(codes)
+
+
+def descendant(cube: DyadicCube, path) -> DyadicCube:
+    """The cube reached from ``cube`` by a child-code path."""
+    for code in path:
+        cube = cube.child(code)
+    return cube
+
+
+class Shell(NamedTuple):
+    """One piece of a shell decomposition.
+
+    ``region`` is the cube whose shell this is (the geometric region is that
+    cube minus its support descendants), ``active`` is the set of support
+    cubes containing every point of the shell, ``measure`` is the exact
+    Lebesgue measure of the shell.
+    """
+
+    region: DyadicCube
+    active: frozenset[DyadicCube]
+    measure: Fraction
+
+
+def _chain_in(tree: SupportTree, cube: DyadicCube) -> frozenset[DyadicCube]:
+    """Support cubes of ``tree`` that contain ``cube``."""
+    chain = set()
+    lo = tree.root.level
+    for lvl in range(lo, cube.level + 1):
+        a = cube.ancestor_at(lvl)
+        if a in tree.nodes:
+            chain.add(a)
+    return frozenset(chain)
+
+
+def shell_decomposition(tree: SupportTree, region: DyadicCube) -> list[Shell]:
+    """Partition ``region`` into shells on which the active support is constant.
+
+    Returns one shell per support node inside the region (the node minus its
+    support descendants) plus, when the region itself is not a support node,
+    a top shell for the part of the region not covered by any support cube.
+    Zero-measure shells are dropped; the returned measures sum to the measure
+    of the region exactly.
+    """
+    root = tree.root
+    if not (root.contains(region) or region.contains(root)):
+        raise ValueError(f"{region} is neither inside nor an ancestor of the root")
+    inside = [q for q in tree.nodes if region.contains(q)]
+    inside.sort(key=lambda q: path_from(q, region))
+    paths = [path_from(q, region) for q in inside]
+
+    parent = [-1] * len(inside)
+    stack: list[int] = []
+    for i, pth in enumerate(paths):
+        while stack and paths[stack[-1]] != pth[: len(paths[stack[-1]])]:
+            stack.pop()
+        parent[i] = stack[-1] if stack else -1
+        stack.append(i)
+
+    child_vol = [Fraction(0)] * len(inside)
+    top_vol = Fraction(0)
+    for i, q in enumerate(inside):
+        if parent[i] >= 0:
+            child_vol[parent[i]] += q.volume
+        else:
+            top_vol += q.volume
+
+    shells: list[Shell] = []
+    if region not in tree.nodes:
+        mu_top = region.volume - top_vol
+        if mu_top != 0:
+            shells.append(Shell(region, _chain_in(tree, region), mu_top))
+    for i, q in enumerate(inside):
+        mu = q.volume - child_vol[i]
+        if mu != 0:
+            shells.append(Shell(q, _chain_in(tree, q), mu))
+    return shells
 
 
 def weight(seq: CubeSequence, cube: DyadicCube, s: float) -> float:
@@ -198,14 +283,14 @@ def reference_candidates(seq: CubeSequence):
     builds each cube child by child: O(m * depth) cubes.
     """
     root = seq.root
-    paths = sorted(q.path_from(root) for q in seq.support)
+    paths = sorted(path_from(q, root) for q in seq.support)
     prefixes = {()}
     for pth in paths:
         for cut in range(len(pth) + 1):
             prefixes.add(pth[:cut])
     sentinel = 1 << seq.dim
     return [
-        (root.descendant(pth), bisect_left(paths, pth), bisect_left(paths, pth + (sentinel,)))
+        (descendant(root, pth), bisect_left(paths, pth), bisect_left(paths, pth + (sentinel,)))
         for pth in sorted(prefixes)
     ]
 

@@ -17,6 +17,7 @@ from dyadic_spaces import (
     random_sample_set,
     save_jsonl,
 )
+from dyadic_spaces import cli
 from dyadic_spaces.cli import main, parse_extended
 from fractions import Fraction
 
@@ -424,6 +425,29 @@ class TestAnalyze:
         doc = json.loads(raw)
         assert doc["bank"]["lower_bound_constant"] > 0
         assert doc["consistency"]["band_limited"] is True
+
+    @pytest.mark.parametrize("dim,L", [(1, 25), (2, 13), (3, 9)])
+    def test_grid_over_bound_exit_3_before_any_allocation(self, dim, L, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the filter bank was built")
+
+        monkeypatch.setattr(cli, "build_filter_bank", refuse)
+        assert main(["analyze", "--dim", str(dim), "--L", str(L)]) == 3
+        assert "[grid-size bound]" in capsys.readouterr().err
+        with pytest.raises(AssertionError):  # a grid at the bound gets through
+            main(["analyze", "--dim", str(dim), "--L", str(24 // dim)])
+
+
+class TestMemoryError:
+    def test_memory_error_exit_3(self, monkeypatch, capsys, single_cube_file):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_jsonl", exhausted)
+        code = main(["norm", "--family", "f", "--in", str(single_cube_file)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "memory" in err
 
 
 class TestThreadsEnv:

@@ -641,12 +641,12 @@ class TestCompressedCandidates:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_full_enumeration(self, seq, tau, s, p, q, r, hom):
-        from _oracles import reference_candidates, reference_supremum
+        from _oracles import path_from, reference_candidates, reference_supremum
         from dyadic_spaces import seqspace
 
         geo = seq.geometry
         nodes = [geo.cube(k, level) for k, level in zip(geo.key, geo.level.tolist())]
-        assert nodes == sorted(seq.support, key=lambda c: c.path_from(seq.root))
+        assert nodes == sorted(seq.support, key=lambda c: path_from(c, seq.root))
         assert geo.cand_level.size <= max(1, 2 * len(seq))
         cands = reference_candidates(seq)
         for nv, kern, homogeneous in (
