@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -224,42 +225,71 @@ def _lattice_radii(dim: int, L: int) -> np.ndarray:
     return np.sqrt(fx * fx + fy * fy)
 
 
-def lp_convolve(f: GridFunction, bank: FilterBank, j: int) -> GridFunction:
-    """Band-pass f at level j by Fourier multiplication with profile(2**-j |m|)."""
+def lp_convolve(
+    f: GridFunction, bank: FilterBank, j: int, spectrum: np.ndarray | None = None
+) -> GridFunction:
+    """Band-pass f at level j by Fourier multiplication with profile(2**-j |m|).
+
+    ``spectrum`` is f's forward FFT, for a caller that already holds it."""
     if j not in bank.valid_levels:
         raise ValueError(
             f"level {j} outside the bank's valid range {bank.valid_levels}"
         )
+    if spectrum is None:
+        spectrum = f.spectrum()
     radii = _lattice_radii(f.dim, f.log_resolution)
     mult = bank.profile(radii / float(1 << j))
-    out = np.fft.ifftn(f.spectrum() * mult)
+    out = np.fft.ifftn(spectrum * mult)
     if not f.is_complex:
         out = out.real
     return GridFunction(f.dim, f.log_resolution, out)
 
 
-def coefficients(f: GridFunction, bank: FilterBank, max_level: int) -> CubeSequence:
+def _check_max_level(bank: FilterBank, max_level: int) -> None:
+    if max_level not in bank.valid_levels:
+        raise ValueError(f"max_level {max_level} outside {bank.valid_levels}")
+
+
+def band_magnitudes(
+    f: GridFunction, bank: FilterBank, max_level: int, spectrum: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """|lp_convolve(f, bank, j)| for j = 0..max_level, all from one forward FFT.
+
+    Only the float magnitudes are kept: a real band-pass is a view of its
+    complex inverse FFT, which is dropped once its magnitude is taken."""
+    _check_max_level(bank, max_level)
+    if spectrum is None:
+        spectrum = f.spectrum()
+    return [
+        np.abs(lp_convolve(f, bank, j, spectrum).samples) for j in range(max_level + 1)
+    ]
+
+
+def coefficients(
+    f: GridFunction,
+    bank: FilterBank,
+    max_level: int,
+    bands: list[np.ndarray] | None = None,
+) -> CubeSequence:
     """Analysis coefficients indexed by dyadic cubes of level 0..max_level.
 
     The analyzing bump is real and radial, so the pairing with the cube-
     normalized filter is the band-passed sample at the cube's lower corner
     times |Q|**(1/2); the corner is always a grid point for j <= L.
+    ``bands`` is ``band_magnitudes(f, bank, max_level)`` when the caller
+    already holds it.
     """
-    if max_level not in bank.valid_levels:
-        raise ValueError(f"max_level {max_level} outside {bank.valid_levels}")
+    _check_max_level(bank, max_level)
+    if bands is None:
+        bands = band_magnitudes(f, bank, max_level)
     L = f.log_resolution
     dim = f.dim
     levels: list[int] = []
     indices: list[list[int]] = []
     log2_values: list[float] = []
     for j in range(0, max_level + 1):
-        conv = lp_convolve(f, bank, j).samples
-        step = 1 << (L - j)
-        if dim == 1:
-            block = conv[::step]
-        else:
-            block = conv[::step, ::step]
-        mags = np.abs(block) * 2.0 ** (-j * dim / 2.0)
+        corners = bands[j][(slice(None, None, 1 << (L - j)),) * dim]
+        mags = corners * 2.0 ** (-j * dim / 2.0)
         nonzero = mags > 0.0
         found = np.argwhere(nonzero).tolist()
         levels += [j] * len(found)
@@ -269,85 +299,109 @@ def coefficients(f: GridFunction, bank: FilterBank, max_level: int) -> CubeSeque
     return CubeSequence.from_records(root, levels, indices, log2_values, max_level)
 
 
-def _unit_subcubes(dim: int, max_level: int):
-    for j in range(0, max_level + 1):
-        for idx in np.ndindex(*((1 << j,) * dim)):
-            yield DyadicCube(dim, j, tuple(int(k) for k in idx))
+def _pool(arr: np.ndarray, k: int, reduce) -> np.ndarray:
+    """``reduce`` over the samples of each dyadic cube of level k, the cubes
+    in ``np.ndindex`` order.  Each cube's samples become one contiguous row in
+    row-major order, so a sum adds the same terms in the same order as
+    ``np.sum`` over the cube's block of ``arr``."""
+    dim, b = arr.ndim, 1 << k
+    blocks = arr.reshape((b, arr.shape[0] >> k) * dim)  # per axis: cube, offset
+    order = (*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))
+    return reduce(blocks.transpose(order).reshape(b**dim, -1), axis=1)
 
 
-def _block(arr: np.ndarray, cube: DyadicCube, L: int) -> np.ndarray:
-    step = 1 << (L - cube.level)
-    slices = tuple(slice(k * step, (k + 1) * step) for k in cube.index)
-    return arr[slices]
+# The scalar maps below use Python's libm ``**`` and ``math.log2``, which can
+# differ in the last bit from numpy's vectorised power and log2; the norms
+# are defined by the scalar ones.
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    return np.fromiter(map(pow, x.tolist(), repeat(e)), float, x.size)
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """log2 of nonnegative values, -inf at zero."""
+    out = np.full(x.size, NEG_INF)
+    pos = x > 0.0
+    out[pos] = np.fromiter(map(math.log2, x[pos].tolist()), float)
+    return out
 
 
 def function_norm(
-    f: GridFunction, bank: FilterBank, params: SpaceParams, max_level: int
+    f: GridFunction,
+    bank: FilterBank,
+    params: SpaceParams,
+    max_level: int,
+    bands: list[np.ndarray] | None = None,
 ) -> NormValue:
     """Riemann-sum evaluation of the Morrey-weighted function norms.
 
     Frequency levels are truncated at ``max_level``; candidate cubes run over
     every dyadic subcube of [0,1)**dim down to that level.  On the unit torus
     every candidate has level >= 0, so the homogeneous and inhomogeneous
-    aggregation ranges coincide.
+    aggregation ranges coincide.  ``bands`` is ``band_magnitudes(f, bank,
+    max_level)`` when the caller already holds it.
+
+    Every cube of a level is evaluated at once, by pooling the samples into
+    cubes (a dyadic pyramid).  F walks the frequency levels from finest to
+    coarsest with one running sum (a maximum when q = inf) of the weighted
+    band-passes, and pools its power at each cube level; B pools each
+    band-pass's power at every cube level at or above its own.
     """
-    if max_level not in bank.valid_levels:
-        raise ValueError(f"max_level {max_level} outside {bank.valid_levels}")
+    _check_max_level(bank, max_level)
     if params.family not in (Family.F_TYPE, Family.B_TYPE):
         raise ParamError(f"function_norm supports F/B families, got {params.family}")
-    L = f.log_resolution
-    dim = f.dim
     s, tau = float(params.s), float(params.tau)
     p, q = float(params.p), float(params.q)
     if tau < 0:
         raise ParamError("tau must be >= 0", rule="Definition 1")
+    if bands is None:
+        bands = band_magnitudes(f, bank, max_level)
+    L = f.log_resolution
+    dim = f.dim
     h_n = (1.0 / (1 << L)) ** dim
-    levels = list(range(0, max_level + 1))
-    mags = [np.abs(lp_convolve(f, bank, j).samples) for j in levels]
-    cubes = list(_unit_subcubes(dim, max_level))
-    values = []
+    values = [None] * (max_level + 1)  # per cube level, cubes in np.ndindex order
 
     if params.family == Family.F_TYPE:
-        if q == INF:
-            stack = np.stack([(2.0 ** (j * s)) * mags[j] for j in levels])
-            suffix = np.maximum.accumulate(stack[::-1], axis=0)[::-1]
-        else:
-            stack = np.stack([(2.0 ** (j * s * q)) * mags[j] ** q for j in levels])
-            suffix = np.cumsum(stack[::-1], axis=0)[::-1]
-        for cube in cubes:
-            g = _block(suffix[cube.level], cube, L)
+        # at q = inf the running value is a maximum, its power p
+        combine, power = (np.maximum, p) if q == INF else (np.add, p / q)
+        acc = None
+        for k in range(max_level, -1, -1):
             if q == INF:
-                integral = float(np.sum(g**p)) * h_n
+                term = (2.0 ** (k * s)) * bands[k]
             else:
-                integral = float(np.sum(g ** (p / q))) * h_n
-            values.append(_location_value(integral, tau, p, dim, cube))
+                term = (2.0 ** (k * s * q)) * bands[k] ** q
+            acc = term if acc is None else combine(acc, term)
+            integrals = _pool(acc**power, k, np.sum) * h_n
+            values[k] = tau * dim * k + _log2(integrals) / p
     else:
-        for cube in cubes:
-            per_level = []
-            for j in range(cube.level, max_level + 1):
-                block = _block(mags[j], cube, L)
+        per_level = [[] for _ in range(max_level + 1)]  # [k]: one array per j >= k
+        for j in range(max_level + 1):
+            powered = bands[j] if p == INF else bands[j] ** p
+            for k in range(j + 1):
                 if p == INF:
-                    v = float(block.max())
+                    v = _pool(powered, k, np.max)
                 else:
-                    v = (float(np.sum(block**p)) * h_n) ** (1.0 / p)
-                per_level.append((2.0 ** (j * s)) * v)
-            arr = np.array(per_level)
+                    v = _pow(_pool(powered, k, np.sum) * h_n, 1.0 / p)
+                per_level[k].append((2.0 ** (j * s)) * v)
+        for k, arrays in enumerate(per_level):
+            arr = np.stack(arrays, axis=1)
             if q == INF:
-                agg = float(arr.max())
+                agg = arr.max(axis=1)
             else:
-                agg = float(np.sum(arr**q)) ** (1.0 / q)
-            weight = 2.0 ** (tau * dim * cube.level)
-            values.append(NEG_INF if agg == 0.0 else math.log2(weight * agg))
+                agg = _pow((arr**q).sum(axis=1), 1.0 / q)
+            values[k] = _log2(2.0 ** (tau * dim * k) * agg)
+
+    sizes = [1 << (k * dim) for k in range(max_level + 1)]
+    starts = np.cumsum([0] + sizes)
+
+    def cube_of(i: int) -> DyadicCube:
+        k = int(np.searchsorted(starts, i, "right")) - 1
+        index = np.unravel_index(i - starts[k], (1 << k,) * dim)
+        return DyadicCube(dim, k, tuple(int(v) for v in index))
+
     best, cube = _argmax(
-        np.array(values), np.array([c.level for c in cubes]), cubes.__getitem__
+        np.concatenate(values), np.repeat(np.arange(max_level + 1), sizes), cube_of
     )
     return NormValue.from_log2(best, cube)
-
-
-def _location_value(integral: float, tau: float, p: float, dim: int, cube) -> float:
-    if integral <= 0.0:
-        return NEG_INF
-    return tau * dim * cube.level + math.log2(integral) / p
 
 
 @dataclass(frozen=True)
@@ -372,9 +426,12 @@ class ConsistencyReport:
         }
 
 
-def band_limit_fraction(f: GridFunction, max_level: int) -> float:
-    """Fraction of spectral energy beyond the top analysis band."""
-    spec = np.abs(f.spectrum()) ** 2
+def band_limit_fraction(
+    f: GridFunction, max_level: int, spectrum: np.ndarray | None = None
+) -> float:
+    """Fraction of spectral energy beyond the top analysis band; ``spectrum``
+    is f's forward FFT, for a caller that already holds it."""
+    spec = np.abs(f.spectrum() if spectrum is None else spectrum) ** 2
     radii = _lattice_radii(f.dim, f.log_resolution)
     total = float(spec.sum())
     if total == 0.0:
@@ -398,9 +455,12 @@ def transform_consistency(
     """
     if max_level is None:
         max_level = bank.valid_levels[-1]
-    limited = band_limit_fraction(f, max_level) < 1e-10
-    fn = function_norm(f, bank, params, max_level)
-    seq = coefficients(f, bank, max_level)
+    # one forward FFT and one band-pass per level serve every stage
+    spectrum = f.spectrum()
+    limited = band_limit_fraction(f, max_level, spectrum) < 1e-10
+    bands = band_magnitudes(f, bank, max_level, spectrum)
+    fn = function_norm(f, bank, params, max_level, bands)
+    seq = coefficients(f, bank, max_level, bands)
     sn = norm(seq, params)
     if fn.is_zero or sn.is_zero:
         ratio = None

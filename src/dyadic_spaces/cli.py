@@ -193,8 +193,17 @@ def _space_params(family: Family, args) -> SpaceParams:
     )
 
 
+def _depths(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise ParamError(
+            f"--depths must be a comma-separated list of integers, got {text!r}"
+        ) from None
+
+
 def cmd_witness(args) -> int:
-    depths = tuple(int(d) for d in args.depths.split(","))
+    depths = _depths(args.depths)
     divergent, bounded = certify_separation(
         float(args.s),
         float(args.p),
@@ -308,7 +317,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    depths = tuple(int(d) for d in args.depths.split(",")) if args.depths else None
+    depths = None if args.depths is None else _depths(args.depths)
     bundle = refute_claim(args.s, args.tau, args.p, args.q, dim=args.dim, depths=depths)
     ok = bundle.divergent.verdict == "diverges" and bundle.bounded.verdict == "bounded"
     _write_json(args, {"bundle": bundle.to_json_dict(), "verified": ok})

@@ -17,10 +17,22 @@ import numpy as np
 
 from ._log2 import INF, NEG_INF, inv, log2_sum
 from .dyadic import DyadicCube
-from .seqspace import CubeSequence, Family, SpaceParams, b_type_norm, f_type_norm
+from .seqspace import (
+    CubeSequence,
+    Family,
+    ParamError,
+    SpaceParams,
+    b_type_norm,
+    f_type_norm,
+)
 
 DEFAULT_DEPTHS_1D = (4, 8, 16, 32, 64)
 DEFAULT_DEPTHS_ND = (4, 8, 16)
+
+# The depth bound: every norm of a depth-J tower expands about J**2 / 2
+# (cube, node) pairs, and one certification at depth 16384 takes about 10 s
+# on a 2-vCPU x86-64 machine; deeper towers are refused before any is built.
+DEPTH_BOUND = 1 << 14
 
 # Float noise of a log-norm sequence, relative to its largest magnitude.  The
 # rise from the first to the last depth and the fitted slope must both exceed
@@ -200,6 +212,11 @@ def certify_separation(
     if depths is None:
         depths = DEFAULT_DEPTHS_1D if n == 1 else DEFAULT_DEPTHS_ND
     depths = tuple(int(J) for J in depths)
+    for J in depths:
+        if not 0 <= J <= DEPTH_BOUND:
+            raise ParamError(
+                f"tower depth {J} outside 0..{DEPTH_BOUND}", rule="depth bound"
+            )
 
     tau_prime = tau + inv(q) - inv(p)
     div_vals = []

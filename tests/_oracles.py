@@ -8,6 +8,9 @@ cube and support-tree types, and are only meant for small, benign inputs.
 ``reference_candidates`` and ``reference_supremum`` are the other kind of
 reference: they run the production kernels over the full, uncompressed
 candidate set, enumerated as path tuples.
+
+``reference_function_norm`` is the analyzer's function-side norm evaluated
+one dyadic cube at a time, the loop the pyramid in ``analyze`` replaced.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dyadic_spaces import CubeSequence, DyadicCube, SupportTree
+from dyadic_spaces import CubeSequence, DyadicCube, Family, SupportTree, lp_convolve
 
 INF = math.inf
 NEG_INF = float("-inf")
@@ -366,3 +369,63 @@ def loop_b_contents(geo, s, p, q, lo, hi, level, homogeneous=True):
         else:
             out.append(_log2_sum(q * x for x in aggs) / q)
     return out
+
+
+def _unit_subcubes(dim: int, max_level: int):
+    for j in range(0, max_level + 1):
+        for idx in np.ndindex(*((1 << j,) * dim)):
+            yield DyadicCube(dim, j, tuple(int(k) for k in idx))
+
+
+def _block(arr: np.ndarray, cube: DyadicCube, L: int) -> np.ndarray:
+    step = 1 << (L - cube.level)
+    slices = tuple(slice(k * step, (k + 1) * step) for k in cube.index)
+    return arr[slices]
+
+
+def reference_function_norm(f, bank, params, max_level: int):
+    """``analyze.function_norm`` one cube at a time: every dyadic subcube of
+    [0,1)**dim down to ``max_level`` as a ``DyadicCube``, its block sliced out
+    of each band-pass.  Returns the log2 norm, the cube attaining it (ties to
+    the coarsest level, then the smallest index) and every cube's value."""
+    L, dim = f.log_resolution, f.dim
+    s, tau = float(params.s), float(params.tau)
+    p, q = float(params.p), float(params.q)
+    h_n = (1.0 / (1 << L)) ** dim
+    levels = list(range(0, max_level + 1))
+    mags = [np.abs(lp_convolve(f, bank, j).samples) for j in levels]
+    values = {}
+    if params.family == Family.F_TYPE:
+        if q == INF:
+            stack = np.stack([(2.0 ** (j * s)) * mags[j] for j in levels])
+            suffix = np.maximum.accumulate(stack[::-1], axis=0)[::-1]
+        else:
+            stack = np.stack([(2.0 ** (j * s * q)) * mags[j] ** q for j in levels])
+            suffix = np.cumsum(stack[::-1], axis=0)[::-1]
+        for cube in _unit_subcubes(dim, max_level):
+            g = _block(suffix[cube.level], cube, L)
+            integral = float(np.sum(g ** (p if q == INF else p / q))) * h_n
+            values[cube] = (
+                NEG_INF if integral <= 0.0
+                else tau * dim * cube.level + math.log2(integral) / p
+            )
+    else:
+        for cube in _unit_subcubes(dim, max_level):
+            per_level = []
+            for j in range(cube.level, max_level + 1):
+                block = _block(mags[j], cube, L)
+                if p == INF:
+                    v = float(block.max())
+                else:
+                    v = (float(np.sum(block**p)) * h_n) ** (1.0 / p)
+                per_level.append((2.0 ** (j * s)) * v)
+            arr = np.array(per_level)
+            if q == INF:
+                agg = float(arr.max())
+            else:
+                agg = float(np.sum(arr**q)) ** (1.0 / q)
+            weight = 2.0 ** (tau * dim * cube.level)
+            values[cube] = NEG_INF if agg == 0.0 else math.log2(weight * agg)
+    best = max(values.values())
+    cube = min((c for c, v in values.items() if v == best), key=DyadicCube.sort_key)
+    return best, cube, values

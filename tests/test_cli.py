@@ -17,7 +17,7 @@ from dyadic_spaces import (
     random_sample_set,
     save_jsonl,
 )
-from dyadic_spaces import cli
+from dyadic_spaces import cli, witness
 from dyadic_spaces.cli import main, parse_extended
 from fractions import Fraction
 
@@ -436,6 +436,47 @@ class TestAnalyze:
         assert "[grid-size bound]" in capsys.readouterr().err
         with pytest.raises(AssertionError):  # a grid at the bound gets through
             main(["analyze", "--dim", str(dim), "--L", str(24 // dim)])
+
+
+# refute's defaults (p = q = 2) fail its parameter check before any depth
+TOWER_COMMANDS = pytest.mark.parametrize(
+    "command", [["witness"], ["refute", "--tau", "1/2", "--p", "1", "--q", "2"]],
+    ids=["witness", "refute"],
+)
+
+
+class TestDepthBound:
+    @pytest.fixture(autouse=True)
+    def no_tower(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was built")
+
+        monkeypatch.setattr(witness, "build_tower", refuse)
+
+    @TOWER_COMMANDS
+    @pytest.mark.parametrize(
+        "depths", ["4,100000", "16385", "-1", "8," + "9" * 4000],
+        ids=["1e5", "bound+1", "negative", "4000-digit"],
+    )
+    def test_depth_over_bound_exit_3_before_any_tower(self, command, depths, capsys):
+        assert main([*command, "--depths", depths]) == 3
+        assert "[depth bound]" in capsys.readouterr().err
+
+    @TOWER_COMMANDS
+    def test_depth_at_bound_gets_through(self, command):
+        assert witness.DEPTH_BOUND >= 8192
+        with pytest.raises(AssertionError):
+            main([*command, "--depths", f"4,{witness.DEPTH_BOUND}"])
+
+    @TOWER_COMMANDS
+    @pytest.mark.parametrize(
+        "depths", ["", "abc", "4,,8", "4;8", "1" * 5000],
+        ids=["empty", "word", "empty-item", "semicolon", "5000-digit"],
+    )
+    def test_malformed_list_names_the_option(self, command, depths, capsys):
+        assert main([*command, "--depths", depths]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --depths") and "int()" not in err
 
 
 class TestMemoryError:

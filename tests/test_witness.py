@@ -8,12 +8,15 @@ from dyadic_spaces import (
     SpaceParams,
     b_type_norm,
     build_tower,
+    ParamError,
     certify_separation,
     f_type_norm,
     separation_b_bound_log2,
     separation_f_bound_log2,
     tower_b_closed_form,
 )
+
+from dyadic_spaces import witness
 
 INF = math.inf
 
@@ -186,3 +189,15 @@ class TestReports:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "depth,log2_norm"
         assert len(lines) == 3
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("depths", [(4, witness.DEPTH_BOUND + 1), (-1,), (10**5,)])
+    def test_refused_before_any_tower(self, depths, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was built")
+
+        monkeypatch.setattr(witness, "build_tower", refuse)
+        with pytest.raises(ParamError, match=r"\[depth bound\]") as info:
+            certify_separation(0.0, 1.0, 2.0, 0.5, depths=depths)
+        assert info.value.rule == "depth bound"
