@@ -441,7 +441,13 @@ def _add_params(sp, *, tau=True, r=True):
     sp.add_argument("--inhomogeneous", action="store_true")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    Each ``main`` call reuses it, so it must not be mutated: it holds only
+    immutable defaults, and ``parse_args`` returns a fresh namespace.
+    """
     ap = argparse.ArgumentParser(
         prog="dyadic-spaces",
         description="Norms, equivalences, counterexamples and classification "
@@ -518,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SequenceFormatError as exc:

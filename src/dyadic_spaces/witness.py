@@ -32,7 +32,10 @@ DEFAULT_DEPTHS_ND = (4, 8, 16)
 # The depth bound: every norm of a depth-J tower expands about J**2 / 2
 # (cube, node) pairs, and one certification at depth 16384 takes about 10 s
 # on a 2-vCPU x86-64 machine; deeper towers are refused before any is built.
+# A list of depths is refused when its sum of J**2 exceeds that of two
+# towers at the bound.
 DEPTH_BOUND = 1 << 14
+DEPTH_SQUARES_BOUND = 2 * DEPTH_BOUND**2
 
 # Float noise of a log-norm sequence, relative to its largest magnitude.  The
 # rise from the first to the last depth and the fitted slope must both exceed
@@ -89,10 +92,13 @@ def build_tower(s: float, tau: float, p: float, n: int, J: int) -> TowerWitness:
     if J < 0:
         raise ValueError("J must be >= 0")
     exponent = float(s) + n / 2.0 + n * (float(tau) - inv(p))
-    values = {
-        DyadicCube(n, j, (0,) * n): -j * exponent for j in range(J + 1)
-    }
-    seq = CubeSequence.from_log2_values(values, root=DyadicCube.unit(n), max_depth=J)
+    seq = CubeSequence.from_records(
+        DyadicCube.unit(n),
+        range(J + 1),
+        [(0,) * n] * (J + 1),
+        [-j * exponent for j in range(J + 1)],
+        J,
+    )
     return TowerWitness(float(s), float(tau), float(p), n, J, seq)
 
 
@@ -217,6 +223,13 @@ def certify_separation(
             raise ParamError(
                 f"tower depth {J} outside 0..{DEPTH_BOUND}", rule="depth bound"
             )
+    squares = sum(J * J for J in depths)
+    if squares > DEPTH_SQUARES_BOUND:
+        raise ParamError(
+            f"{len(depths)} tower depths with squares summing to {squares}, over the "
+            f"bound of {DEPTH_SQUARES_BOUND} (two towers at depth {DEPTH_BOUND})",
+            rule="depth bound",
+        )
 
     tau_prime = tau + inv(q) - inv(p)
     div_vals = []

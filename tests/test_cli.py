@@ -455,8 +455,8 @@ class TestDepthBound:
 
     @TOWER_COMMANDS
     @pytest.mark.parametrize(
-        "depths", ["4,100000", "16385", "-1", "8," + "9" * 4000],
-        ids=["1e5", "bound+1", "negative", "4000-digit"],
+        "depths", ["4,100000", "16385", "-1", "8," + "9" * 4000, "16384,16384,16384"],
+        ids=["1e5", "bound+1", "negative", "4000-digit", "three-at-bound"],
     )
     def test_depth_over_bound_exit_3_before_any_tower(self, command, depths, capsys):
         assert main([*command, "--depths", depths]) == 3
@@ -477,6 +477,45 @@ class TestDepthBound:
         assert main([*command, "--depths", depths]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: --depths") and "int()" not in err
+
+
+class TestSharedParser:
+    """``main`` reuses one parser; no call may leave state for the next."""
+
+    def argvs(self, infile):
+        return [
+            ["norm", "--family", "b", "--p", "1", "--in", str(infile)],
+            ["witness", "--depths", "4,8"],
+            # refute's tau/p/q defaults differ from witness's: bare, it exits 3
+            ["refute"],
+            ["refute", "--tau", "1/2", "--p", "1", "--q", "2", "--depths", "4,8"],
+            ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1",
+             "--samples", "5", "--format", "csv"],
+            ["classify", "--family", "cmo", "--r", "1/2"],
+            ["sweep", "--tau-grid", "0,2", "--p-grid", "1", "--samples", "5"],
+            ["analyze", "--L", "5", "--seed", "2"],
+            ["norm", "--family", "f"],  # argparse error: --in is missing
+            ["--version"],
+        ]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, capsys.readouterr().out.encode()
+
+    def test_order_does_not_matter(self, single_cube_file, capsys):
+        argvs = self.argvs(single_cube_file)
+        forward = [self.outcome(a, capsys) for a in argvs]
+        backward = [self.outcome(a, capsys) for a in reversed(argvs)][::-1]
+        assert forward == backward
+        codes = [code for code, _ in forward]
+        assert codes[:8] == [0, 0, 3, 0, 0, 0, 0, 0]
+        assert codes[8:] == [("exit", 2), ("exit", 0)]
+        assert all(out for code, out in forward if code in (0, ("exit", 0)))
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestMemoryError:

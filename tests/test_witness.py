@@ -201,3 +201,17 @@ class TestDepthBound:
         with pytest.raises(ParamError, match=r"\[depth bound\]") as info:
             certify_separation(0.0, 1.0, 2.0, 0.5, depths=depths)
         assert info.value.rule == "depth bound"
+
+    @pytest.mark.parametrize(
+        "depths, refused",
+        [((witness.DEPTH_BOUND,) * 2, False), ((witness.DEPTH_BOUND,) * 3, True),
+         ((12000,) * 4, True), ((64,) * 100, False)],
+    )
+    def test_list_bounded_by_sum_of_squares(self, depths, refused, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tower was built")
+
+        monkeypatch.setattr(witness, "build_tower", refuse)
+        expected = ParamError if refused else AssertionError
+        with pytest.raises(expected):
+            certify_separation(0.0, 1.0, 2.0, 0.5, depths=depths)
