@@ -79,7 +79,6 @@ class FilterBank:
     log_resolution: int
     lower_bound_constant: float
     profile: Callable = field(default=annulus_profile, repr=False, compare=False)
-    base_profile: Callable = field(default=cap_profile, repr=False, compare=False)
 
     @property
     def valid_levels(self) -> range:
@@ -349,8 +348,7 @@ def function_norm(
     _check_max_level(bank, max_level)
     if params.family not in (Family.F_TYPE, Family.B_TYPE):
         raise ParamError(f"function_norm supports F/B families, got {params.family}")
-    s, tau = float(params.s), float(params.tau)
-    p, q = float(params.p), float(params.q)
+    s, tau, p, q = params.s, params.tau, params.p, params.q
     if tau < 0:
         raise ParamError("tau must be >= 0", rule="Definition 1")
     if bands is None:

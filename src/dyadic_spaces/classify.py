@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 from typing import Any
 
-from ._log2 import INF
-from .witness import GrowthReport, certify_separation, validate_separation_params
+from ._log2 import INF, exact_inv, num, nums
+from .witness import GrowthReport, certify_separation
 
 _FLOAT_TOL = 1e-12
 
@@ -78,83 +79,33 @@ def _jsonable(v):
     return v
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def _is_inf(x) -> bool:
-    return isinstance(x, float) and math.isinf(x)
-
-
-def _inv(x):
-    """1/x with exact arithmetic for rationals; 0 for infinity."""
-    if _is_inf(x):
-        return Fraction(0)
-    if _is_exact(x):
-        return Fraction(1, 1) / Fraction(x)
-    return 1.0 / float(x)
-
-
 class _Cmp:
-    """Comparison helper tracking whether a float tolerance was ever decisive."""
+    """Comparison of parameters normalised by ``num``: two rationals compare
+    exactly, any other pair as floats within a relative tolerance of 1e-12.
+    Records whether the tolerance was ever decisive."""
 
     def __init__(self):
         self.tolerance_used = False
 
     def eq(self, a, b) -> bool:
-        if _is_inf(a) or _is_inf(b):
-            return _is_inf(a) and _is_inf(b)
-        if _is_exact(a) and _is_exact(b):
-            return Fraction(a) == Fraction(b)
-        fa, fb = float(a), float(b)
-        if fa == fb:
-            return True
-        if abs(fa - fb) <= _FLOAT_TOL * max(1.0, abs(fa), abs(fb)):
+        if isinstance(a, Rational) and isinstance(b, Rational):
+            return a == b
+        a, b = float(a), float(b)
+        if a != b and math.isclose(a, b, rel_tol=_FLOAT_TOL, abs_tol=_FLOAT_TOL):
             self.tolerance_used = True
             return True
-        return False
+        return a == b
 
     def lt(self, a, b) -> bool:
-        if self.eq(a, b):
-            return False
-        if _is_inf(b) and not _is_inf(a):
-            return True
-        if _is_inf(a):
-            return False
-        if _is_exact(a) and _is_exact(b):
-            return Fraction(a) < Fraction(b)
-        return float(a) < float(b)
+        return not self.eq(a, b) and a < b
 
     def gt(self, a, b) -> bool:
         return self.lt(b, a)
 
 
-def _scalar(x):
-    return Fraction(x) if _is_exact(x) else float(x)
-
-
-def _sub(a, b):
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) - Fraction(b)
-    return float(a) - float(b)
-
-
-def _add(a, b):
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) + Fraction(b)
-    return float(a) + float(b)
-
-
-def _mul(a, b):
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) * Fraction(b)
-    return float(a) * float(b)
-
-
-def _div(a, b):
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) / Fraction(b)
-    return float(a) / float(b)
+def _check_exponents(p, q) -> None:
+    if not (p > 0 and q > 0):
+        raise ValueError("p and q must be positive (inf allowed)")
 
 
 _INCLUSION_CHAIN_NOTES = (
@@ -171,22 +122,21 @@ def classify(d: SpaceDescriptor) -> ClassificationReport:
     fam = d.family
     if fam == "CMO":
         return classify_cmo(d.s, d.q, d.tau, dim=d.dim, homogeneous=d.homogeneous)
-    if fam == "BBMO":
-        inner = SpaceDescriptor(
-            "B_type", d.s, _inv(d.p), d.p, d.q, d.homogeneous, d.dim
-        )
-        return classify(inner)
-    if fam not in ("F_type", "B_type"):
+    if fam not in ("F_type", "B_type", "BBMO"):
         raise ValueError(f"unknown family {fam!r}")
+    p, q = num(d.p), num(d.q)
+    _check_exponents(p, q)
+    inv_p = exact_inv(p)
+    if fam == "BBMO":  # the B-type space at Morrey exponent 1/p
+        fam, tau = "B_type", inv_p
+    else:
+        tau = num(d.tau)
+    if fam == "F_type" and p == INF:
+        raise ValueError("the F-type family requires p < inf")
+    s = num(d.s)
+    d = SpaceDescriptor(fam, s, tau, p, q, d.homogeneous, d.dim)
 
     cmp = _Cmp()
-    p, q, tau, s, n = d.p, d.q, d.tau, d.s, d.dim
-    if not (_is_inf(p) or float(p) > 0) or not (_is_inf(q) or float(q) > 0):
-        raise ValueError("p and q must be positive (inf allowed)")
-    if fam == "F_type" and _is_inf(p):
-        raise ValueError("the F-type family requires p < inf")
-
-    inv_p = _inv(p)
     notes: list[str] = []
     q_alpha = _q_alpha_condition(cmp, d)
     if q_alpha:
@@ -209,32 +159,28 @@ def classify(d: SpaceDescriptor) -> ClassificationReport:
         report = ClassificationReport(
             verdict,
             "Proposition 1(i)",
-            (("s", _scalar(s)), ("p", _scalar(p)), ("q", _scalar(q))),
+            (("s", s), ("p", p), ("q", q)),
         )
     elif fam == "F_type":
         if cmp.lt(tau, inv_p):
-            u = _morrey_u(inv_p, tau)
             report = ClassificationReport(
                 Verdict.MORREY_E,
                 "Proposition 1(vi)",
-                (("s", _scalar(s)), ("u", u), ("p", _scalar(p)), ("q", _scalar(q))),
+                (("s", s), ("u", 1 / (inv_p - tau)), ("p", p), ("q", q)),
             )
-        elif cmp.eq(tau, inv_p) and not _is_inf(q):
+        elif cmp.eq(tau, inv_p) and q != INF:
             report = ClassificationReport(
-                Verdict.F_INF_Q,
-                "Proposition 1(ii)",
-                (("s", _scalar(s)), ("q", _scalar(q))),
+                Verdict.F_INF_Q, "Proposition 1(ii)", (("s", s), ("q", q))
             )
         else:  # tau > 1/p, or tau = 1/p with q = inf
             report = _inf_inf_report(Verdict.F_INF_INF, thm_f, d, inv_p)
     else:  # B_type
         if cmp.lt(tau, inv_p):
-            u = _morrey_u(inv_p, tau)
-            if _is_inf(q):
+            if q == INF:
                 report = ClassificationReport(
                     Verdict.MORREY_N,
                     "Proposition 1(vi)",
-                    (("s", _scalar(s)), ("u", u), ("p", _scalar(p)), ("q", INF)),
+                    (("s", s), ("u", 1 / (inv_p - tau)), ("p", p), ("q", q)),
                 )
             else:
                 report = ClassificationReport(
@@ -246,7 +192,7 @@ def classify(d: SpaceDescriptor) -> ClassificationReport:
                         "subspace; no coincidence holds [Proposition 1(vi)]",
                     ),
                 )
-        elif cmp.eq(tau, inv_p) and not _is_inf(q):
+        elif cmp.eq(tau, inv_p) and q != INF:
             report = ClassificationReport(
                 Verdict.STRICT_SUPERSET_B_INF_Q,
                 "Proposition 1(iii)",
@@ -270,18 +216,11 @@ def classify(d: SpaceDescriptor) -> ClassificationReport:
     return report
 
 
-def _morrey_u(inv_p, tau):
-    diff = _sub(inv_p, tau)  # 1/u = 1/p - tau > 0
-    if isinstance(diff, Fraction):
-        return Fraction(1, 1) / diff
-    return 1.0 / diff
-
-
 def _inf_inf_report(verdict: Verdict, rule: str, d: SpaceDescriptor, inv_p):
-    delta = _sub(d.tau, inv_p)
-    s_eff = _add(d.s, _mul(d.dim, delta))
+    delta = d.tau - inv_p
+    s_eff = d.s + d.dim * delta
     notes = ()
-    if not d.homogeneous and float(s_eff) > 0:
+    if not d.homogeneous and s_eff > 0:
         notes = (
             "for positive effective smoothness the inhomogeneous collapse "
             "identifies the space with the Hoelder-Zygmund scale [Theorem 2]",
@@ -303,12 +242,10 @@ def _q_alpha_condition(cmp: _Cmp, d: SpaceDescriptor) -> bool:
         return False
     if not (cmp.eq(d.p, 2) and cmp.eq(d.q, 2)):
         return False
-    n = d.dim
-    upper = min(1.0, n / 2.0)
+    upper = min(1.0, d.dim / 2.0)
     if not (cmp.gt(d.s, 0) and cmp.lt(d.s, upper)):
         return False
-    target_tau = _sub(Fraction(1, 2), _mul(d.s, _inv(n)))
-    return cmp.eq(d.tau, target_tau)
+    return cmp.eq(d.tau, Fraction(1, 2) - d.s * Fraction(1, d.dim))
 
 
 def classify_cmo(s, q, r, dim: int = 1, homogeneous: bool = True) -> ClassificationReport:
@@ -318,14 +255,16 @@ def classify_cmo(s, q, r, dim: int = 1, homogeneous: bool = True) -> Classificat
     is literal); q = inf is handled directly since the delegate would need an
     F-space at p = inf.
     """
-    if _is_inf(q):
+    q, r = num(q), num(r)
+    _check_exponents(q, q)  # the delegate's p and q
+    if q == INF:
         cmp = _Cmp()
         if cmp.eq(r, 1) or cmp.gt(r, 1):
             # effective smoothness s + n(r-1)/q collapses to s at q = inf
             return ClassificationReport(
                 Verdict.F_INF_INF,
                 "Corollary 3",
-                (("s_eff", _scalar(s)), ("dim", dim), ("tau_minus_inv_p", 0)),
+                (("s_eff", num(s)), ("dim", dim), ("tau_minus_inv_p", 0)),
             )
         return ClassificationReport(
             Verdict.NO_KNOWN_COINCIDENCE,
@@ -333,15 +272,16 @@ def classify_cmo(s, q, r, dim: int = 1, homogeneous: bool = True) -> Classificat
             None,
             ("no coincidence is on record for q = inf with r < 1",),
         )
-    tau = _div(r, q)
-    return classify(SpaceDescriptor("F_type", s, tau, q, q, homogeneous, dim))
+    return classify(SpaceDescriptor("F_type", s, r / q, q, q, homogeneous, dim))
 
 
 def cmo_param_of(tau, p, q):
     """The Carleson index r matching Morrey exponent tau: r = tau*q + 1 - q/p."""
-    if _is_inf(q):
+    tau, p, q = num(tau), num(p), num(q)
+    _check_exponents(p, q)
+    if q == INF:
         raise ValueError("the index mapping is undefined at q = inf")
-    return _add(_sub(_mul(tau, q), _mul(q, _inv(p))), 1)
+    return tau * q - q * exact_inv(p) + 1
 
 
 @dataclass(frozen=True)
@@ -371,37 +311,39 @@ def refute_claim(
     Parameters where the claimed equivalence actually holds are rejected with
     a message citing the rule that proves it.
     """
-    pf, qf, tauf = float(p), float(q), float(tau)
-    if qf <= pf:
+    s, tau, p, q = num(s), num(tau), num(p), num(q)
+    # the region is decided on nums(); the messages and the reports take the
+    # parameters one at a time, as given
+    tau_d, p_d, q_d = nums(tau, p, q)
+    if q_d <= p_d:
         raise ValueError(
             f"rejected: the counterexample requires q > p (got p={p}, q={q}); "
             "at p = q the two norms are identical"
         )
-    inv_p = 0.0 if pf == INF else 1.0 / pf
-    inv_q = 0.0 if qf == INF else 1.0 / qf
-    if tauf > inv_p:
+    _check_exponents(p, q)
+    inv_p = exact_inv(p_d)
+    if tau_d > inv_p:
         raise ValueError(
             f"rejected: for tau > 1/p the claimed equivalence is true "
-            f"(Corollary 4); tau={tau} exceeds 1/p={inv_p:g}"
+            f"(Corollary 4); tau={tau} exceeds 1/p={float(inv_p):g}"
         )
-    if tauf == inv_p:
+    if tau_d == inv_p:
         raise ValueError(
             "rejected: at tau = 1/p the claimed equivalence is true "
             "(Proposition 1(ii))"
         )
-    if tauf <= 0:
+    if tau_d <= 0:
         raise ValueError(
             f"rejected: the counterexample construction requires tau > 0, got {tau}"
         )
-    if qf < INF and tauf > inv_p - inv_q:
+    if tau_d > inv_p - exact_inv(q_d):
         raise ValueError(
             "rejected: tau in (1/p - 1/q, 1/p) is outside the certified "
             "counterexample range (Proposition 4 hypotheses)"
         )
-    validate_separation_params(s, p, q, tau, family="f")
     divergent, bounded = certify_separation(s, p, q, tau, n=dim, depths=depths, family="f")
     claim_side = classify(SpaceDescriptor("F_type", s, tau, p, q, True, dim))
-    tau_prime = _add(tau, _sub(_inv(q), _inv(p)))
+    tau_prime = tau + (exact_inv(q) - exact_inv(p))
     diagonal_side = classify(SpaceDescriptor("B_type", s, tau_prime, q, q, True, dim))
     notes = (
         "the diagonal-exponent norm grows without bound on the tower while "

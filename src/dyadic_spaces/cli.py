@@ -57,8 +57,9 @@ EXIT_PARAMS = 3
 def parse_extended(text: str):
     """Parse a CLI number: rationals ('1/2'), 'inf', integers, or floats.
 
-    Rationals and integers stay exact, which keeps classification boundaries
-    sharp; decimals become floats.
+    Rationals and integers stay exact, which keeps the classification
+    boundaries and the witness's hypothesis region sharp; decimals become
+    floats.
     """
     text = text.strip().lower()
     if text in ("inf", "infty", "infinity", "oo"):
@@ -152,11 +153,11 @@ def cmd_norm(args) -> int:
     elif fam == "cmo":
         if args.r is None:
             raise ParamError("--r is required for the cmo family")
-        nv = cmo_norm(seq, float(args.s), float(args.q), float(args.r))
+        nv = cmo_norm(seq, args.s, args.q, args.r)
     elif fam == "bbmo":
-        nv = bbmo_norm(seq, float(args.s), float(args.p), float(args.q))
+        nv = bbmo_norm(seq, args.s, args.p, args.q)
     elif fam in ("finfinf", "binfinf"):
-        nv = f_inf_inf_norm(seq, float(args.s))
+        nv = f_inf_inf_norm(seq, args.s)
     else:  # pragma: no cover - argparse choices guard this
         raise ParamError(f"unknown family {fam}")
     payload = {
@@ -184,12 +185,7 @@ def cmd_norm(args) -> int:
 
 def _space_params(family: Family, args) -> SpaceParams:
     return SpaceParams(
-        family,
-        float(args.s),
-        float(args.tau),
-        float(args.p),
-        float(args.q),
-        homogeneous=not args.inhomogeneous,
+        family, args.s, args.tau, args.p, args.q, homogeneous=not args.inhomogeneous
     )
 
 
@@ -205,13 +201,7 @@ def _depths(text: str) -> tuple[int, ...]:
 def cmd_witness(args) -> int:
     depths = _depths(args.depths)
     divergent, bounded = certify_separation(
-        float(args.s),
-        float(args.p),
-        float(args.q),
-        float(args.tau),
-        n=args.dim,
-        depths=depths,
-        family=args.part,
+        args.s, args.p, args.q, args.tau, n=args.dim, depths=depths, family=args.part
     )
     ok = divergent.verdict == "diverges" and bounded.verdict == "bounded"
     if args.format == "json":
@@ -337,7 +327,7 @@ def cmd_sweep(args) -> int:
         ))
 
     def run(tau, p, q):
-        if fam == "F_type" and float(p) == INF:
+        if fam == "F_type" and p == INF:
             return {
                 "tau": str(tau), "p": str(p), "q": str(q),
                 "verdict": "invalid", "rule": "Definition 1(i)",
@@ -393,13 +383,7 @@ def cmd_analyze(args) -> int:
         f = GridFunction.sawtooth_smoothed(args.dim, args.L)
     else:  # pragma: no cover
         raise ParamError(f"unknown signal family {args.signal}")
-    params = SpaceParams(
-        Family.F_TYPE if args.family == "f" else Family.B_TYPE,
-        float(args.s),
-        float(args.tau),
-        float(args.p),
-        float(args.q),
-    )
+    params = _space_params(Family.F_TYPE if args.family == "f" else Family.B_TYPE, args)
     max_level = args.max_level if args.max_level is not None else args.L - 2
     report = transform_consistency(f, bank, params, max_level)
     payload = {
@@ -422,7 +406,6 @@ def cmd_analyze(args) -> int:
 
 def _add_common(sp, *, seed=True):
     sp.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--threads", type=int, default=None,
                     help="ignored; every command runs serially")
     if seed:
@@ -461,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     _add_params(sp)
     sp.add_argument("--in", dest="infile", type=Path, required=True)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_norm)
 
@@ -470,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(tau=Fraction(1, 2), p=1, q=2)
     sp.add_argument("--depths", default="4,8,16,32,64")
     sp.add_argument("--part", choices=("f", "b"), default="f")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_witness)
 
@@ -480,18 +465,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--depth", type=int, default=8)
     sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_equiv)
 
     sp = sub.add_parser("classify", help="symbolic parameter classification")
     sp.add_argument("--family", choices=("f", "b", "cmo", "bbmo"), required=True)
     _add_params(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("refute", help="counterexample bundle for the equivalence claim")
     _add_params(sp, r=False)
     sp.add_argument("--depths", default=None)
+    sp.add_argument("--format", choices=("json",), default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_refute)
 
@@ -504,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-grid", default="1,2,inf")
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_sweep)
 
@@ -517,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=("f", "b"), default="f")
     _add_params(sp, r=False)
     sp.add_argument("--max-level", type=int, default=None)
+    sp.add_argument("--format", choices=("json",), default="json")
     _add_common(sp)
     sp.set_defaults(func=cmd_analyze)
 

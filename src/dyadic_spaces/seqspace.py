@@ -99,7 +99,8 @@ class SequenceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Parameter tuple (family, s, tau, p, q) with extended p, q in (0, inf]."""
+    """Parameter tuple (family, s, tau, p, q) with extended p, q in (0, inf];
+    s, tau, p and q are stored as floats."""
 
     family: Family
     s: float
@@ -109,8 +110,7 @@ class SpaceParams:
     homogeneous: bool = True
 
     def __post_init__(self):
-        p = float(self.p)
-        q = float(self.q)
+        s, tau, p, q = float(self.s), float(self.tau), float(self.p), float(self.q)
         if not p > 0:
             raise ParamError(f"p must be positive, got {self.p}")
         if not q > 0:
@@ -119,8 +119,10 @@ class SpaceParams:
             raise ParamError(
                 "the F-type scale requires p < inf", rule="Definition 1(i)"
             )
-        if math.isnan(float(self.s)) or math.isnan(float(self.tau)):
+        if math.isnan(s) or math.isnan(tau):
             raise ParamError("s and tau must be finite reals")
+        for name, value in (("s", s), ("tau", tau), ("p", p), ("q", q)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -393,22 +395,17 @@ class _Maxima:
         self.geo, self.values, self.level = geo, values, level
         self.ref, self.keys, self.starts = ref, keys, starts
 
-    def _segments(self) -> np.ndarray:
-        return np.searchsorted(self.starts, self.ref, "right") - 1
-
     def log2_values(self) -> np.ndarray:
         """The supremum of every segment; -inf for one without cubes."""
         best = np.full(self.starts.size - 1, NEG_INF)
-        np.maximum.at(best, self._segments(), self.values)
+        segments = np.searchsorted(self.starts, self.ref, "right") - 1
+        np.maximum.at(best, segments, self.values)
         return best
 
-    def norm_value(self, segment: int = 0) -> NormValue:
-        """The supremum of one segment and the cube attaining it, ties going
-        to the coarsest level, then the smallest index."""
+    def norm_value(self) -> NormValue:
+        """The supremum of a forest of one and the cube attaining it, ties
+        going to the coarsest level, then the smallest index."""
         geo, values, level, ref = self.geo, self.values, self.level, self.ref
-        if self.starts.size > 2:
-            mine = np.flatnonzero(self._segments() == segment)
-            values, level, ref = values[mine], level[mine], ref[mine]
         if values.size == 0:
             return NormValue.from_log2(NEG_INF, geo.root)
         return NormValue.from_log2(*_argmax(
@@ -467,7 +464,7 @@ def _check_tau(tau: float, allow_negative_tau: bool):
 def _f_type(params: SpaceParams, allow_negative_tau: bool = False):
     if params.family != Family.F_TYPE:
         raise ParamError(f"f_type_norm requires the F-type family, got {params.family}")
-    s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
+    s, tau, p, q = params.s, params.tau, params.p, params.q
     _check_tau(tau, allow_negative_tau)
     return lambda geo: _supremum(geo, _FKernel(geo, s, tau, p, q), params.homogeneous)
 
@@ -475,7 +472,7 @@ def _f_type(params: SpaceParams, allow_negative_tau: bool = False):
 def _b_type(params: SpaceParams, allow_negative_tau: bool = False):
     if params.family != Family.B_TYPE:
         raise ParamError(f"b_type_norm requires the B-type family, got {params.family}")
-    s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
+    s, tau, p, q = params.s, params.tau, params.p, params.q
     _check_tau(tau, allow_negative_tau)
     hom = params.homogeneous
     return lambda geo: _supremum(geo, _BKernel(geo, s, p, q, tau * geo.dim, hom), hom)
@@ -619,7 +616,7 @@ def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) ->
     span = geo.locate(region)
     if span is None:
         return NEG_INF
-    s, tau, p, q = float(params.s), float(params.tau), float(params.p), float(params.q)
+    s, tau, p, q = params.s, params.tau, params.p, params.q
     if params.family == Family.F_TYPE:
         kern = _FKernel(geo, s, tau, p, q)
     elif params.family == Family.B_TYPE:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._log2 import INF, NEG_INF, inv, log2_sum
+from ._log2 import INF, NEG_INF, exact_inv, inv, log2_sum, nums
 from .dyadic import DyadicCube
 from .seqspace import (
     CubeSequence,
@@ -177,24 +177,26 @@ def _bounded_report(space, depths, values, bound_log2) -> GrowthReport:
 
 
 def validate_separation_params(s, p, q, tau, family: str = "f") -> None:
-    """Hypothesis region of the counterexample construction."""
-    p, q, tau = float(p), float(q), float(tau)
+    """Hypothesis region of the counterexample construction, decided exactly
+    when p, q and tau are all rationals (see ``nums``)."""
+    p, q, tau = nums(p, q, tau)
     if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+        raise ValueError(f"p must be positive, got {float(p)}")
     if q <= p:
-        raise ValueError(f"the counterexample needs q > p, got p={p}, q={q}")
+        raise ValueError(
+            f"the counterexample needs q > p, got p={float(p)}, q={float(q)}"
+        )
     if q == INF:
         lo_ok = tau > 0 if family == "f" else tau >= 0
-        if not (lo_ok and tau < inv(p)):
+        if not (lo_ok and tau < exact_inv(p)):
             raise ValueError(
                 f"with q = inf the counterexample needs tau in "
-                f"{'(0, 1/p)' if family == 'f' else '[0, 1/p)'}, got tau={tau}"
+                f"{'(0, 1/p)' if family == 'f' else '[0, 1/p)'}, got tau={float(tau)}"
             )
-    else:
-        if not (0 < tau <= inv(p) - 1.0 / q):
-            raise ValueError(
-                f"the counterexample needs tau in (0, 1/p - 1/q], got tau={tau}"
-            )
+    elif not 0 < tau <= exact_inv(p) - exact_inv(q):
+        raise ValueError(
+            f"the counterexample needs tau in (0, 1/p - 1/q], got tau={float(tau)}"
+        )
 
 
 def certify_separation(

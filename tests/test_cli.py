@@ -384,6 +384,30 @@ class TestClassify:
         assert rep["verdict"] == "strict_superset_B_inf_q"
         assert not any("tolerance" in n for n in rep["notes"])
 
+    @pytest.mark.parametrize("family", ["f", "b"])
+    def test_tau_minus_inf_polynomials(self, family, tmp_path):
+        code, raw = run(["classify", "--family", family, "--tau=-inf"], tmp_path)
+        assert code == 0
+        assert json.loads(raw)["report"]["verdict"] == "trivial_polynomials"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["classify", "--family", "f", "--q=-inf"], "must be positive"),
+            (["classify", "--family", "b", "--tau", "1", "--q=-inf"], "must be positive"),
+            (["classify", "--family", "cmo", "--q=-inf", "--r", "2"], "must be positive"),
+            (["classify", "--family", "bbmo", "--p", "0"], "must be positive"),
+            (["classify", "--family", "cmo", "--q", "0", "--r", "1"], "must be positive"),
+            (["refute", "--tau", "1/4", "--p", "0", "--q", "2"], "must be positive"),
+            (["classify", "--family", "f", "--tau", "nan"], "got nan"),
+            (["classify", "--family", "cmo", "--r", "nan"], "got nan"),
+        ],
+    )
+    def test_invalid_parameter_exit_3(self, args, message, tmp_path, capsys):
+        code, raw = run(args, tmp_path)
+        assert code == 3 and raw == b""
+        assert message in capsys.readouterr().err
+
 
 class TestRefute:
     def test_bundle_verified(self, tmp_path):
@@ -400,6 +424,28 @@ class TestRefute:
         code = main(["refute", "--s", "0", "--tau", "2", "--p", "1", "--q", "2"])
         assert code == 3
         assert "Corollary 4" in capsys.readouterr().err
+
+    # tau = 1/p - 1/q, the end of the counterexample region: 1/p - 1/q in
+    # floats falls short of the rationals; a decimal tau decides in floats
+    @pytest.mark.parametrize("tau,p,q", [("1/12", "3", "4"), ("1/20", "4", "5"),
+                                         ("1/6", "3/2", "2"), ("0.8", "1", "5")])
+    @pytest.mark.parametrize("command", ["witness", "refute"])
+    def test_region_end_certifies(self, command, tau, p, q, tmp_path):
+        code, raw = run(
+            [command, "--tau", tau, "--p", p, "--q", q, "--depths", "4,8,16"], tmp_path
+        )
+        assert code == 0
+        doc = json.loads(raw)
+        divergent = (doc["bundle"] if command == "refute" else doc)["divergent"]
+        assert divergent["theoretical_exponent"] == 1 / int(q)
+
+    @pytest.mark.parametrize("command", ["refute", "analyze"])
+    def test_csv_refused(self, command, capsys):
+        # both write JSON only
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -22,10 +22,8 @@ from dyadic_spaces import (
     f_type_norm,
     random_sample_set,
     random_sequence,
-    seqspace,
 )
 from dyadic_spaces import cli
-from dyadic_spaces._geometry import Geometry
 
 INF = math.inf
 F, B = Family.F_TYPE, Family.B_TYPE
@@ -76,18 +74,6 @@ def test_batch_log2_norms_equal_the_single_norms(dim):
         assert forest.log2_norms(family, *args, **kwargs).tolist() == want, (family, args)
         alone = Forest(seqs[:1]).log2_norms(family, *args, **kwargs)  # a forest of one
         assert alone.tolist() == want[:1]
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_each_segment_attains_the_cube_of_its_forest_of_one(dim):
-    seqs = sample_set(dim)
-    for root in {seq.root for seq in seqs}:
-        group = [seq for seq in seqs if seq.root == root]
-        geo = Geometry(root, [seq._segment for seq in group])
-        for family, fn, args, kwargs in norm_cases():
-            maxima = seqspace._EVALUATORS[family](*args, **kwargs)(geo)
-            for s, seq in enumerate(group):
-                assert maxima.norm_value(s) == fn(seq, *args, **kwargs), (family, args, s)
 
 
 # sha256 of every attained cube of ``norm_cases`` over the ``sample_set`` of
