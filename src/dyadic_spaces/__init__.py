@@ -58,7 +58,6 @@ from .seqspace import (
     ParamError,
     SequenceFormatError,
     SpaceParams,
-    b_inf_inf_norm,
     b_type_norm,
     bbmo_norm,
     candidate_value,

@@ -26,6 +26,12 @@ def inv(x: float) -> float:
     return 0.0 if x == INF else 1.0 / x
 
 
+def geometric_tail_log2(rate: float, x: float) -> float:
+    """log2 of the l^x norm of the geometric sequence 2**(-j rate), j >= 0:
+    -(1/x) log2(1 - 2**(-rate x)), for rate > 0 and a finite x > 0."""
+    return -inv(x) * math.log2(1.0 - 2.0 ** (-rate * x))
+
+
 def num(x):
     """A parameter as a number: ints and Fractions become Fractions, so that
     arithmetic and comparisons on them stay exact; anything else a float,

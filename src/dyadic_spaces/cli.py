@@ -37,14 +37,10 @@ from .seqspace import (
     ParamError,
     SequenceFormatError,
     SpaceParams,
-    b_type_norm,
-    bbmo_norm,
-    cmo_norm,
-    f_inf_inf_norm,
-    f_type_norm,
     int_to_decimal,
     json_dumps,
     load_jsonl,
+    norm,
 )
 from .witness import certify_separation
 
@@ -143,23 +139,27 @@ def _cube_json(cube) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_NORM_FAMILIES = {
+    "f": Family.F_TYPE, "b": Family.B_TYPE, "cmo": Family.CMO, "bbmo": Family.BBMO,
+    "finfinf": Family.F_INF_INF, "binfinf": Family.B_INF_INF,
+}
+
+
 def cmd_norm(args) -> int:
     seq = load_jsonl(args.infile)
-    fam = args.family
-    if fam == "f":
-        nv = f_type_norm(seq, _space_params(Family.F_TYPE, args))
-    elif fam == "b":
-        nv = b_type_norm(seq, _space_params(Family.B_TYPE, args))
-    elif fam == "cmo":
+    family = _NORM_FAMILIES[args.family]
+    # each family reads the options of its norm function alone
+    if family == Family.CMO:
         if args.r is None:
             raise ParamError("--r is required for the cmo family")
-        nv = cmo_norm(seq, args.s, args.q, args.r)
-    elif fam == "bbmo":
-        nv = bbmo_norm(seq, args.s, args.p, args.q)
-    elif fam in ("finfinf", "binfinf"):
-        nv = f_inf_inf_norm(seq, args.s)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ParamError(f"unknown family {fam}")
+        params = SpaceParams(family, args.s, args.r, args.q, args.q)
+    elif family == Family.BBMO:
+        params = SpaceParams(family, args.s, 0, args.p, args.q)
+    elif family in (Family.F_INF_INF, Family.B_INF_INF):
+        params = SpaceParams(family, args.s, 0, INF, INF)
+    else:
+        params = SpaceParams(family, args.s, args.tau, args.p, args.q, not args.inhomogeneous)
+    nv = norm(seq, params)
     payload = {
         "log2": nv.log2_value,
         "linear": nv.linear_value,
@@ -183,10 +183,10 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _space_params(family: Family, args) -> SpaceParams:
-    return SpaceParams(
-        family, args.s, args.tau, args.p, args.q, homogeneous=not args.inhomogeneous
-    )
+def _refuse_unread(given: bool, option: str, command: str) -> None:
+    """An option given to a command that never reads it is refused, not ignored."""
+    if given:
+        raise ParamError(f"{option} is not read by {command}")
 
 
 def _depths(text: str) -> tuple[int, ...]:
@@ -199,6 +199,7 @@ def _depths(text: str) -> tuple[int, ...]:
 
 
 def cmd_witness(args) -> int:
+    _refuse_unread(args.inhomogeneous, "--inhomogeneous", "witness")
     depths = _depths(args.depths)
     divergent, bounded = certify_separation(
         args.s, args.p, args.q, args.tau, n=args.dim, depths=depths, family=args.part
@@ -225,6 +226,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    _refuse_unread(args.inhomogeneous, "--inhomogeneous",
+                   "equiv; its inhomogeneous checks are inhom-f and inhom-b")
     if args.samples < 1:
         raise ParamError(f"--samples must be >= 1, got {args.samples}")
     samples = random_sample_set(
@@ -267,6 +270,11 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _refuse_unread(args.family == "bbmo" and args.tau is not None, "--tau", "classify --family bbmo")
+    _refuse_unread(args.family == "cmo" and args.p is not None, "--p", "classify --family cmo")
+    # the config echo shows the defaults of the options left out
+    args.tau = 0 if args.tau is None else args.tau
+    args.p = 2 if args.p is None else args.p
     if args.family == "cmo":
         if args.r is None:
             raise ParamError("--r is required for the cmo family")
@@ -307,6 +315,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_refute(args) -> int:
+    _refuse_unread(args.inhomogeneous, "--inhomogeneous", "refute")
     depths = None if args.depths is None else _depths(args.depths)
     bundle = refute_claim(args.s, args.tau, args.p, args.q, dim=args.dim, depths=depths)
     ok = bundle.divergent.verdict == "diverges" and bundle.bounded.verdict == "bounded"
@@ -383,7 +392,8 @@ def cmd_analyze(args) -> int:
         f = GridFunction.sawtooth_smoothed(args.dim, args.L)
     else:  # pragma: no cover
         raise ParamError(f"unknown signal family {args.signal}")
-    params = _space_params(Family.F_TYPE if args.family == "f" else Family.B_TYPE, args)
+    family = Family.F_TYPE if args.family == "f" else Family.B_TYPE
+    params = SpaceParams(family, args.s, args.tau, args.p, args.q, not args.inhomogeneous)
     max_level = args.max_level if args.max_level is not None else args.L - 2
     report = transform_consistency(f, bank, params, max_level)
     payload = {
@@ -440,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("norm", help="evaluate a sequence norm on a JSONL file")
-    sp.add_argument("--family", choices=("f", "b", "cmo", "bbmo", "finfinf", "binfinf"),
-                    required=True)
+    sp.add_argument("--family", choices=tuple(_NORM_FAMILIES), required=True)
     _add_params(sp)
     sp.add_argument("--in", dest="infile", type=Path, required=True)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -472,6 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="symbolic parameter classification")
     sp.add_argument("--family", choices=("f", "b", "cmo", "bbmo"), required=True)
     _add_params(sp)
+    # None marks --tau and --p as not given: bbmo never reads --tau, cmo never --p
+    sp.set_defaults(tau=None, p=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sp, seed=False)
     sp.set_defaults(func=cmd_classify)

@@ -65,15 +65,6 @@ class DyadicCube:
         object.__setattr__(self, "level", int(self.level))
 
     @classmethod
-    def make(cls, level: int, index, dim: int | None = None) -> "DyadicCube":
-        """Build a cube from a level and an index (int or iterable)."""
-        if isinstance(index, int):
-            idx = (index,) if dim in (None, 1) else (index,) * dim
-        else:
-            idx = tuple(int(k) for k in index)
-        return cls(dim if dim is not None else len(idx), level, idx)
-
-    @classmethod
     def unit(cls, dim: int) -> "DyadicCube":
         """[0,1)**dim."""
         return cls(dim, 0, (0,) * dim)
@@ -84,13 +75,6 @@ class DyadicCube:
     def volume(self) -> Fraction:
         e = self.level * self.dim
         return Fraction(1, 2**e) if e >= 0 else Fraction(2**-e)
-
-    @property
-    def lower_corner(self) -> tuple[Fraction, ...]:
-        j = self.level
-        if j >= 0:
-            return tuple(Fraction(k, 2**j) for k in self.index)
-        return tuple(Fraction(k * 2**-j) for k in self.index)
 
     def sort_key(self) -> tuple:
         return (self.level, self.index)

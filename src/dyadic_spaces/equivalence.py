@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._log2 import INF, NEG_INF, inv, log2_to_linear
+from ._log2 import INF, NEG_INF, geometric_tail_log2, inv, log2_to_linear
 from .dyadic import DyadicCube
 from .seqspace import CubeSequence, Family, Forest, ParamError, SpaceParams
 
@@ -56,7 +56,7 @@ def collapse_upper_constant_log2(s, tau, p, q, n: int) -> float:
         return 0.0
     if delta <= 0:
         raise ParamError("q < inf requires tau > 1/p", rule="Theorem 1")
-    return -1.0 / q * math.log2(1.0 - 2.0 ** (-n * delta * q))
+    return geometric_tail_log2(n * delta, q)
 
 
 @dataclass
@@ -166,10 +166,10 @@ def _collapse(
                 )
     params = SpaceParams(family, s, tau, p, q, homogeneous=homogeneous)
     n_dim = _uniform_dim(forest.sequences)
-    c_log2 = collapse_upper_constant_log2(s, tau, p, q, n_dim)
-    s_eff = float(s) + n_dim * (float(tau) - inv(p))
-    num = forest.log2_norms(family, params).tolist()
-    den = forest.log2_norms(Family.F_INF_INF, s_eff).tolist()
+    c_log2 = collapse_upper_constant_log2(params.s, params.tau, params.p, params.q, n_dim)
+    s_eff = params.s + n_dim * (params.tau - inv(params.p))
+    num = forest.log2_norms(params).tolist()
+    den = forest.log2_norms(SpaceParams(Family.F_INF_INF, s_eff, 0, INF, INF)).tolist()
     ratios = (_ratios(pair) for pair in zip(num, den))
     return _ratio_report(check, ratios, 1.0, log2_to_linear(c_log2), tol)
 
@@ -204,19 +204,18 @@ def check_holder_embeddings(t, s, tau, p, q, tol: float | None = None) -> Equiva
     exponent shift, with constant exactly 1.  Each sample's ratios are
     (F, B), in that order.
     """
-    p_f, q_f = float(p), float(q)
-    if not q_f > p_f:
+    params_b = SpaceParams(Family.B_TYPE, s, tau, p, q)
+    if not params_b.q > params_b.p:
         raise ParamError(f"the embedding needs q > p, got p={p}, q={q}")
     params_f = SpaceParams(Family.F_TYPE, s, tau, p, q)  # q > p makes p finite
-    params_b = SpaceParams(Family.B_TYPE, s, tau, p, q)
     if tol is None:
-        tol = identity_tolerance(p_f, q_f)
-    tau_shift = float(tau) + inv(q_f) - inv(p_f)
+        tol = identity_tolerance(params_b.p, params_b.q)
+    tau_shift = params_b.tau + inv(params_b.q) - inv(params_b.p)
     diag = SpaceParams(Family.B_TYPE, s, tau_shift, q, q)
     forest = _forest(t)
-    rhs = forest.log2_norms(Family.B_TYPE, diag, allow_negative_tau=True).tolist()
-    f = forest.log2_norms(Family.F_TYPE, params_f).tolist()
-    b = forest.log2_norms(Family.B_TYPE, params_b).tolist()
+    rhs = forest.log2_norms(diag, allow_negative_tau=True).tolist()
+    f = forest.log2_norms(params_f).tolist()
+    b = forest.log2_norms(params_b).tolist()
     ratios = (_ratios((x, r), (y, r)) for x, y, r in zip(f, b, rhs))
     return _ratio_report("holder_embeddings", ratios, 0.0, 1.0, tol)
 
@@ -227,19 +226,19 @@ def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> Equivalen
     Each sample's ratios are sorted, so its CSV row reads (min, max) over the
     two identity pairs.
     """
-    if float(r) < 0:
-        raise ParamError("r must be >= 0", rule="Definition 4(i)")
+    cmo = SpaceParams(Family.CMO, s, r, q, q)
+    bbmo = SpaceParams(Family.BBMO, s, 0, p, q)
     if tol is None:
-        tol = identity_tolerance(p, q)
-    q_f = float(q)
-    forest = _forest(t)
-    a = forest.log2_norms(Family.CMO, s, q, r)
-    if q_f == INF:
-        b = forest.log2_norms(Family.F_INF_INF, s)
+        tol = identity_tolerance(bbmo.p, bbmo.q)
+    if cmo.q == INF:
+        twin = SpaceParams(Family.F_INF_INF, s, 0, INF, INF)
     else:
-        b = forest.log2_norms(Family.F_TYPE, SpaceParams(Family.F_TYPE, s, float(r) / q_f, q, q))
-    c = forest.log2_norms(Family.BBMO, s, p, q)
-    d = forest.log2_norms(Family.B_TYPE, SpaceParams(Family.B_TYPE, s, inv(p), p, q))
+        twin = SpaceParams(Family.F_TYPE, s, cmo.tau / cmo.q, q, q)
+    forest = _forest(t)
+    a = forest.log2_norms(cmo)
+    b = forest.log2_norms(twin)
+    c = forest.log2_norms(bbmo)
+    d = forest.log2_norms(SpaceParams(Family.B_TYPE, s, inv(bbmo.p), p, q))
     ratios = (
         tuple(sorted(_ratios((w, x), (y, z))))
         for w, x, y, z in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())

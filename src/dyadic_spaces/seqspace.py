@@ -100,7 +100,13 @@ class SequenceFormatError(ValueError):
 @dataclass(frozen=True)
 class SpaceParams:
     """Parameter tuple (family, s, tau, p, q) with extended p, q in (0, inf];
-    s, tau, p and q are stored as floats."""
+    s, tau, p and q are stored as floats.
+
+    Every norm family takes its parameters as one such record.  For CMO,
+    ``tau`` carries the index r and p = q; BBMO reads no tau (its Morrey
+    exponent is 1/p); the infinity-infinity scales read only s, the
+    effective smoothness.  Only F and B read ``homogeneous``.
+    """
 
     family: Family
     s: float
@@ -111,14 +117,17 @@ class SpaceParams:
 
     def __post_init__(self):
         s, tau, p, q = float(self.s), float(self.tau), float(self.p), float(self.q)
-        if not p > 0:
-            raise ParamError(f"p must be positive, got {self.p}")
+        # q first: a CMO record's p is its q
         if not q > 0:
             raise ParamError(f"q must be positive, got {self.q}")
+        if not p > 0:
+            raise ParamError(f"p must be positive, got {self.p}")
         if self.family == Family.F_TYPE and p == INF:
             raise ParamError(
                 "the F-type scale requires p < inf", rule="Definition 1(i)"
             )
+        if self.family == Family.CMO and tau < 0:
+            raise ParamError(f"r must be >= 0, got {self.tau}", rule="Proposition 1(iv)")
         if math.isnan(s) or math.isnan(tau):
             raise ParamError("s and tau must be finite reals")
         for name, value in (("s", s), ("tau", tau), ("p", p), ("q", q)):
@@ -324,28 +333,8 @@ class CubeSequence:
     def log2_value(self, cube: DyadicCube) -> float:
         return self._entries().get(cube, NEG_INF)
 
-    def value(self, cube: DyadicCube) -> float:
-        return log2_to_linear(self.log2_value(cube))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._key
-
     def min_support_level(self) -> int | None:
         return min(self._node_depth) + self.root.level if self._key else None
-
-    # -- derived sequences ------------------------------------------------------
-
-    def scaled_log2(self, shift: float) -> "CubeSequence":
-        """The sequence with every magnitude multiplied by 2**shift."""
-        values = {q: v + shift for q, v in self._entries().items()}
-        return CubeSequence.from_log2_values(values, self.root, self.max_depth)
-
-    def with_entry(self, cube: DyadicCube, log2_value: float) -> "CubeSequence":
-        values = dict(self._entries())
-        values[cube] = log2_value
-        root = self.root if self.root.contains(cube) else None
-        return CubeSequence.from_log2_values(values, root=root)
 
     @property
     def _segment(self) -> tuple:
@@ -449,69 +438,52 @@ def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> _Maxima:
     return _Maxima(geo, values, level, cand, geo.cand_key, geo.seg_cand)
 
 
-def _check_tau(tau: float, allow_negative_tau: bool):
-    if tau < 0 and not allow_negative_tau:
+def _kernel(params: SpaceParams, geo: Geometry):
+    """The kernel of the norm that ``params`` names, over ``geo``."""
+    fam, s, tau, p, q = params.family, params.s, params.tau, params.p, params.q
+    if fam == Family.F_TYPE:
+        return _FKernel(geo, s, tau, p, q)
+    if fam == Family.B_TYPE:
+        return _BKernel(geo, s, p, q, tau * geo.dim, params.homogeneous)
+    if fam == Family.CMO:  # tau is r, and p = q
+        return _BKernel(geo, s, q, q, 0.0 if q == INF else tau * geo.dim / q)
+    if fam == Family.BBMO:
+        return _BKernel(geo, s, p, q, 0.0 if p == INF else geo.dim / p)
+    raise ParamError(f"the {Family(fam).value} scale has no kernel")
+
+
+def _maxima(params: SpaceParams, geo: Geometry, allow_negative_tau: bool = False) -> _Maxima:
+    """The values that the supremum of the norm ``params`` names runs over,
+    for a forest of one or of many.  The infinity-infinity scales take the
+    support cubes alone; F and B refuse tau < 0 unless it is allowed."""
+    if params.family in (Family.F_INF_INF, Family.B_INF_INF):
+        return _Maxima(
+            geo, geo.level_f * (params.s + geo.dim / 2.0) + geo.log2t, geo.level,
+            np.arange(geo.m), geo.key, geo.seg_lo,
+        )
+    if params.family not in (Family.F_TYPE, Family.B_TYPE):
+        return _supremum(geo, _kernel(params, geo))
+    if params.tau < 0 and not allow_negative_tau:
         raise ParamError(
             "tau < 0 collapses the space to polynomials; use the classifier",
             rule="Proposition 1(iv)",
         )
+    return _supremum(geo, _kernel(params, geo), params.homogeneous)
 
 
-# Each norm validates its parameters and returns a function from a geometry
-# to the ``_Maxima`` of its suprema, for a forest of one or of many.
-
-
-def _f_type(params: SpaceParams, allow_negative_tau: bool = False):
-    if params.family != Family.F_TYPE:
-        raise ParamError(f"f_type_norm requires the F-type family, got {params.family}")
-    s, tau, p, q = params.s, params.tau, params.p, params.q
-    _check_tau(tau, allow_negative_tau)
-    return lambda geo: _supremum(geo, _FKernel(geo, s, tau, p, q), params.homogeneous)
-
-
-def _b_type(params: SpaceParams, allow_negative_tau: bool = False):
-    if params.family != Family.B_TYPE:
-        raise ParamError(f"b_type_norm requires the B-type family, got {params.family}")
-    s, tau, p, q = params.s, params.tau, params.p, params.q
-    _check_tau(tau, allow_negative_tau)
-    hom = params.homogeneous
-    return lambda geo: _supremum(geo, _BKernel(geo, s, p, q, tau * geo.dim, hom), hom)
-
-
-def _inf_inf(s_eff: float):
-    s_eff = float(s_eff)
-    return lambda geo: _Maxima(
-        geo, geo.level_f * (s_eff + geo.dim / 2.0) + geo.log2t, geo.level,
-        np.arange(geo.m), geo.key, geo.seg_lo,
-    )
-
-
-def _cmo(s: float, q: float, r: float):
-    s, q, r = float(s), float(q), float(r)
-    if not q > 0:
-        raise ParamError(f"q must be positive, got {q}")
-    if r < 0:
-        raise ParamError(
-            "r < 0 is classifier territory (the space degenerates)",
-            rule="Proposition 1(iv)",
-        )
-    return lambda geo: _supremum(
-        geo, _BKernel(geo, s, q, q, 0.0 if q == INF else r * geo.dim / q)
-    )
-
-
-def _bbmo(s: float, p: float, q: float):
-    s, p, q = float(s), float(p), float(q)
-    if not p > 0 or not q > 0:
-        raise ParamError(f"p and q must be positive, got p={p}, q={q}")
-    return lambda geo: _supremum(geo, _BKernel(geo, s, p, q, 0.0 if p == INF else geo.dim / p))
+def _norm_value(
+    t: CubeSequence, params: SpaceParams, family: Family, allow_negative_tau: bool = False
+) -> NormValue:
+    if params.family != family:
+        raise ParamError(f"the {family.value} norm got a {Family(params.family).value} record")
+    return _maxima(params, t.geometry, allow_negative_tau).norm_value()
 
 
 def f_type_norm(
     t: CubeSequence, params: SpaceParams, *, allow_negative_tau: bool = False
 ) -> NormValue:
     """Discrete Triebel-Lizorkin-type norm of a coefficient field."""
-    return _f_type(params, allow_negative_tau)(t.geometry).norm_value()
+    return _norm_value(t, params, Family.F_TYPE, allow_negative_tau)
 
 
 def b_type_norm(
@@ -522,7 +494,7 @@ def b_type_norm(
     Same-level cubes are disjoint, so each per-level integral reduces exactly
     to a weighted power sum over the level; the evaluator uses that reduction.
     """
-    return _b_type(params, allow_negative_tau)(t.geometry).norm_value()
+    return _norm_value(t, params, Family.B_TYPE, allow_negative_tau)
 
 
 def f_inf_inf_norm(t: CubeSequence, s_eff: float) -> NormValue:
@@ -530,10 +502,7 @@ def f_inf_inf_norm(t: CubeSequence, s_eff: float) -> NormValue:
 
     The same formula serves both infinity-infinity scales.
     """
-    return _inf_inf(s_eff)(t.geometry).norm_value()
-
-
-b_inf_inf_norm = f_inf_inf_norm
+    return _norm_value(t, SpaceParams(Family.F_INF_INF, s_eff, 0, INF, INF), Family.F_INF_INF)
 
 
 def cmo_norm(t: CubeSequence, s: float, q: float, r: float) -> NormValue:
@@ -544,7 +513,7 @@ def cmo_norm(t: CubeSequence, s: float, q: float, r: float) -> NormValue:
     inside P, so no shell decomposition is needed.  At q = inf the usual
     modification degenerates to the weighted supremum and r drops out.
     """
-    return _cmo(s, q, r)(t.geometry).norm_value()
+    return _norm_value(t, SpaceParams(Family.CMO, s, r, q, q), Family.CMO)
 
 
 def bbmo_norm(t: CubeSequence, s: float, p: float, q: float) -> NormValue:
@@ -554,28 +523,25 @@ def bbmo_norm(t: CubeSequence, s: float, p: float, q: float) -> NormValue:
     average over P is 2**(n l) times the level sum; its factor 2**(n l / p)
     is the slope, which leaves the B-type content.
     """
-    return _bbmo(s, p, q)(t.geometry).norm_value()
+    return _norm_value(t, SpaceParams(Family.BBMO, s, 0, p, q), Family.BBMO)
 
 
 def norm(t: CubeSequence, params: SpaceParams, **kwargs) -> NormValue:
-    """Family dispatch; F_inf_inf/B_inf_inf read the effective smoothness off s."""
-    if params.family == Family.F_TYPE:
+    """The norm of any family, through that family's norm function above.
+
+    Each function is looked up by its module name at call time, so a wrapper
+    bound to that name (a tracer counting kernel calls) sees the call.
+    """
+    fam = params.family
+    if fam == Family.F_TYPE:
         return f_type_norm(t, params, **kwargs)
-    if params.family == Family.B_TYPE:
+    if fam == Family.B_TYPE:
         return b_type_norm(t, params, **kwargs)
-    if params.family in (Family.F_INF_INF, Family.B_INF_INF):
-        return f_inf_inf_norm(t, params.s)
-    raise ParamError(f"norm() does not dispatch family {params.family}")
-
-
-_EVALUATORS = {
-    Family.F_TYPE: _f_type,
-    Family.B_TYPE: _b_type,
-    Family.CMO: _cmo,
-    Family.BBMO: _bbmo,
-    Family.F_INF_INF: _inf_inf,
-    Family.B_INF_INF: _inf_inf,
-}
+    if fam == Family.CMO:
+        return cmo_norm(t, params.s, params.q, params.tau)
+    if fam == Family.BBMO:
+        return bbmo_norm(t, params.s, params.p, params.q)
+    return f_inf_inf_norm(t, params.s)
 
 
 class Forest:
@@ -594,15 +560,12 @@ class Forest:
             for root, idx in groups.items()
         ]
 
-    def log2_norms(self, family: Family, *args, **kwargs) -> np.ndarray:
-        """log2 of one norm of every sequence, in order, each equal to the
-        norm function's ``log2_value``; the arguments after ``family`` are
-        those of that function after the sequence."""
+    def log2_norms(self, params: SpaceParams, allow_negative_tau: bool = False) -> np.ndarray:
+        """log2 of the norm ``params`` names for every sequence, in order,
+        each equal to the ``log2_value`` of that family's norm function."""
         out = np.full(len(self.sequences), NEG_INF)
-        if self._groups:
-            evaluate = _EVALUATORS[Family(family)](*args, **kwargs)
-            for idx, geo in self._groups:
-                out[idx] = evaluate(geo).log2_values()
+        for idx, geo in self._groups:
+            out[idx] = _maxima(params, geo, allow_negative_tau).log2_values()
         return out
 
 
@@ -616,13 +579,7 @@ def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) ->
     span = geo.locate(region)
     if span is None:
         return NEG_INF
-    s, tau, p, q = params.s, params.tau, params.p, params.q
-    if params.family == Family.F_TYPE:
-        kern = _FKernel(geo, s, tau, p, q)
-    elif params.family == Family.B_TYPE:
-        kern = _BKernel(geo, s, p, q, tau * geo.dim, params.homogeneous)
-    else:
-        raise ParamError(f"candidate_value supports F/B families, got {params.family}")
+    kern = _kernel(params, geo)
     lo, hi, level = (np.array([x]) for x in (*span, region.level))
     return float(kern.slope * region.level + kern.contents(lo, hi, level)[0])
 

@@ -8,14 +8,11 @@ scales cannot be equivalent.
 """
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._log2 import INF, NEG_INF, exact_inv, inv, log2_sum, nums
+from ._log2 import INF, NEG_INF, exact_inv, geometric_tail_log2, inv, log2_sum, nums
 from .dyadic import DyadicCube
 from .seqspace import (
     CubeSequence,
@@ -23,7 +20,7 @@ from .seqspace import (
     ParamError,
     SpaceParams,
     b_type_norm,
-    f_type_norm,
+    norm,
 )
 
 DEFAULT_DEPTHS_1D = (4, 8, 16, 32, 64)
@@ -78,14 +75,6 @@ class GrowthReport:
             "bound_log2": self.bound_log2,
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["depth", "log2_norm"])
-        for d, v in zip(self.depths, self.log2_values):
-            writer.writerow([d, repr(v)])
-        return buf.getvalue()
-
 
 def build_tower(s: float, tau: float, p: float, n: int, J: int) -> TowerWitness:
     """Truncated nested tower with magnitudes computed in the log domain."""
@@ -128,14 +117,14 @@ def tower_b_closed_form(tau: float, p: float, q: float, n: int, J: int) -> float
 
 def separation_f_bound_log2(tau: float, p: float, n: int) -> float:
     """log2 of the uniform geometric-series bound for the F-side tower norm."""
-    return -inv(p) * math.log2(1.0 - 2.0 ** (-n * float(tau) * float(p)))
+    return geometric_tail_log2(n * float(tau), float(p))
 
 
 def separation_b_bound_log2(tau: float, q: float, n: int) -> float:
     """log2 of the uniform bound for the B-side tower norm (0 when q = inf)."""
     if float(q) == INF:
         return 0.0
-    return -1.0 / float(q) * math.log2(1.0 - 2.0 ** (-n * float(tau) * float(q)))
+    return geometric_tail_log2(n * float(tau), float(q))
 
 
 def _fit_exponent(depths, log2_values) -> float:
@@ -234,19 +223,14 @@ def certify_separation(
         )
 
     tau_prime = tau + inv(q) - inv(p)
+    coarse = SpaceParams(Family.B_TYPE, s, tau_prime, q, q)
+    target = SpaceParams(Family.F_TYPE if family == "f" else Family.B_TYPE, s, tau, p, q)
     div_vals = []
     tgt_vals = []
     for J in depths:
         tower = build_tower(s, tau, p, n, J).sequence
-        bq = SpaceParams(Family.B_TYPE, s, tau_prime, q, q)
-        div_vals.append(
-            b_type_norm(tower, bq, allow_negative_tau=True).log2_value
-        )
-        if family == "f":
-            tgt = f_type_norm(tower, SpaceParams(Family.F_TYPE, s, tau, p, q))
-        else:
-            tgt = b_type_norm(tower, SpaceParams(Family.B_TYPE, s, tau, p, q))
-        tgt_vals.append(tgt.log2_value)
+        div_vals.append(b_type_norm(tower, coarse, allow_negative_tau=True).log2_value)
+        tgt_vals.append(norm(tower, target).log2_value)
 
     if q < INF and abs(tau - (inv(p) - 1.0 / q)) < 1e-12:
         theoretical = 1.0 / q  # norm is exactly (J+1)**(1/q) at the boundary
@@ -257,10 +241,9 @@ def certify_separation(
 
     if family == "f":
         bound = separation_f_bound_log2(tau, p, n)
-        tgt_name = f"f^(s,{tau:g})_({p:g},{q:g})"
     else:
         bound = separation_b_bound_log2(tau, q, n)
-        tgt_name = f"b^(s,{tau:g})_({p:g},{q:g})"
+    tgt_name = f"{family}^(s,{tau:g})_({p:g},{q:g})"
     bounded = _bounded_report(tgt_name, depths, tgt_vals, bound)
     return divergent, bounded
 

@@ -38,6 +38,34 @@ def path_from(cube: DyadicCube, ancestor: DyadicCube) -> tuple[int, ...]:
     return tuple(codes)
 
 
+def lower_corner(cube: DyadicCube) -> tuple[Fraction, ...]:
+    """The exact lower corner of a cube, one coordinate per axis."""
+    j = cube.level
+    if j >= 0:
+        return tuple(Fraction(k, 2**j) for k in cube.index)
+    return tuple(Fraction(k * 2**-j) for k in cube.index)
+
+
+def value(seq: CubeSequence, cube: DyadicCube) -> float:
+    """The linear magnitude of ``seq`` at a cube; 0 off the support."""
+    lv = seq.log2_value(cube)
+    return 0.0 if lv == NEG_INF else 2.0**lv
+
+
+def scaled_log2(seq: CubeSequence, shift: float) -> CubeSequence:
+    """The sequence with every magnitude multiplied by 2**shift."""
+    values = {q: v + shift for q, v in seq.log2_magnitudes.items()}
+    return CubeSequence.from_log2_values(values, seq.root, seq.max_depth)
+
+
+def with_entry(seq: CubeSequence, cube: DyadicCube, log2_value: float) -> CubeSequence:
+    """The sequence with one magnitude set; the unit root when the cube lies outside."""
+    values = seq.log2_magnitudes
+    values[cube] = log2_value
+    root = seq.root if seq.root.contains(cube) else None
+    return CubeSequence.from_log2_values(values, root=root)
+
+
 def descendant(cube: DyadicCube, path) -> DyadicCube:
     """The cube reached from ``cube`` by a child-code path."""
     for code in path:

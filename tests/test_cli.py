@@ -9,15 +9,25 @@ from dyadic_spaces import (
     CubeSequence,
     DyadicCube,
     Family,
+    GridFunction,
+    ParamError,
     SpaceParams,
     b_type_norm,
     bbmo_norm,
+    build_filter_bank,
+    certify_separation,
+    check_collapse_b,
+    check_collapse_f,
+    check_collapse_inhomogeneous,
+    check_exact_identities,
+    check_holder_embeddings,
     cmo_norm,
     f_type_norm,
     random_sample_set,
     save_jsonl,
+    transform_consistency,
 )
-from dyadic_spaces import cli, witness
+from dyadic_spaces import cli, seqspace, witness
 from dyadic_spaces.cli import main, parse_extended
 from fractions import Fraction
 
@@ -624,3 +634,155 @@ class TestDeterminism:
             _, raw = run(args + ["--threads", str(threads)], tmp_path, name)
             outs.append(raw)
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestUnreadOptions:
+    """An option that a command line gives and its command never reads is
+    refused with exit 3, naming the option."""
+
+    @pytest.mark.parametrize(
+        "args,option",
+        [
+            (["witness", "--depths", "4", "--inhomogeneous"], "--inhomogeneous"),
+            (["refute", "--tau", "1/4", "--p", "1", "--q", "2", "--depths", "4",
+              "--inhomogeneous"], "--inhomogeneous"),
+            (["equiv", "--check", "inhom-f", "--tau", "3/2", "--p", "1", "--samples", "2",
+              "--inhomogeneous"], "--inhomogeneous"),
+            (["classify", "--family", "bbmo", "--tau", "5"], "--tau"),
+            (["classify", "--family", "bbmo", "--tau", "0"], "--tau"),
+            (["classify", "--family", "cmo", "--p", "2", "--r", "1"], "--p"),
+        ],
+    )
+    def test_exit_3_naming_the_option(self, args, option, tmp_path, capsys):
+        code, raw = run(args, tmp_path)
+        assert code == 3 and raw == b""
+        assert capsys.readouterr().err.startswith(f"error: {option} is not read by ")
+
+    @pytest.mark.parametrize(
+        "args,echo",
+        [
+            (["classify", "--family", "bbmo", "--p", "1"], {"tau": 0, "p": 1}),
+            (["classify", "--family", "cmo", "--r", "1"], {"tau": 0, "p": 2}),
+            (["classify", "--family", "f", "--tau", "3/2"], {"tau": "3/2", "p": 2}),
+        ],
+    )
+    def test_config_echo_keeps_the_defaults(self, args, echo, tmp_path):
+        code, raw = run(args, tmp_path)
+        assert code == 0
+        config = json.loads(raw)["config"]
+        assert {key: config[key] for key in echo} == echo
+
+
+NORM_NAMES = ("f_type_norm", "b_type_norm", "cmo_norm", "bbmo_norm", "f_inf_inf_norm")
+
+
+@pytest.fixture()
+def norm_calls(monkeypatch):
+    """Counting wrappers bound in place of the five public norm functions in
+    every package module that binds them, as a tracer binds its spans; the
+    count per name."""
+    import sys
+
+    calls = dict.fromkeys(NORM_NAMES, 0)
+    for name in NORM_NAMES:
+        fn = getattr(seqspace, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "dyadic_spaces" and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestPublicNormNames:
+    """The CLI, the analyzer and the witness reach the kernels through the
+    public norm functions, looked up by name, so that rebinding those names
+    sees every call."""
+
+    @pytest.mark.parametrize(
+        "family,args,name",
+        [
+            ("f", ["--tau", "1"], "f_type_norm"),
+            ("b", ["--tau", "1", "--p", "1"], "b_type_norm"),
+            ("cmo", ["--r", "2"], "cmo_norm"),
+            ("bbmo", ["--p", "1"], "bbmo_norm"),
+            ("finfinf", [], "f_inf_inf_norm"),
+            ("binfinf", [], "f_inf_inf_norm"),
+        ],
+    )
+    def test_norm_command(self, family, args, name, norm_calls, single_cube_file, tmp_path):
+        argv = ["norm", "--family", family, *args, "--in", str(single_cube_file)]
+        assert run(argv, tmp_path)[0] == 0
+        assert norm_calls == {n: int(n == name) for n in NORM_NAMES}
+
+    @pytest.mark.parametrize("family,name", [(Family.F_TYPE, "f_type_norm"),
+                                             (Family.B_TYPE, "b_type_norm")])
+    def test_transform_consistency(self, family, name, norm_calls):
+        f = GridFunction.harmonic(1, 6, 4)
+        transform_consistency(f, build_filter_bank(6), SpaceParams(family, 0, 0.25, 2, 2))
+        assert norm_calls == {n: int(n == name) for n in NORM_NAMES}
+
+    @pytest.mark.parametrize("part", ["f", "b"])
+    def test_certify_separation(self, part, norm_calls):
+        certify_separation(0, 1, 2, Fraction(1, 2), depths=(4, 8), family=part)
+        want = {"b_type_norm": 2 if part == "f" else 4, "f_type_norm": 2 if part == "f" else 0}
+        assert norm_calls == {n: want.get(n, 0) for n in NORM_NAMES}
+
+
+_UNIT = CubeSequence.from_values({DyadicCube.unit(1): 1.0})
+
+# A bad p, q or r, the message every entry point gives for it, and library
+# calls given the same value
+PARAMETER_FAULTS = {
+    ("--p", "0"): ("p must be positive, got 0", [
+        lambda: SpaceParams(Family.B_TYPE, 0, 0, 0, 2),
+        lambda: bbmo_norm(_UNIT, 0, 0, 2),
+        lambda: check_collapse_f([_UNIT], 0, 3, 0, 2),
+        lambda: check_collapse_b([_UNIT], 0, 3, 0, 2),
+        lambda: check_collapse_inhomogeneous([_UNIT], 0, 3, 0, 2, family="b"),
+        lambda: check_holder_embeddings([_UNIT], 0, 0.25, 0, 2),
+        lambda: check_exact_identities([_UNIT], 0, 0, 2, 1),
+    ]),
+    ("--q", "0"): ("q must be positive, got 0", [
+        lambda: SpaceParams(Family.F_TYPE, 0, 0, 2, 0),
+        lambda: cmo_norm(_UNIT, 0, 0, 1),
+        lambda: bbmo_norm(_UNIT, 0, 2, 0),
+        lambda: check_collapse_f([_UNIT], 0, 3, 1, 0),
+        lambda: check_holder_embeddings([_UNIT], 0, 0.25, 1, 0),
+        lambda: check_exact_identities([_UNIT], 0, 1, 0, 1),
+    ]),
+    ("--r", "-1"): ("r must be >= 0, got -1 [Proposition 1(iv)]", [
+        lambda: SpaceParams(Family.CMO, 0, -1, 2, 2),
+        lambda: cmo_norm(_UNIT, 0, 2, -1),
+        lambda: check_exact_identities([_UNIT], 0, 1, 2, -1),
+    ]),
+}
+# the norm families and equiv checks that read each option
+READERS = {
+    "--p": (("f", "b", "bbmo"),
+            ("collapse-f", "collapse-b", "holder", "identities", "inhom-f", "inhom-b")),
+    "--q": (("f", "b", "cmo", "bbmo"),
+            ("collapse-f", "collapse-b", "holder", "identities", "inhom-f", "inhom-b")),
+    "--r": (("cmo",), ("identities",)),
+}
+
+
+@pytest.mark.parametrize("fault", list(PARAMETER_FAULTS), ids=lambda f: f"{f[0]}={f[1]}")
+def test_parameter_fault_reads_alike(fault, single_cube_file, tmp_path, capsys):
+    option, value = fault
+    message, library_calls = PARAMETER_FAULTS[fault]
+    families, checks = READERS[option]
+    argvs = [["norm", "--family", fam, "--r", "1", option, value, "--in", str(single_cube_file)]
+             for fam in families]
+    argvs += [["equiv", "--check", check, "--tau", "3", "--samples", "2", option, value]
+              for check in checks]
+    for argv in argvs:
+        code, raw = run(argv, tmp_path)
+        assert (code, raw, capsys.readouterr().err) == (3, b"", f"error: {message}\n"), argv
+    for call in library_calls:
+        with pytest.raises(ParamError) as info:
+            call()
+        assert str(info.value) == message

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import descendant, path_from, shell_decomposition
+from _oracles import descendant, lower_corner, path_from, shell_decomposition
 from dyadic_spaces import (
     DimensionMismatchError,
     DyadicCube,
@@ -13,12 +13,12 @@ from dyadic_spaces import (
 
 
 def Q(j, k, dim=1):
-    return DyadicCube.make(j, k if isinstance(k, (list, tuple)) else (k,), dim)
+    return DyadicCube(dim, j, tuple(k) if isinstance(k, (list, tuple)) else (k,))
 
 
 def interval(cube):
     """Exact half-open interval per axis, the containment oracle."""
-    lo = cube.lower_corner
+    lo = lower_corner(cube)
     side = Fraction(1, 2**cube.level) if cube.level >= 0 else Fraction(2**-cube.level)
     return [(a, a + side) for a in lo]
 

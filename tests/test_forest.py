@@ -49,19 +49,22 @@ def sample_set(dim: int) -> list[CubeSequence]:
 
 
 def norm_cases() -> list[tuple]:
-    """(family, norm function, arguments after the sequence, keywords)."""
+    """(parameter record, norm function, arguments after the sequence, keywords)."""
     cases = []
     for hom in (True, False):
         for p, q in ((2, 2), (1, 2), (2, 0.5), (2, INF)):
-            cases.append((F, f_type_norm, (SpaceParams(F, 0.3, 0.75, p, q, hom),), {}))
+            params = SpaceParams(F, 0.3, 0.75, p, q, hom)
+            cases.append((params, f_type_norm, (params,), {}))
         for p, q in ((2, 2), (1, 2), (INF, 2), (2, INF), (INF, INF)):
-            cases.append((B, b_type_norm, (SpaceParams(B, -0.2, 0.5, p, q, hom),), {}))
-    cases.append(
-        (B, b_type_norm, (SpaceParams(B, 0, -0.25, 2, 2),), {"allow_negative_tau": True})
-    )
-    cases += [(Family.CMO, cmo_norm, (0.1, q, 0.5), {}) for q in (2, INF)]
-    cases += [(Family.BBMO, bbmo_norm, (0.1, p, q), {}) for p, q in ((2, 2), (1, 3), (INF, 2))]
-    cases.append((Family.F_INF_INF, f_inf_inf_norm, (0.4,), {}))
+            params = SpaceParams(B, -0.2, 0.5, p, q, hom)
+            cases.append((params, b_type_norm, (params,), {}))
+    params = SpaceParams(B, 0, -0.25, 2, 2)
+    cases.append((params, b_type_norm, (params,), {"allow_negative_tau": True}))
+    cases += [(SpaceParams(Family.CMO, 0.1, 0.5, q, q), cmo_norm, (0.1, q, 0.5), {})
+              for q in (2, INF)]
+    cases += [(SpaceParams(Family.BBMO, 0.1, 0, p, q), bbmo_norm, (0.1, p, q), {})
+              for p, q in ((2, 2), (1, 3), (INF, 2))]
+    cases.append((SpaceParams(Family.F_INF_INF, 0.4, 0, INF, INF), f_inf_inf_norm, (0.4,), {}))
     return cases
 
 
@@ -69,10 +72,10 @@ def norm_cases() -> list[tuple]:
 def test_batch_log2_norms_equal_the_single_norms(dim):
     seqs = sample_set(dim)
     forest = Forest(seqs)
-    for family, fn, args, kwargs in norm_cases():
+    for params, fn, args, kwargs in norm_cases():
         want = [fn(seq, *args, **kwargs).log2_value for seq in seqs]
-        assert forest.log2_norms(family, *args, **kwargs).tolist() == want, (family, args)
-        alone = Forest(seqs[:1]).log2_norms(family, *args, **kwargs)  # a forest of one
+        assert forest.log2_norms(params, **kwargs).tolist() == want, params
+        alone = Forest(seqs[:1]).log2_norms(params, **kwargs)  # a forest of one
         assert alone.tolist() == want[:1]
 
 

@@ -11,7 +11,6 @@ from dyadic_spaces import (
     Family,
     ParamError,
     SpaceParams,
-    b_inf_inf_norm,
     b_type_norm,
     bbmo_norm,
     candidate_value,
@@ -19,6 +18,7 @@ from dyadic_spaces import (
     f_inf_inf_norm,
     f_type_norm,
     load_jsonl,
+    norm,
     save_jsonl,
 )
 from dyadic_spaces.equivalence import random_sequence
@@ -32,14 +32,17 @@ from _oracles import (
     reference_cmo,
     reference_f_inf_inf,
     reference_f_norm,
+    scaled_log2,
     small_random_sequence,
+    value,
+    with_entry,
 )
 
 INF = math.inf
 
 
 def Q(j, k, dim=1):
-    return DyadicCube.make(j, k if isinstance(k, (list, tuple)) else (k,), dim)
+    return DyadicCube(dim, j, tuple(k) if isinstance(k, (list, tuple)) else (k,))
 
 
 def unit_seq(dim=1, value=1.0):
@@ -223,7 +226,7 @@ class TestCollapses:
         for _ in range(10):
             seq = random_sequence(rng, 1, 5)
             a = b_type_norm(seq, bp(0.2, 0.0, INF, INF)).log2_value
-            b = b_inf_inf_norm(seq, 0.2).log2_value
+            b = norm(seq, SpaceParams(Family.B_INF_INF, 0.2, 0, INF, INF)).log2_value
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_large_q_approximates_sup_modification(self):
@@ -331,7 +334,7 @@ class TestScalingAndMonotonicity:
     def test_absolute_homogeneity(self, shift):
         rng = np.random.default_rng(13)
         seq = random_sequence(rng, 1, 5)
-        scaled = seq.scaled_log2(shift)
+        scaled = scaled_log2(seq, shift)
         for params, fn in (
             (fp(0.2, 0.4, 2, 2), f_type_norm),
             (bp(0.2, 0.4, 2, INF), b_type_norm),
@@ -346,8 +349,8 @@ class TestScalingAndMonotonicity:
             seq = random_sequence(rng, 1, 4)
             extra_level = int(rng.integers(0, 5))
             extra = Q(extra_level, int(rng.integers(0, 2**extra_level)))
-            bigger = seq.with_entry(
-                extra, max(seq.log2_value(extra), float(rng.uniform(-5, 5)))
+            bigger = with_entry(
+                seq, extra, max(seq.log2_value(extra), float(rng.uniform(-5, 5)))
             )
             for params, fn in (
                 (fp(0.1, 0.6, 1, 2), f_type_norm),
@@ -510,7 +513,7 @@ class TestJsonl:
             '{"j": 1, "k": [0], "v": 999.0, "log2v": 0.0}\n'
         )
         seq = load_jsonl(path)
-        assert seq.value(Q(1, 0)) == 1.0
+        assert value(seq, Q(1, 0)) == 1.0
 
     def test_duplicate_records_rejected(self, tmp_path):
         # the last record used to win silently: v = 1 then v = 5 gave norm 5
@@ -572,7 +575,7 @@ class TestJsonl:
         path = tmp_path / "seq.jsonl"
         header = '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 1}\n'
         path.write_text(header + '  {"j": 1, "k": [1], "v": 2.0}\t\n')
-        assert load_jsonl(path).value(Q(1, 1)) == 2.0
+        assert value(load_jsonl(path), Q(1, 1)) == 2.0
         path.write_text(header + '{"j": 1, "k": [1], "v": 2.0} {"j": 1, "k": [0], "v": 1.0}\n')
         with pytest.raises(SequenceFormatError, match="line 2: Extra data"):
             load_jsonl(path)

@@ -16,7 +16,7 @@ from dyadic_spaces import (
     tower_b_closed_form,
 )
 
-from dyadic_spaces import witness
+from dyadic_spaces import cli, witness
 
 INF = math.inf
 
@@ -32,7 +32,7 @@ class TestBuildTower:
     def test_depth_zero_single_unit_entry(self):
         tw = build_tower(0.0, 0.5, 2.0, 1, 0)
         assert tw.sequence.support == (DyadicCube.unit(1),)
-        assert tw.sequence.value(DyadicCube.unit(1)) == 1.0
+        assert tw.sequence.log2_value(DyadicCube.unit(1)) == 0.0
 
     def test_exponent_arithmetic(self):
         # s=1, tau=1/2, p=2, n=1: log2 t_{R_j} = -3j/2
@@ -173,7 +173,7 @@ class TestCauchyTail:
 
 
 class TestReports:
-    def test_json_and_csv_shapes(self):
+    def test_json_and_csv_shapes(self, tmp_path):
         div, bnd = certify_separation(0.0, 1.0, 2.0, 0.5, depths=(4, 8))
         d = div.to_json_dict()
         assert set(d) == {
@@ -185,10 +185,12 @@ class TestReports:
             "theoretical_exponent",
             "bound_log2",
         }
-        csv_text = bnd.to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "depth,log2_norm"
-        assert len(lines) == 3
+        out = tmp_path / "witness.csv"
+        argv = ["witness", "--depths", "4,8", "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "side,space,depth,log2_norm,config"
+        assert len(lines) == 5  # a row per side and depth
 
 
 class TestDepthBound:
