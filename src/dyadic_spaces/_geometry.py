@@ -2,7 +2,8 @@
 
 A support node's key is its path from the root as a Z-order code: the child
 codes from the root down, most significant first, dimension 0 in the lowest
-bit of each.  Keys are shifted to one common width, the depth of the deepest
+bit of each.  ``morton_paths`` builds the paths of indices, and
+``depth_first`` shifts paths to one common width, the depth of the deepest
 record, so that sorting by (key, depth) gives the depth-first order.
 """
 from __future__ import annotations
@@ -39,13 +40,13 @@ def spread(x: int, dim: int) -> int:
     return int.from_bytes(b"".join([pieces[b] for b in raw]), "little")
 
 
-def morton_keys(
-    root: DyadicCube, indices: Sequence[Sequence[int]], depth: Sequence[int], width: int
+def morton_paths(
+    root: DyadicCube, indices: Sequence[Sequence[int]], depth: Sequence[int]
 ) -> list[int] | None:
-    """The Morton key of every index at its depth below the root, shifted to
-    ``width`` levels; None when an index does not lie under the root."""
+    """The Z-order path of every index at its depth below the root; None when
+    an index does not lie under the root."""
     n = root.dim
-    key = [0] * len(depth)
+    path = [0] * len(depth)
     for axis, r in enumerate(root.index):  # one axis at a time
         rel = [k[axis] - (r << d) for k, d in zip(indices, depth)]
         if any(map(operator.rshift, rel, depth)):  # rel < 0 or rel >= 2**d
@@ -53,8 +54,37 @@ def morton_keys(
         if n > 1:
             table = spread_table(n)[0]
             rel = [(table[x] if x < 256 else spread(x, n)) << axis for x in rel]
-        key = list(map(operator.or_, key, rel))
-    return list(map(operator.lshift, key, [n * (width - d) for d in depth]))
+        path = list(map(operator.or_, path, rel))
+    return path
+
+
+def depth_first(
+    root: DyadicCube, paths: Sequence[int], depths: Sequence[int], keep: np.ndarray
+) -> tuple[int, list[int], list[int], list[int]]:
+    """Records given as Z-order paths below the root, in depth-first order.
+
+    One sort by (key, depth), the keys as wide as the deepest record; a
+    duplicate shows as two equal neighbours and raises ValueError.  The
+    records where ``keep`` is false are then dropped and the keys narrowed
+    to the deepest record kept.  Returns that width, the keys and depths of
+    the records kept, and their input positions."""
+    n, m = root.dim, len(depths)
+    D = max(depths, default=0)
+    shift = D.bit_length()
+    pair = [p << (n * (D - d) + shift) | d for p, d in zip(paths, depths)]
+    order = sorted(range(m), key=pair.__getitem__)
+    pair = [pair[i] for i in order]
+    if any(map(operator.eq, pair, pair[1:])):
+        t = next(t for t in range(1, m) if pair[t] == pair[t - 1])
+        cube = key_cube(root, D, pair[t] >> shift, root.level + depths[order[t]])
+        raise ValueError(f"duplicate record for {cube}")
+    if not keep.all():
+        keep = keep.tolist()
+        kept = [t for t, i in enumerate(order) if keep[i]]
+        order, pair = [order[t] for t in kept], [pair[t] for t in kept]
+        width = max([depths[i] for i in order], default=0)
+        shift, D = shift + n * (D - width), width
+    return D, [x >> shift for x in pair], [depths[i] for i in order], order
 
 
 def _unspread(code: int, d: int, n: int) -> tuple[int, ...]:
@@ -77,7 +107,7 @@ def key_indices(
     root: DyadicCube, width: int, key: Sequence[int], depth: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """The index of every node from its key and depth below the root, the
-    keys being ``width`` levels wide: the inverse of ``morton_keys``."""
+    keys being ``width`` levels wide: the inverse of ``morton_paths``."""
     n = root.dim
     code = list(map(operator.rshift, key, [n * (width - d) for d in depth]))
     if n == 1:
@@ -88,6 +118,11 @@ def key_indices(
         list(map(operator.add, [r << d for d in depth], x)) for r, x in zip(root.index, rel)
     ]
     return list(zip(*axes))
+
+
+# Geometries with fewer nodes sum their shell measures in Python integers
+# alone: below about this size numpy's fixed set-up costs more than the loop.
+_NUMPY_SHELLS = 40
 
 
 class Geometry:
@@ -220,18 +255,46 @@ class Geometry:
 
     def _shell_measures(self) -> np.ndarray:
         """log2 of each node's volume minus the volume of its support
-        children, exact in integer arithmetic at the finest child's scale."""
-        n = self.dim
-        depth = self.node_depth
-        shifts: dict[int, list[int]] = {}
-        for c, par in enumerate(self.parent.tolist()):
-            if par >= 0:
-                shifts.setdefault(par, []).append(n * (depth[c] - depth[par]))
+        children, exact at the finest child's scale.
+
+        With top the largest child shift of a parent, rest = 2**top minus a
+        term 2**(top - shift) per child, and the terms sum to at most
+        2**top.  Up to top = 52 every term and partial sum is an integer
+        below 2**53, exact in float64 in any order, so those parents are
+        summed in numpy; wider parents, and every parent of a geometry too
+        small for numpy's set-up to pay off, take Python integers.
+        ``math.log2`` takes the log either way."""
+        n, m = self.dim, self.m
         mu = self.log2vol.copy()
-        for par, sh in shifts.items():
-            top = max(sh)
-            rest = (1 << top) - sum(1 << (top - s) for s in sh)
-            mu[par] = math.log2(rest) - top + mu[par] if rest > 0 else NEG_INF
+        if m < _NUMPY_SHELLS:
+            depth = self.node_depth
+            links = [(p, n * (depth[c] - depth[p]))
+                     for c, p in enumerate(self.parent.tolist()) if p >= 0]
+        else:
+            child = np.flatnonzero(self.parent >= 0)
+            par = self.parent[child]
+            shift = n * (self.level[child] - self.level[par])
+            top = np.zeros(m, dtype=np.int64)
+            np.maximum.at(top, par, shift)
+            narrow = top[par] <= 52
+            pn, sn = par[narrow], shift[narrow]
+            rest = np.ldexp(1.0, np.minimum(top, 52)) - np.bincount(
+                pn, np.ldexp(1.0, top[pn] - sn), m
+            )
+            parents = np.flatnonzero((top > 0) & (top <= 52))
+            full = rest[parents] > 0
+            mu[parents[~full]] = NEG_INF
+            parents = parents[full]
+            logs = np.fromiter(map(math.log2, rest[parents].tolist()), float, parents.size)
+            mu[parents] = logs - top[parents] + mu[parents]
+            links = zip(par[~narrow].tolist(), shift[~narrow].tolist())
+        shifts: dict[int, list[int]] = {}
+        for p, sh in links:
+            shifts.setdefault(p, []).append(sh)
+        for p, sh in shifts.items():
+            t = max(sh)
+            r = (1 << t) - sum(1 << (t - s) for s in sh)
+            mu[p] = math.log2(r) - t + mu[p] if r > 0 else NEG_INF
         return mu
 
     def cube(self, key: int, level: int) -> DyadicCube:
@@ -249,8 +312,8 @@ class Geometry:
         n, d = self.dim, cube.level - self.min_level
         if d > self.depth:  # finer than every support node
             return 0, 0
-        (key,) = morton_keys(self.root, [cube.index], [d], self.depth)
         shift = n * (self.depth - d)
+        key = morton_paths(self.root, [cube.index], [d])[0] << shift
         lo = bisect_left(self.key, key)
         lo = bisect_left(self.node_depth, d, lo, bisect_right(self.key, key, lo))
         return lo, bisect_left(self.key, key + (1 << shift), lo)

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._log2 import INF, NEG_INF
+from ._geometry import morton_paths
 from .dyadic import DyadicCube
 from .seqspace import (
     CubeSequence,
@@ -283,19 +284,22 @@ def coefficients(
         bands = band_magnitudes(f, bank, max_level)
     L = f.log_resolution
     dim = f.dim
-    levels: list[int] = []
-    indices: list[list[int]] = []
+    root = DyadicCube.unit(dim)
+    paths: list[int] = []
+    depths: list[int] = []
     log2_values: list[float] = []
     for j in range(0, max_level + 1):
         corners = bands[j][(slice(None, None, 1 << (L - j)),) * dim]
         mags = corners * 2.0 ** (-j * dim / 2.0)
         nonzero = mags > 0.0
         found = np.argwhere(nonzero).tolist()
-        levels += [j] * len(found)
-        indices += found
+        paths += morton_paths(root, found, [j] * len(found))
+        depths += [j] * len(found)
         log2_values += map(math.log2, mags[nonzero].tolist())
-    root = DyadicCube.unit(dim)
-    return CubeSequence.from_records(root, levels, indices, log2_values, max_level)
+    log2t = np.array(log2_values)
+    if not (log2t < INF).all():
+        raise ValueError("non-finite coefficient magnitude")
+    return CubeSequence._from_paths(root, max_level, paths, depths, log2t)
 
 
 def _pool(arr: np.ndarray, k: int, reduce) -> np.ndarray:

@@ -29,6 +29,7 @@ from .equivalence import (
     check_collapse_b,
     check_collapse_f,
     check_collapse_inhomogeneous,
+    check_sample_count,
     random_sample_set,
 )
 from .seqspace import (
@@ -230,6 +231,8 @@ def cmd_equiv(args) -> int:
                    "equiv; its inhomogeneous checks are inhom-f and inhom-b")
     if args.samples < 1:
         raise ParamError(f"--samples must be >= 1, got {args.samples}")
+    if args.depth < 0:
+        raise ParamError(f"--depth must be >= 0, got {args.depth}")
     samples = random_sample_set(
         args.seed,
         args.samples,
@@ -328,6 +331,9 @@ def cmd_sweep(args) -> int:
     ps = [parse_extended(x) for x in args.p_grid.split(",")]
     qs = [parse_extended(x) for x in args.q_grid.split(",")]
     fam = {"f": "F_type", "b": "B_type"}[args.family]
+    if args.samples < 0:
+        raise ParamError(f"--samples must be >= 0, got {args.samples}")
+    check_sample_count(args.samples)
 
     @functools.cache
     def samples() -> Forest:  # one sample set and forest for every cell

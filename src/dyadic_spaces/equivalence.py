@@ -251,6 +251,23 @@ def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> Equivalen
 # ---------------------------------------------------------------------------
 
 
+# The sample bound: a sample set holds at most this many nodes in all.  Each
+# level of a sample is refused before its draw when its children could take
+# the set past the bound, and a set of more samples than the bound (each
+# has its root) is refused before any draw.  Sample sets peak at about
+# 350 bytes a node on a 64-bit CPython, so the bound keeps one under 400 MB.
+SAMPLE_NODE_BOUND = 1 << 20
+
+
+def check_sample_count(count: int) -> None:
+    """Refuse a set of more samples than the sample bound, each having its root."""
+    if count > SAMPLE_NODE_BOUND:
+        raise ParamError(
+            f"{count} samples need at least {count} nodes, over the bound of "
+            f"{SAMPLE_NODE_BOUND}", rule="sample bound"
+        )
+
+
 def random_sequence(
     rng: np.random.Generator,
     dim: int,
@@ -259,34 +276,43 @@ def random_sequence(
     log2_low: float = -20.0,
     log2_high: float = 20.0,
     root: DyadicCube | None = None,
+    node_bound: int = SAMPLE_NODE_BOUND,
 ) -> CubeSequence:
     """Random subtree of the dyadic tree under the root.
 
     The root is always kept; each child of a kept cube survives with
     probability ``retain`` down to the depth bound.  Magnitudes are log2-
     uniform over [log2_low, log2_high], exercising extreme dynamic range.
-    The tree grows a level at a time as lists of integer indices, one per
-    axis, with a draw per child in child-code order.
+    The tree grows a level at a time as Z-order paths below the root, a
+    child's path being its parent's shifted by ``dim`` bits with the child
+    code below: one ``rng.random`` draw per level, a value per child in
+    child-code order, then one ``rng.uniform`` draw for every node.  A level
+    whose children could take the tree past ``node_bound`` nodes is refused
+    before its draw [sample bound].  The paths go straight to the keyed
+    constructor, with no re-validation.
     """
+    if max_depth < 0:
+        raise ValueError(f"depth must be >= 0, got {max_depth}")
     if root is None:
         root = DyadicCube.unit(dim)
-    frontier = [[k] for k in root.index]
-    levels, axes = [root.level], [[k] for k in root.index]
     n = root.dim
-    bits = [[code >> axis & 1 for code in range(1 << n)] for axis in range(n)]
+    codes = range(1 << n)
+    frontier, paths, depths = [0], [0], [0]
     for depth in range(1, max_depth + 1):
-        keep = (rng.random(size=len(frontier[0]) << n) < retain).tolist()
-        frontier = [
-            list(compress([2 * k + b for k in ks for b in bit], keep))
-            for ks, bit in zip(frontier, bits)
-        ]
-        if not frontier[0]:
+        size = len(frontier) << n
+        if len(paths) + size > node_bound:
+            raise ParamError(
+                f"level {depth} of a sample could take it to {len(paths) + size} nodes, "
+                f"over the {node_bound} left to it", rule="sample bound"
+            )
+        keep = (rng.random(size=size) < retain).tolist()
+        frontier = list(compress([p << n | c for p in frontier for c in codes], keep))
+        if not frontier:
             break
-        levels += [root.level + depth] * len(frontier[0])
-        for axis, ks in zip(axes, frontier):
-            axis += ks
-    log2_values = rng.uniform(log2_low, log2_high, size=len(levels))
-    return CubeSequence.from_records(root, levels, list(zip(*axes)), log2_values, max_depth)
+        paths += frontier
+        depths += [depth] * len(frontier)
+    log2t = rng.uniform(log2_low, log2_high, size=len(paths))
+    return CubeSequence._from_paths(root, max_depth, paths, depths, log2t)
 
 
 def random_sample_set(
@@ -297,14 +323,22 @@ def random_sample_set(
     depth_nd: int = 5,
     retain: float = 0.6,
 ) -> list[CubeSequence]:
-    """Deterministic batch of random sequences cycling over the dimensions."""
+    """Deterministic batch of random sequences cycling over the dimensions,
+    at most ``SAMPLE_NODE_BOUND`` nodes in all [sample bound]."""
+    check_sample_count(count)
+    if min((depth_1d if dim == 1 else depth_nd for dim in dims), default=0) < 0:
+        raise ValueError(f"depth caps must be >= 0, got {depth_1d} and {depth_nd}")
     rng = np.random.default_rng(seed)
     out = []
+    roots = {dim: DyadicCube.unit(dim) for dim in dims}
+    below = SAMPLE_NODE_BOUND - count  # the nodes left below the samples' roots
     for i in range(count):
         dim = dims[i % len(dims)]
         depth_cap = depth_1d if dim == 1 else depth_nd
         depth = int(rng.integers(0, depth_cap + 1))
-        out.append(random_sequence(rng, dim, depth, retain))
+        seq = random_sequence(rng, dim, depth, retain, root=roots[dim], node_bound=1 + below)
+        below -= len(seq) - 1
+        out.append(seq)
     return out
 
 

@@ -41,26 +41,23 @@ call (compile, kernel set-up, reduction) are thus paid once per set.  A
 sequence's own ``geometry`` is a forest of one; the norm functions decode
 the attained cube from it.
 
-Every input reaches the geometry through one validating constructor,
-``CubeSequence.from_records``, which takes (level, index, log2 magnitude)
-records.  ``load_jsonl`` decodes and checks the file line by line and
-hands over the fields of its records; ``from_values`` and
-``from_log2_values`` read them off their cubes, and ``analyze.coefficients``
-off the nonzero entries of each block.  The constructor checks the records
-(root, depth bound, index length, finite magnitudes, the key-memory bound),
-builds each Morton key one axis at a time, sorts once by (key, depth) and
-finds duplicates as equal neighbours in that order.  The sequence keeps the
+Every input reaches the geometry through one keyed constructor,
+``CubeSequence._from_paths``, which takes records as Z-order paths below the
+root with their depths and log2 magnitudes, sorts them once by (key, depth),
+finds duplicates as equal neighbours and drops the zeros.  ``from_records``
+first checks (level, index, log2 magnitude) records (root, depth bound,
+index length, finite magnitudes, the key-memory bound) and builds their
+paths one axis at a time; ``load_jsonl``, ``from_values`` and
+``from_log2_values`` go through it.  ``random_sequence``, ``coefficients``
+and ``build_tower`` build their paths themselves.  The sequence keeps the
 sorted keys of its nonzero records, as wide as the deepest of them, with
-their depths and log2 magnitudes, which the geometry compiles as they are;
-no cube object is built on the way.  The cube views (``support``,
-``log2_magnitudes``, ``tree``) and ``save_jsonl`` decode the keys back into
-indices on use.
+their depths and log2 magnitudes; no cube object is built on the way.  The
+cube views and ``save_jsonl`` decode the keys back into indices on use.
 """
 from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -69,7 +66,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._geometry import Geometry, key_indices, morton_keys
+from ._geometry import Geometry, depth_first, key_indices, morton_paths
 from ._kernels import _BKernel, _FKernel
 from ._log2 import INF, NEG_INF, log2_to_linear
 from .dyadic import DyadicCube, SupportTree, decimal_to_int, int_to_decimal
@@ -199,11 +196,9 @@ class CubeSequence:
         below it (default: the deepest record's depth), with an index of
         ``root.dim`` integers, once only, and with a log2 magnitude that is
         finite or -inf; -inf is a zero magnitude, validated and then
-        dropped.  The records are sorted once, depth-first, and a duplicate
-        shows as two equal adjacent (key, depth) pairs.  Zero records count
-        toward the key-memory bound, as every record's key is built for that
-        check; the keys kept are as wide as the deepest nonzero record.
-        Raises ValueError naming the rule a record breaks.
+        dropped.  The records' paths go to ``_from_paths``; zero records
+        count toward the key-memory bound, as their keys are built for the
+        duplicate check.  Raises ValueError naming the rule a record breaks.
         """
         n, j0, m = root.dim, root.level, len(levels)
 
@@ -235,28 +230,18 @@ class CubeSequence:
         if not (log2t < INF).all():
             i = int(np.flatnonzero(~(log2t < INF))[0])
             raise ValueError(f"non-finite log2 magnitude {log2t[i]} at {record(i)}")
-        key = morton_keys(root, indices, depth, D)
-        if key is None:
+        paths = morton_paths(root, indices, depth)
+        if paths is None:
             cube = next(c for c in map(record, range(m)) if not root.contains(c))
             raise ValueError(f"{cube} lies outside the root {root}")
-        # one sort, by (key, depth): the depth-first order
-        shift = D.bit_length()
-        pair = [k << shift | d for k, d in zip(key, depth)]
-        order = sorted(range(m), key=pair.__getitem__)
-        pair = [pair[i] for i in order]
-        if any(map(operator.eq, pair, pair[1:])):
-            t = next(t for t in range(1, m) if pair[t] == pair[t - 1])
-            raise ValueError(f"duplicate record for {record(order[t])}")
-        nonzero = log2t > NEG_INF
-        if nonzero.all():
-            key = [key[i] for i in order]
-        else:  # drop the zeros and narrow the keys to the nonzero depth
-            nonzero = nonzero.tolist()
-            order = [i for i in order if nonzero[i]]
-            width = max([depth[i] for i in order], default=0)
-            key = [key[i] >> n * (D - width) for i in order]
-            D = width
-        return cls(root, max_depth, D, key, [depth[i] for i in order], log2t[order])
+        return cls._from_paths(root, max_depth, paths, depth, log2t)
+
+    @classmethod
+    def _from_paths(cls, root, max_depth, paths, depths, log2t) -> "CubeSequence":
+        """The sequence of records given as Z-order paths below the root,
+        sorted by ``depth_first``; zero records are dropped."""
+        width, key, depth, order = depth_first(root, paths, depths, log2t > NEG_INF)
+        return cls(root, max_depth, width, key, depth, log2t[order])
 
     @classmethod
     def from_values(

@@ -81,13 +81,11 @@ def build_tower(s: float, tau: float, p: float, n: int, J: int) -> TowerWitness:
     if J < 0:
         raise ValueError("J must be >= 0")
     exponent = float(s) + n / 2.0 + n * (float(tau) - inv(p))
-    seq = CubeSequence.from_records(
-        DyadicCube.unit(n),
-        range(J + 1),
-        [(0,) * n] * (J + 1),
-        [-j * exponent for j in range(J + 1)],
-        J,
-    )
+    log2t = np.array([-j * exponent for j in range(J + 1)])
+    if not (log2t < INF).all():
+        raise ValueError(f"non-finite log2 magnitudes in the tower at exponent {exponent}")
+    # every cube of the tower has the path 0 below the root
+    seq = CubeSequence._from_paths(DyadicCube.unit(n), J, [0] * (J + 1), range(J + 1), log2t)
     return TowerWitness(float(s), float(tau), float(p), n, J, seq)
 
 

@@ -11,6 +11,10 @@ candidate set, enumerated as path tuples.
 
 ``reference_function_norm`` is the analyzer's function-side norm evaluated
 one dyadic cube at a time, the loop the pyramid in ``analyze`` replaced.
+
+``shell_measures`` is the geometry's shell measures in Python integers
+throughout, the loop that the float path of ``Geometry._shell_measures``
+replaced for parents whose child shifts fit in a float's mantissa.
 """
 from __future__ import annotations
 
@@ -346,6 +350,23 @@ def reference_supremum(seq: CubeSequence, kern, homogeneous: bool = True, candid
     best = max(values.values())
     cube = min((c for c, v in values.items() if v == best), key=DyadicCube.sort_key)
     return best, cube, values
+
+
+def shell_measures(geo) -> np.ndarray:
+    """log2 of each node's volume minus the volume of its support children,
+    exact in integer arithmetic at the finest child's scale."""
+    n = geo.dim
+    depth = geo.node_depth
+    shifts: dict[int, list[int]] = {}
+    for c, par in enumerate(geo.parent.tolist()):
+        if par >= 0:
+            shifts.setdefault(par, []).append(n * (depth[c] - depth[par]))
+    mu = geo.log2vol.copy()
+    for par, sh in shifts.items():
+        top = max(sh)
+        rest = (1 << top) - sum(1 << (top - s) for s in sh)
+        mu[par] = math.log2(rest) - top + mu[par] if rest > 0 else NEG_INF
+    return mu
 
 
 def _log2_sum(terms) -> float:

@@ -27,7 +27,7 @@ from dyadic_spaces import (
     save_jsonl,
     transform_consistency,
 )
-from dyadic_spaces import cli, seqspace, witness
+from dyadic_spaces import cli, equivalence, seqspace, witness
 from dyadic_spaces.cli import main, parse_extended
 from fractions import Fraction
 
@@ -533,6 +533,57 @@ class TestDepthBound:
         assert main([*command, "--depths", depths]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: --depths") and "int()" not in err
+
+
+class TestSampleBound:
+    BOUND = equivalence.SAMPLE_NODE_BOUND
+
+    @pytest.mark.parametrize("command", [
+        ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1"],
+        ["sweep", "--tau-grid", "2", "--p-grid", "1", "--q-grid", "2"],
+    ], ids=["equiv", "sweep"])
+    def test_samples_over_bound_exit_3_before_any_draw(self, command, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(equivalence, "random_sequence", refuse)
+        assert main([*command, "--samples", str(self.BOUND + 1)]) == 3
+        assert "[sample bound]" in capsys.readouterr().err
+        equivalence.check_sample_count(self.BOUND)  # a count at the bound gets through
+
+    def test_deep_samples_exit_3_at_the_first_level_over(self, capsys):
+        """Without the bound, this set would take about 2**28 nodes."""
+        argv = ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1",
+                "--dim", "2", "--depth", "22", "--samples", "4"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: level ") and err.endswith("[sample bound]\n")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_set_within_the_bound_is_drawn_as_without_it(self, seed, monkeypatch):
+        args = (seed, 12, (1, 2), 9, 4)
+        want = random_sample_set(*args)
+        monkeypatch.setattr(equivalence, "SAMPLE_NODE_BOUND", 200)
+        try:
+            got = random_sample_set(*args)
+        except ParamError as exc:  # seeds 0, 3 and 5
+            assert exc.rule == "sample bound"
+            return
+        assert sum(map(len, got)) <= 200
+        for a, b in zip(got, want):
+            assert (a._key, a._node_depth, a._log2t.tolist()) == (
+                b._key, b._node_depth, b._log2t.tolist())
+
+    def test_negative_depth_names_the_option(self, capsys):
+        argv = ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1", "--depth", "-1"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: --depth must be >= 0, got -1\n"
+        with pytest.raises(ValueError, match="depth caps must be >= 0"):
+            random_sample_set(0, 3, dims=(1,), depth_1d=-1)
+
+    def test_negative_sweep_samples_names_the_option(self, capsys):
+        assert main(["sweep", "--samples", "-5"]) == 3
+        assert capsys.readouterr().err == "error: --samples must be >= 0, got -5\n"
 
 
 class TestSharedParser:
