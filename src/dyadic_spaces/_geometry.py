@@ -5,6 +5,11 @@ codes from the root down, most significant first, dimension 0 in the lowest
 bit of each.  ``morton_paths`` builds the paths of indices, and
 ``depth_first`` shifts paths to one common width, the depth of the deepest
 record, so that sorting by (key, depth) gives the depth-first order.
+
+``Geometry`` compiles the sorted keys into the candidate tree of the norm
+suprema.  The sort and the compile each have two paths that give the same
+result: a Python one for keys of any width, and a numpy one on int64 arrays,
+taken from ``_NUMPY_SHELLS`` nodes up when the keys fit in a machine word.
 """
 from __future__ import annotations
 
@@ -19,6 +24,11 @@ import numpy as np
 
 from ._log2 import NEG_INF
 from .dyadic import DyadicCube
+
+
+# Below this many nodes, numpy's fixed set-up costs more than a Python loop:
+# smaller inputs sort, compile and sum their shell measures in Python alone.
+_NUMPY_SHELLS = 40
 
 
 @lru_cache(maxsize=None)
@@ -67,17 +77,19 @@ def depth_first(
     duplicate shows as two equal neighbours and raises ValueError.  The
     records where ``keep`` is false are then dropped and the keys narrowed
     to the deepest record kept.  Returns that width, the keys and depths of
-    the records kept, and their input positions."""
+    the records kept, and their input positions.  From ``_NUMPY_SHELLS``
+    records up, (key, depth) pairs that fit in 62 bits take
+    ``_depth_first_int64``, with the same result."""
     n, m = root.dim, len(depths)
     D = max(depths, default=0)
-    shift = D.bit_length()
+    shift = D.bit_length()  # a pair is key << shift | depth
+    if m >= _NUMPY_SHELLS and n * D + shift <= 62:
+        return _depth_first_int64(root, paths, depths, keep, D, shift)
     pair = [p << (n * (D - d) + shift) | d for p, d in zip(paths, depths)]
     order = sorted(range(m), key=pair.__getitem__)
     pair = [pair[i] for i in order]
     if any(map(operator.eq, pair, pair[1:])):
-        t = next(t for t in range(1, m) if pair[t] == pair[t - 1])
-        cube = key_cube(root, D, pair[t] >> shift, root.level + depths[order[t]])
-        raise ValueError(f"duplicate record for {cube}")
+        raise _duplicate(root, D, shift, next(x for x, y in zip(pair, pair[1:]) if x == y))
     if not keep.all():
         keep = keep.tolist()
         kept = [t for t, i in enumerate(order) if keep[i]]
@@ -85,6 +97,30 @@ def depth_first(
         width = max([depths[i] for i in order], default=0)
         shift, D = shift + n * (D - width), width
     return D, [x >> shift for x in pair], [depths[i] for i in order], order
+
+
+def _depth_first_int64(root, paths, depths, keep, D, shift):
+    """``depth_first`` with the pairs as one int64 array: one argsort."""
+    n, m = root.dim, len(depths)
+    depth = np.fromiter(depths, np.int64, m)
+    pair = np.fromiter(paths, np.int64, m) << n * (D - depth) + shift | depth
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    dup = np.flatnonzero(pair[1:] == pair[:-1])
+    if dup.size:
+        raise _duplicate(root, D, shift, int(pair[dup[0]]))
+    if not keep.all():
+        kept = keep[order]
+        order, pair = order[kept], pair[kept]
+        width = int(depth[order].max(initial=0))
+        shift, D = shift + n * (D - width), width
+    return D, (pair >> shift).tolist(), depth[order].tolist(), order.tolist()
+
+
+def _duplicate(root: DyadicCube, width: int, shift: int, pair: int) -> ValueError:
+    """The error for a record given twice, from its (key, depth) pair."""
+    cube = key_cube(root, width, pair >> shift, root.level + (pair & (1 << shift) - 1))
+    return ValueError(f"duplicate record for {cube}")
 
 
 def _unspread(code: int, d: int, n: int) -> tuple[int, ...]:
@@ -118,11 +154,6 @@ def key_indices(
         list(map(operator.add, [r << d for d in depth], x)) for r, x in zip(root.index, rel)
     ]
     return list(zip(*axes))
-
-
-# Geometries with fewer nodes sum their shell measures in Python integers
-# alone: below about this size numpy's fixed set-up costs more than the loop.
-_NUMPY_SHELLS = 40
 
 
 class Geometry:
@@ -175,15 +206,29 @@ class Geometry:
         self.mu_log2 = self._shell_measures()
 
     def _compile(self) -> None:
-        """One stack pass over the depth-first keys of each segment.
+        """The support parent and support depth (the number of support
+        ancestors) of every node, and the compressed candidate tree, whose
+        ranges [lo, hi) end each candidate's subtree.  Each segment starts
+        at a root candidate of its own; a segment's candidates follow in
+        depth-first order, each branch point just before the node whose
+        arrival reveals it.  A branch point is the lowest common ancestor
+        (LCA) of two depth-first-adjacent nodes, found from the bit length
+        of their key XOR.
 
-        Yields the support parent and support depth (the number of support
-        ancestors) of every node and the compressed candidate
-        tree, whose ranges [lo, hi) end each candidate's subtree: a branch
-        point is the lowest common ancestor of two depth-first-adjacent
-        nodes, found from the bit length of their key XOR.  Each segment
-        starts at a root candidate of its own.
-        """
+        Geometries of at least ``_NUMPY_SHELLS`` nodes whose (segment, key,
+        depth) triples pack into an int64 take the array pass; every other
+        geometry, and wide keys in particular, the stack pass.  Both give
+        the same arrays."""
+        nD = self.dim * self.depth
+        packed = (len(self.seg_lo) - 1).bit_length() + nD + self.depth.bit_length()
+        if self.m >= _NUMPY_SHELLS and nD <= 52 and packed <= 62:
+            self._compile_arrays()
+        else:
+            self._compile_stack()
+
+    def _compile_stack(self) -> None:
+        """One stack pass over the depth-first keys of each segment, any key
+        width: the stack holds the candidate chain above the last node."""
         n, m, D = self.dim, self.m, self.depth
         keys, depth = self.key, self.node_depth
         parent = [-1] * m
@@ -240,6 +285,84 @@ class Geometry:
         self.cand_key = c_key
         up = np.array(c_up, dtype=np.int64)
         self.gap_lo = np.where(up >= 0, self.cand_level[up] + 1, self.cand_level)
+
+    def _compile_arrays(self) -> None:
+        """The stack pass's arrays from sorted int64 arrays, for keys of at
+        most 52 bits (so a float holds their XOR exactly) that pack with
+        their segment and depth into 62 bits.
+
+        P packs each node as (segment, key, depth); the nodes are stored in
+        that order, so P is sorted, and the support nodes inside a cube are
+        the range of P between two searchsorted bounds.  L[i] is the depth
+        of the LCA of nodes i - 1 and i, 0 at segment edges.  The pair
+        reveals a branch point at depth L when 0 < L and node i - 1 lies
+        deeper than L, unless a support node sits there; a branch point
+        revealed by several pairs is kept at the first.  A candidate's
+        nearest candidate ancestor is the deeper of its LCAs with the nodes
+        just outside its range, at depth max(L[lo], L[hi]).  A node's
+        support depth is the number of node ranges covering it, less its
+        own, and its support parent the last earlier node one support depth
+        up.  (LCAs from preorder neighbours follow Bender and Farach-Colton,
+        "The LCA Problem Revisited", LATIN 2000.)"""
+        n, m, D, j0 = self.dim, self.m, self.depth, self.min_level
+        nD, b = n * D, D.bit_length()
+        seg_lo = self.seg_lo
+        nseg = seg_lo.size - 1
+        key = np.fromiter(self.key, np.int64, m)
+        depth = self.level - j0
+        base = np.repeat(np.arange(nseg, dtype=np.int64), np.diff(seg_lo)) << nD | key
+        P = base << b | depth
+
+        def end(base, depth):  # the end of the nodes inside each cube
+            return np.searchsorted(P, (base + (np.int64(1) << n * (D - depth))) << b)
+
+        end_n = end(base, depth)
+        L = np.zeros(m + 1, dtype=np.int64)
+        bits = np.frexp((key[1:] ^ key[:-1]).astype(float))[1]
+        L[1:m] = np.minimum(np.minimum(depth[1:], depth[:-1]), (nD - bits) // n)
+        L[seg_lo] = 0
+
+        # branch points: each where its first pair reveals it, and none
+        # where a support node sits
+        pair = np.flatnonzero((L[1:m] > 0) & (L[1:m] < depth[:-1])) + 1
+        depth_b = L[pair]
+        shift = n * (D - depth_b)
+        base_b = base[pair] >> shift << shift
+        start = base_b << b | depth_b
+        lo_b = np.searchsorted(P, start)
+        new = np.flatnonzero(P[lo_b] != start)
+        start = start[new]
+        by = np.argsort(start, kind="stable")
+        first = np.ones(new.size, dtype=bool)
+        first[by[1:]] = np.diff(start[by]) != 0
+        new = new[first]
+        pair, depth_b, shift, base_b, lo_b = (x[new] for x in (pair, depth_b, shift, base_b, lo_b))
+        key_b = key[pair] >> shift << shift
+
+        # the segment roots, branch points and nodes (but a segment's root
+        # node), ordered at each node index root, branch point, node
+        node = np.flatnonzero(depth > 0)
+        lo = np.concatenate([lo_b, node])
+        hi = np.concatenate([end(base_b, depth_b), end_n[node]])
+        order = np.argsort(np.concatenate([3 * seg_lo[:-1], 3 * pair + 1, 3 * node + 2]),
+                           kind="stable")
+        nil = np.zeros(nseg, dtype=np.int64)
+        self.seg_cand = np.append(np.flatnonzero(order < nseg), order.size)
+        self.cand_level = np.concatenate([nil, depth_b, depth[node]])[order] + j0
+        self.cand_lo = np.concatenate([seg_lo[:-1], lo])[order]
+        self.cand_hi = np.concatenate([seg_lo[1:], hi])[order]
+        self.cand_key = np.concatenate([nil, key_b, key[node]])[order].tolist()
+        gap = np.concatenate([nil - 1, np.maximum(L[lo], L[hi])])[order] + 1
+        self.gap_lo = gap + j0
+
+        # support depths by interval cover, support parents by (sdepth, index)
+        closed = np.cumsum(np.bincount(end_n, minlength=m + 1))[:m]  # ranges ended by i
+        sdepth = self.sdepth = np.arange(m) - closed
+        ib = m.bit_length()
+        by = np.argsort(sdepth, kind="stable")
+        rank = sdepth[by] << ib | by
+        up = rank[np.searchsorted(rank, (sdepth - 1) << ib | np.arange(m)) - 1]
+        self.parent = np.where(sdepth > 0, up & (1 << ib) - 1, -1)
 
     def candidates(self, homogeneous: bool) -> tuple:
         """The candidates of the homogeneous supremum (all of them) or of the

@@ -295,7 +295,9 @@ def random_sequence(
         raise ValueError(f"depth must be >= 0, got {max_depth}")
     if root is None:
         root = DyadicCube.unit(dim)
-    n = root.dim
+    elif root.dim != dim:
+        raise ValueError(f"the root {root} has dimension {root.dim}, not dim {dim}")
+    n = dim
     codes = range(1 << n)
     frontier, paths, depths = [0], [0], [0]
     for depth in range(1, max_depth + 1):

@@ -165,25 +165,22 @@ def _bounded_report(space, depths, values, bound_log2) -> GrowthReport:
 
 def validate_separation_params(s, p, q, tau, family: str = "f") -> None:
     """Hypothesis region of the counterexample construction, decided exactly
-    when p, q and tau are all rationals (see ``nums``)."""
-    p, q, tau = nums(p, q, tau)
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {float(p)}")
-    if q <= p:
-        raise ValueError(
-            f"the counterexample needs q > p, got p={float(p)}, q={float(q)}"
-        )
-    if q == INF:
-        lo_ok = tau > 0 if family == "f" else tau >= 0
-        if not (lo_ok and tau < exact_inv(p)):
+    when p, q and tau are all rationals (see ``nums``).  Messages print the
+    values as given, as ``SpaceParams`` does."""
+    pn, qn, taun = nums(p, q, tau)
+    if not pn > 0:
+        raise ValueError(f"p must be positive, got {p}")
+    if qn <= pn:
+        raise ValueError(f"the counterexample needs q > p, got p={p}, q={q}")
+    if qn == INF:
+        lo_ok = taun > 0 if family == "f" else taun >= 0
+        if not (lo_ok and taun < exact_inv(pn)):
             raise ValueError(
                 f"with q = inf the counterexample needs tau in "
-                f"{'(0, 1/p)' if family == 'f' else '[0, 1/p)'}, got tau={float(tau)}"
+                f"{'(0, 1/p)' if family == 'f' else '[0, 1/p)'}, got tau={tau}"
             )
-    elif not 0 < tau <= exact_inv(p) - exact_inv(q):
-        raise ValueError(
-            f"the counterexample needs tau in (0, 1/p - 1/q], got tau={float(tau)}"
-        )
+    elif not 0 < taun <= exact_inv(pn) - exact_inv(qn):
+        raise ValueError(f"the counterexample needs tau in (0, 1/p - 1/q], got tau={tau}")
 
 
 def certify_separation(

@@ -830,6 +830,8 @@ def test_parameter_fault_reads_alike(fault, single_cube_file, tmp_path, capsys):
              for fam in families]
     argvs += [["equiv", "--check", check, "--tau", "3", "--samples", "2", option, value]
               for check in checks]
+    if option == "--p":  # the witness checks p before its other rules
+        argvs.append(["witness", option, value])
     for argv in argvs:
         code, raw = run(argv, tmp_path)
         assert (code, raw, capsys.readouterr().err) == (3, b"", f"error: {message}\n"), argv

@@ -250,3 +250,7 @@ class TestMixedDimGuard:
         seqs = batch(18, 2, dim=1) + batch(19, 2, dim=2)
         with pytest.raises(ValueError):
             check_collapse_f(seqs, 0, 1.5, 1, 2)
+
+    def test_root_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"dimension 1, not dim 3"):
+            random_sequence(np.random.default_rng(0), 3, 4, root=DyadicCube.unit(1))
