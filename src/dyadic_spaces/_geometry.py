@@ -2,14 +2,16 @@
 
 A support node's key is its path from the root as a Z-order code: the child
 codes from the root down, most significant first, dimension 0 in the lowest
-bit of each.  ``morton_paths`` builds the paths of indices, and
+bit of each.  ``morton_paths`` builds the paths of indices
+(``morton_paths_int64`` of int64 indices, a byte at a time), and
 ``depth_first`` shifts paths to one common width, the depth of the deepest
 record, so that sorting by (key, depth) gives the depth-first order.
 
 ``Geometry`` compiles the sorted keys into the candidate tree of the norm
-suprema.  The sort and the compile each have two paths that give the same
-result: a Python one for keys of any width, and a numpy one on int64 arrays,
-taken from ``_NUMPY_SHELLS`` nodes up when the keys fit in a machine word.
+suprema.  The path building, the sort and the compile each have two paths
+that give the same result: a Python one for keys of any width, and a numpy
+one on int64 arrays, taken when the keys fit in a machine word from
+``_NUMPY_SHELLS`` records up (``_NUMPY_COMPILE`` nodes up for the compile).
 """
 from __future__ import annotations
 
@@ -27,8 +29,12 @@ from .dyadic import DyadicCube
 
 
 # Below this many nodes, numpy's fixed set-up costs more than a Python loop:
-# smaller inputs sort, compile and sum their shell measures in Python alone.
+# smaller inputs build their paths, sort and sum their shell measures in
+# Python alone.
 _NUMPY_SHELLS = 40
+# The array compile costs about 0.1-0.2 ms whatever the size, and overtakes
+# the stack pass at about 128 nodes.
+_NUMPY_COMPILE = 128
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +74,28 @@ def morton_paths(
     return path
 
 
+def morton_paths_int64(
+    root: DyadicCube, indices: np.ndarray, depth: np.ndarray
+) -> np.ndarray | None:
+    """``morton_paths`` on int64 arrays: indices of shape (m, dim) at depths
+    0..D with dim * D <= 62, under a root whose index fits in 62 bits.  Each
+    axis is spread a byte at a time through ``spread_table``."""
+    n = root.dim
+    path = np.zeros(depth.size, dtype=np.int64)
+    table = np.array(spread_table(n)[0], dtype=np.int64)
+    nbytes = (int(depth.max(initial=0)) + 7) // 8
+    for axis, r in enumerate(root.index):
+        k = indices[:, axis]
+        if not (k >> depth == r).all():  # 0 <= k - (r << d) < 2**d fails
+            return None
+        rel = k & ((np.int64(1) << depth) - 1)
+        if n == 1:
+            return rel
+        for b in range(nbytes):
+            path |= table[rel >> 8 * b & 255] << n * 8 * b + axis
+    return path
+
+
 def depth_first(
     root: DyadicCube, paths: Sequence[int], depths: Sequence[int], keep: np.ndarray
 ) -> tuple[int, list[int], list[int], list[int]]:
@@ -84,7 +112,9 @@ def depth_first(
     D = max(depths, default=0)
     shift = D.bit_length()  # a pair is key << shift | depth
     if m >= _NUMPY_SHELLS and n * D + shift <= 62:
-        return _depth_first_int64(root, paths, depths, keep, D, shift)
+        return _depth_first_int64(
+            root, np.fromiter(paths, np.int64, m), np.fromiter(depths, np.int64, m), keep, D, shift
+        )
     pair = [p << (n * (D - d) + shift) | d for p, d in zip(paths, depths)]
     order = sorted(range(m), key=pair.__getitem__)
     pair = [pair[i] for i in order]
@@ -99,11 +129,11 @@ def depth_first(
     return D, [x >> shift for x in pair], [depths[i] for i in order], order
 
 
-def _depth_first_int64(root, paths, depths, keep, D, shift):
-    """``depth_first`` with the pairs as one int64 array: one argsort."""
-    n, m = root.dim, len(depths)
-    depth = np.fromiter(depths, np.int64, m)
-    pair = np.fromiter(paths, np.int64, m) << n * (D - depth) + shift | depth
+def _depth_first_int64(root, paths, depth, keep, D, shift):
+    """``depth_first`` on int64 arrays of paths and depths, the pairs as one
+    int64 array: one argsort."""
+    n = root.dim
+    pair = paths << n * (D - depth) + shift | depth
     order = np.argsort(pair, kind="stable")
     pair = pair[order]
     dup = np.flatnonzero(pair[1:] == pair[:-1])
@@ -215,13 +245,13 @@ class Geometry:
         (LCA) of two depth-first-adjacent nodes, found from the bit length
         of their key XOR.
 
-        Geometries of at least ``_NUMPY_SHELLS`` nodes whose (segment, key,
+        Geometries of at least ``_NUMPY_COMPILE`` nodes whose (segment, key,
         depth) triples pack into an int64 take the array pass; every other
         geometry, and wide keys in particular, the stack pass.  Both give
         the same arrays."""
         nD = self.dim * self.depth
         packed = (len(self.seg_lo) - 1).bit_length() + nD + self.depth.bit_length()
-        if self.m >= _NUMPY_SHELLS and nD <= 52 and packed <= 62:
+        if self.m >= _NUMPY_COMPILE and nD <= 52 and packed <= 62:
             self._compile_arrays()
         else:
             self._compile_stack()

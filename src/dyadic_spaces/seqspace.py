@@ -41,18 +41,30 @@ call (compile, kernel set-up, reduction) are thus paid once per set.  A
 sequence's own ``geometry`` is a forest of one; the norm functions decode
 the attained cube from it.
 
-Every input reaches the geometry through one keyed constructor,
-``CubeSequence._from_paths``, which takes records as Z-order paths below the
-root with their depths and log2 magnitudes, sorts them once by (key, depth),
-finds duplicates as equal neighbours and drops the zeros.  ``from_records``
-first checks (level, index, log2 magnitude) records (root, depth bound,
-index length, finite magnitudes, the key-memory bound) and builds their
-paths one axis at a time; ``load_jsonl``, ``from_values`` and
-``from_log2_values`` go through it.  ``random_sequence``, ``coefficients``
-and ``build_tower`` build their paths themselves.  The sequence keeps the
-sorted keys of its nonzero records, as wide as the deepest of them, with
-their depths and log2 magnitudes; no cube object is built on the way.  The
-cube views and ``save_jsonl`` decode the keys back into indices on use.
+Every input reaches the geometry through one sort, ``_geometry.depth_first``,
+which takes records as Z-order paths below the root with their depths and
+log2 magnitudes, sorts them once by (key, depth), finds duplicates as equal
+neighbours and drops the zeros.  ``from_records`` first checks (level,
+index, log2 magnitude) records (root, depth bound, index length, finite
+magnitudes, the key-memory bound) and builds their paths one axis at a
+time; ``from_values`` and ``from_log2_values`` go through it.  Given int64
+arrays of at least ``_NUMPY_SHELLS`` records with narrow keys (n * D + depth
+bits <= 62), ``from_records`` makes the same checks in numpy, in the same
+order, interleaves the paths a byte at a time, and sorts them as one int64
+array (``_from_arrays``).  ``random_sequence``, ``coefficients`` and
+``build_tower`` build their paths themselves and go through
+``CubeSequence._from_paths``.  The sequence keeps the sorted keys of its
+nonzero records, as wide as the deepest of them, with their depths and log2
+magnitudes; no cube object is built on the way.  The cube views and
+``save_jsonl`` decode the keys back into indices on use.
+
+``load_jsonl`` reads a file as ``save_jsonl`` writes it with one regex pass
+over its record lines (``_scan``) and hands the values to ``from_records``
+as int64 and float arrays; every other file, and one of fewer than
+``_NUMPY_SHELLS`` records, it reads line by line, one JSON value a line.
+The scan accepts only lines on which the two give the same values, so the
+file's contents alone pick the path, and every refusal, message and line
+number is the line loop's.
 """
 from __future__ import annotations
 
@@ -61,12 +73,16 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._geometry import Geometry, depth_first, key_indices, morton_paths
+from . import _geometry
+from ._geometry import (
+    Geometry, _depth_first_int64, depth_first, key_indices, morton_paths, morton_paths_int64,
+)
 from ._kernels import _BKernel, _FKernel
 from ._log2 import INF, NEG_INF, log2_to_linear
 from .dyadic import DyadicCube, SupportTree, decimal_to_int, int_to_decimal
@@ -155,6 +171,32 @@ class NormValue:
 KEY_BITS_BOUND = 1 << 30
 
 
+def _placement_error(root: DyadicCube, cube: DyadicCube, max_depth: int) -> ValueError:
+    """The error for a record above the root's level or below the depth bound."""
+    if cube.level < root.level:
+        return ValueError(f"{cube} lies outside the root {root}")
+    return ValueError(f"{cube} lies below level {root.level + max_depth}, the depth bound")
+
+
+def _outside_error(root: DyadicCube, cubes: Iterable[DyadicCube]) -> ValueError:
+    """The error for the first of the cubes that the root does not contain."""
+    cube = next(c for c in cubes if not root.contains(c))
+    return ValueError(f"{cube} lies outside the root {root}")
+
+
+def _check_keys_and_magnitudes(m: int, n: int, D: int, log2t: np.ndarray, record) -> None:
+    """The key-memory bound on m records D levels deep, then finite log2
+    magnitudes (or -inf); ``record(i)`` names the i-th record."""
+    if m * n * D > KEY_BITS_BOUND:
+        raise ValueError(
+            f"{m} records {D} levels deep need {m * n * D} bits of keys, over "
+            f"the bound of 2**30 [key-memory bound]"
+        )
+    if not (log2t < INF).all():
+        i = int(np.flatnonzero(~(log2t < INF))[0])
+        raise ValueError(f"non-finite log2 magnitude {log2t[i]} at {record(i)}")
+
+
 class CubeSequence:
     """Finitely supported map from dyadic cubes to coefficient magnitudes.
 
@@ -199,7 +241,16 @@ class CubeSequence:
         dropped.  The records' paths go to ``_from_paths``; zero records
         count toward the key-memory bound, as their keys are built for the
         duplicate check.  Raises ValueError naming the rule a record breaks.
+
+        ``levels`` and ``indices`` may also be int64 arrays, of shapes (m,)
+        and (m, root.dim), as ``load_jsonl`` scans them; see
+        ``_from_arrays``.
         """
+        if isinstance(levels, np.ndarray):
+            seq = cls._from_arrays(root, levels, indices, np.asarray(log2_values, float), max_depth)
+            if seq is not None:
+                return seq
+            levels, indices = levels.tolist(), indices.tolist()
         n, j0, m = root.dim, root.level, len(levels)
 
         def record(i: int) -> DyadicCube:  # a record as a cube, for messages
@@ -218,23 +269,53 @@ class CubeSequence:
             )
         if depth and (min(depth) < 0 or D > max_depth):
             i = next(i for i, d in enumerate(depth) if not 0 <= d <= max_depth)
-            if depth[i] < 0:
-                raise ValueError(f"{record(i)} lies outside the root {root}")
-            raise ValueError(f"{record(i)} lies below level {j0 + max_depth}, the depth bound")
-        if m * n * D > KEY_BITS_BOUND:
-            raise ValueError(
-                f"{m} records {D} levels deep need {m * n * D} bits of keys, over "
-                f"the bound of 2**30 [key-memory bound]"
-            )
+            raise _placement_error(root, record(i), max_depth)
         log2t = np.array(log2_values, dtype=float)
-        if not (log2t < INF).all():
-            i = int(np.flatnonzero(~(log2t < INF))[0])
-            raise ValueError(f"non-finite log2 magnitude {log2t[i]} at {record(i)}")
+        _check_keys_and_magnitudes(m, n, D, log2t, record)
         paths = morton_paths(root, indices, depth)
         if paths is None:
-            cube = next(c for c in map(record, range(m)) if not root.contains(c))
-            raise ValueError(f"{cube} lies outside the root {root}")
+            raise _outside_error(root, map(record, range(m)))
         return cls._from_paths(root, max_depth, paths, depth, log2t)
+
+    @classmethod
+    def _from_arrays(cls, root, levels, indices, log2t, max_depth) -> "CubeSequence | None":
+        """``from_records`` on int64 arrays, with the same checks in the same
+        order, naming the same record; None when the arrays need the list
+        path: fewer than ``_NUMPY_SHELLS`` records, wide keys (n * D + depth
+        bits > 62, the rule of the int64 sort), or a level or root index
+        beyond 62 bits."""
+        n, j0, m = root.dim, root.level, levels.size
+        if m < _geometry._NUMPY_SHELLS or indices.shape != (m, n):
+            return None
+        bounds = [j0, *root.index]
+        if m:
+            bounds += [int(levels.min()), int(levels.max())]
+        if max(map(abs, bounds)) >> 62:  # so that levels - j0 cannot overflow
+            return None
+        depth = levels - j0
+        D = int(depth.max()) if m else 0
+        shift = D.bit_length()
+        if n * D + shift > 62:
+            return None
+
+        def record(i: int) -> DyadicCube:
+            return DyadicCube(n, levels[i], indices[i])
+
+        if max_depth is None:
+            max_depth = D
+        if max_depth < 0:
+            raise ValueError(f"depth must be >= 0, got {max_depth}")
+        if m and (depth.min() < 0 or D > max_depth):
+            i = int(np.flatnonzero((depth < 0) | (depth > min(D, max_depth)))[0])
+            raise _placement_error(root, record(i), max_depth)
+        _check_keys_and_magnitudes(m, n, D, log2t, record)
+        paths = morton_paths_int64(root, indices, depth)
+        if paths is None:
+            raise _outside_error(root, map(record, range(m)))
+        width, key, node_depth, order = _depth_first_int64(
+            root, paths, depth, log2t > NEG_INF, D, shift
+        )
+        return cls(root, max_depth, width, key, node_depth, log2t[order])
 
     @classmethod
     def _from_paths(cls, root, max_depth, paths, depths, log2t) -> "CubeSequence":
@@ -636,11 +717,19 @@ def save_jsonl(t: CubeSequence, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _float(rec: dict, name: str) -> float:
+    """A record's number ``name`` as a float."""
+    try:
+        return float(rec[name])
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f'"{name}" is too large for a float') from None
+
+
 def _log2_field(rec: dict) -> float:
     """A record's log2 magnitude: ``log2v``, else log2 of ``v`` (-inf at 0)."""
     if "log2v" in rec:
-        return float(rec["log2v"])
-    v = float(rec["v"])
+        return _float(rec, "log2v")
+    v = _float(rec, "v")
     if not 0.0 <= v < INF:
         raise ValueError(f"bad magnitude {v}")
     return math.log2(v) if v > 0 else NEG_INF
@@ -648,22 +737,79 @@ def _log2_field(rec: dict) -> float:
 
 def _header(header) -> tuple[DyadicCube, int]:
     """The root cube and depth bound of a header record."""
-    dim, depth = header["dim"], header["depth"]
-    level, index = header["root"]["j"], header["root"]["k"]
+    if type(header) is not dict:
+        raise ValueError("the header must be a JSON object")
+    dim, depth, root = header["dim"], header["depth"], header["root"]
+    level, index = (root["j"], root["k"]) if type(root) is dict else (None, None)
     if not (type(index) is list and set(map(type, [dim, depth, level, *index])) <= {int}):
         raise ValueError('the header needs integers "dim", "depth" and root "j", '
                          'and a list of integers root "k"')
     return DyadicCube(dim, level, tuple(index)), depth
 
 
-def load_jsonl(path: str | Path) -> CubeSequence:
-    """The sequence of a JSONL file: a header line, then one record a line.
+def _decode(line: str):
+    """The one JSON value a stripped line holds."""
+    decoder = _DECODER if len(line) <= _SAFE_LINE else _DECODER_BIG
+    value, end = decoder.raw_decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
 
-    A level must be an integer, an index a list of integers, and a record
-    needs ``log2v`` or ``v``.  Raises SequenceFormatError naming the
-    1-based line of the first line that breaks a rule.
-    """
-    text = Path(path).read_text(encoding="utf-8")
+
+# The record line ``save_jsonl`` writes, in ASCII digits only (``\d`` would
+# match digits that ``int`` reads but JSON refuses).  Integers have at most
+# 18 digits, so that they fit an int64, and ``log2v`` needs a fraction or an
+# exponent (or is NaN or an infinity), so that ``float`` of its text is what
+# the line loop reads: an integer ``log2v`` such as -0 or 10**400 reads
+# otherwise there.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_EXP = r"[eE][-+]?[0-9]+"
+_FLOAT = rf"{_INT}(?:\.[0-9]+(?:{_EXP})?|{_EXP})|NaN|-?Infinity"
+_NUMBER = rf"{_INT}(?:\.[0-9]+)?(?:{_EXP})?|NaN|-?Infinity"
+
+
+@lru_cache(maxsize=None)
+def _record_line(dim: int) -> re.Pattern:
+    """One record line of a dim-dimensional file as ``save_jsonl`` writes
+    it, with its newline, capturing j, each axis of k and log2v."""
+    k = ", ".join([f"({_INT})"] * dim)
+    return re.compile(
+        rf'^\{{"j": ({_INT}), "k": \[{k}\], "log2v": ({_FLOAT}), "v": (?:{_NUMBER})\}}\n', re.M
+    )
+
+
+def _scan(text: str) -> tuple | None:
+    """The header and records of a file as ``save_jsonl`` writes it, the
+    records as int64 levels (m,) and indices (m, dim) and float log2
+    magnitudes, with one regex pass over the records; None for any other
+    file, and for one of fewer than ``_NUMPY_SHELLS`` records.
+
+    The first line must be one line to ``splitlines`` too and hold a valid
+    header, and every later line, each ending in a newline, must match
+    ``_record_line``: then the line loop reads the same values, and finds
+    nothing to refuse before ``from_records``.  A dim over 61 gives no
+    narrow keys below the root, so such files take the line loop."""
+    head, _, body = text.partition("\n")
+    m = body.count("\n")
+    if len(head.splitlines()) != 1 or m < _geometry._NUMPY_SHELLS:
+        return None
+    try:
+        root, depth = _header(_decode(head.strip()))
+    except (KeyError, TypeError, ValueError):
+        return None
+    n = root.dim
+    if n > 61 or m and not _record_line(n).match(body):  # the first record settles most files
+        return None
+    rows = _record_line(n).findall(body)
+    if len(rows) != m or body[-1:] not in ("", "\n"):
+        return None
+    cols = list(zip(*rows)) or [()] * (n + 2)
+    ints = np.array([list(map(int, c)) for c in cols[:-1]], dtype=np.int64).reshape(n + 1, m)
+    return root, depth, ints[0], ints[1:].T, np.fromiter(map(float, cols[-1]), float, m)
+
+
+def _read_lines(path: str | Path, text: str) -> tuple:
+    """The header and records of any file, one JSON value a line."""
     root = depth = None
     levels, indices, log2v = [], [], []
     for number, line in enumerate(text.splitlines(), 1):
@@ -671,10 +817,7 @@ def load_jsonl(path: str | Path) -> CubeSequence:
         if not line:
             continue
         try:  # the line must hold one JSON value alone
-            decoder = _DECODER if len(line) <= _SAFE_LINE else _DECODER_BIG
-            rec, end = decoder.raw_decode(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
+            rec = _decode(line)
             if root is None:
                 root, depth = _header(rec)
                 continue
@@ -692,6 +835,20 @@ def load_jsonl(path: str | Path) -> CubeSequence:
         log2v.append(lv)
     if root is None:
         raise SequenceFormatError(f"{path}: empty sequence file")
+    return root, depth, levels, indices, log2v
+
+
+def load_jsonl(path: str | Path) -> CubeSequence:
+    """The sequence of a JSONL file: a header line, then one record a line.
+
+    A level must be an integer, an index a list of integers, and a record
+    needs ``log2v`` or ``v``.  Raises SequenceFormatError naming the
+    1-based line of the first line that breaks a rule.  A file as
+    ``save_jsonl`` writes it is read by ``_scan``, any other line by line;
+    both give the same sequence.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    root, depth, levels, indices, log2v = _scan(text) or _read_lines(path, text)
     try:
         return CubeSequence.from_records(root, levels, indices, log2v, depth)
     except ValueError as exc:

@@ -211,6 +211,29 @@ class TestNorm:
         assert main(["norm", "--family", "f", "--in", str(path)]) == 2
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,message", [
+        ("[1, 2]", "the header must be a JSON object"),
+        ('{"dim": 1, "root": [0, 0], "depth": 1}', 'the header needs integers "dim"'),
+        ('{"dim": 1, "root": "j", "depth": 1}', 'the header needs integers "dim"'),
+    ])
+    def test_header_must_be_an_object(self, header, message, tmp_path, capsys):
+        path = tmp_path / "header.jsonl"
+        path.write_text(f'{header}\n{{"j": 1, "k": [0], "v": 1.0}}\n')
+        assert main(["norm", "--family", "f", "--in", str(path)]) == 2
+        assert f"{path}: line 1: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["log2v", "v"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_the_float_range_exit_2(self, field, sign, tmp_path, capsys):
+        # 401 digits: float() of the integer overflows
+        path = tmp_path / "huge.jsonl"
+        path.write_text(
+            '{"dim": 1, "root": {"j": 0, "k": [0]}, "depth": 1}\n'
+            + f'{{"j": 1, "k": [0], "{field}": {sign}1{"0" * 400}}}\n'
+        )
+        assert main(["norm", "--family", "f", "--in", str(path)]) == 2
+        assert f'{path}: line 2: "{field}" is too large for a float' in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         code = main(["norm", "--family", "f", "--in", "/nonexistent/x.jsonl"])
         assert code == 2

@@ -1,12 +1,12 @@
 """The array compile and the int64 sort against the Python reference passes.
 
 ``Geometry._compile`` takes the array pass for geometries of at least
-``_NUMPY_SHELLS`` nodes whose (segment, key, depth) triples fit in 62 bits
+``_NUMPY_COMPILE`` nodes whose (segment, key, depth) triples fit in 62 bits
 with keys of at most 52, and the stack pass otherwise; ``depth_first`` sorts
-as one int64 array from the same size when its (key, depth) pairs fit in 62
-bits.  Each side of both dispatches is forced by setting the module constant,
-and the two sides must give the same arrays, in the same order, or the same
-error.
+as one int64 array from ``_NUMPY_SHELLS`` records when its (key, depth)
+pairs fit in 62 bits.  Each side of both dispatches is forced by setting the
+module constants, and the two sides must give the same arrays, in the same
+order, or the same error.
 """
 import math
 from contextlib import contextmanager
@@ -27,12 +27,12 @@ COMPILED = ("seg_cand", "parent", "sdepth", "cand_level", "cand_lo", "cand_hi", 
 @contextmanager
 def numpy_from(size: int):
     """Take the numpy paths from ``size`` nodes up."""
-    default = _geometry._NUMPY_SHELLS
-    _geometry._NUMPY_SHELLS = size
+    default = _geometry._NUMPY_SHELLS, _geometry._NUMPY_COMPILE
+    _geometry._NUMPY_SHELLS = _geometry._NUMPY_COMPILE = size
     try:
         yield
     finally:
-        _geometry._NUMPY_SHELLS = default
+        _geometry._NUMPY_SHELLS, _geometry._NUMPY_COMPILE = default
 
 
 def compiled(root: DyadicCube, segments, size: int) -> dict:
@@ -131,9 +131,10 @@ def comb(n: int, width: int) -> CubeSequence:
     (1, 52, 15), (1, 52, 16), (2, 26, 31), (2, 26, 32),
 ])
 def test_dispatch_at_the_width_limits(n, width, segments, monkeypatch):
-    """The array pass runs exactly where the keys fit, and its arrays match
-    the stack pass's."""
+    """The array pass runs exactly where the keys fit, whatever the node
+    count, and its arrays match the stack pass's."""
     seqs = [comb(n, width)] * segments
+    monkeypatch.setattr(_geometry, "_NUMPY_COMPILE", 0)
     ran = []
     arrays = Geometry._compile_arrays
     monkeypatch.setattr(Geometry, "_compile_arrays", lambda geo: ran.append(1) or arrays(geo))
@@ -146,8 +147,10 @@ def test_small_geometries_take_the_stack_pass(monkeypatch):
     ran = []
     arrays = Geometry._compile_arrays
     monkeypatch.setattr(Geometry, "_compile_arrays", lambda geo: ran.append(1) or arrays(geo))
-    for J in (0, _geometry._NUMPY_SHELLS - 2, _geometry._NUMPY_SHELLS - 1):
-        build_tower(0, 0.5, 1, 1, J).sequence.geometry
+    for m in (1, _geometry._NUMPY_COMPILE - 2, _geometry._NUMPY_COMPILE - 1,
+              _geometry._NUMPY_COMPILE):  # m cubes side by side, 7 levels down
+        CubeSequence.from_records(DyadicCube.unit(1), [7] * m, [(i,) for i in range(m)],
+                                  [0.0] * m).geometry
     assert len(ran) == 1
 
 
