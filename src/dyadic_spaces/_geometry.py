@@ -5,13 +5,17 @@ codes from the root down, most significant first, dimension 0 in the lowest
 bit of each.  ``morton_paths`` builds the paths of indices
 (``morton_paths_int64`` of int64 indices, a byte at a time), and
 ``depth_first`` shifts paths to one common width, the depth of the deepest
-record, so that sorting by (key, depth) gives the depth-first order.
+record, so that sorting by (key, depth) gives the depth-first order; given a
+segment number per record, one sort orders the records of many sequences,
+segment by segment.
 
 ``Geometry`` compiles the sorted keys into the candidate tree of the norm
-suprema.  The path building, the sort and the compile each have two paths
-that give the same result: a Python one for keys of any width, and a numpy
-one on int64 arrays, taken when the keys fit in a machine word from
-``_NUMPY_SHELLS`` records up (``_NUMPY_COMPILE`` nodes up for the compile).
+suprema, from a list of sequences or from the sorted arrays of a forest
+(``Geometry.from_sorted``).  The path building, the sort and the compile
+each have two paths that give the same result: a Python one for keys of any
+width, and a numpy one on int64 arrays, taken when the keys fit in a machine
+word from ``_NUMPY_SHELLS`` records up (``_NUMPY_COMPILE`` nodes up for the
+compile).
 """
 from __future__ import annotations
 
@@ -97,7 +101,8 @@ def morton_paths_int64(
 
 
 def depth_first(
-    root: DyadicCube, paths: Sequence[int], depths: Sequence[int], keep: np.ndarray
+    root: DyadicCube, paths: Sequence[int], depths: Sequence[int], keep: np.ndarray,
+    segment: Sequence[int] | None = None,
 ) -> tuple[int, list[int], list[int], list[int]]:
     """Records given as Z-order paths below the root, in depth-first order.
 
@@ -105,46 +110,64 @@ def depth_first(
     duplicate shows as two equal neighbours and raises ValueError.  The
     records where ``keep`` is false are then dropped and the keys narrowed
     to the deepest record kept.  Returns that width, the keys and depths of
-    the records kept, and their input positions.  From ``_NUMPY_SHELLS``
-    records up, (key, depth) pairs that fit in 62 bits take
-    ``_depth_first_int64``, with the same result."""
+    the records kept, and their input positions.  Given a ``segment``
+    number per record, the sort is by (segment, key, depth): one sort for
+    the records of many sequences, each sequence a segment in its own
+    depth-first order, their keys as wide as the deepest of all.  From
+    ``_NUMPY_SHELLS`` records up, (segment, key, depth) triples that fit in
+    62 bits take ``_depth_first_int64``, with the same result."""
     n, m = root.dim, len(depths)
     D = max(depths, default=0)
     shift = D.bit_length()  # a pair is key << shift | depth
-    if m >= _NUMPY_SHELLS and n * D + shift <= 62:
+    low = n * D + shift  # a triple is segment << low | pair
+    top = 0 if segment is None else int(max(segment, default=0)).bit_length()
+    if m >= _NUMPY_SHELLS and top + low <= 62:
         return _depth_first_int64(
-            root, np.fromiter(paths, np.int64, m), np.fromiter(depths, np.int64, m), keep, D, shift
+            root, np.fromiter(paths, np.int64, m), np.fromiter(depths, np.int64, m), keep, D,
+            shift, None if segment is None else np.asarray(segment, dtype=np.int64),
         )
     pair = [p << (n * (D - d) + shift) | d for p, d in zip(paths, depths)]
+    if segment is not None:
+        pair = [s << low | x for s, x in zip(segment, pair)]
     order = sorted(range(m), key=pair.__getitem__)
     pair = [pair[i] for i in order]
     if any(map(operator.eq, pair, pair[1:])):
-        raise _duplicate(root, D, shift, next(x for x, y in zip(pair, pair[1:]) if x == y))
+        dup = next(x for x, y in zip(pair, pair[1:]) if x == y)
+        raise _duplicate(root, D, shift, dup & (1 << low) - 1)
     if not keep.all():
         keep = keep.tolist()
         kept = [t for t, i in enumerate(order) if keep[i]]
         order, pair = [order[t] for t in kept], [pair[t] for t in kept]
         width = max([depths[i] for i in order], default=0)
         shift, D = shift + n * (D - width), width
+    if segment is not None:
+        mask = (1 << n * D) - 1
+        return D, [x >> shift & mask for x in pair], [depths[i] for i in order], order
     return D, [x >> shift for x in pair], [depths[i] for i in order], order
 
 
-def _depth_first_int64(root, paths, depth, keep, D, shift):
-    """``depth_first`` on int64 arrays of paths and depths, the pairs as one
-    int64 array: one argsort."""
+def _depth_first_int64(root, paths, depth, keep, D, shift, segment=None):
+    """``depth_first`` on int64 arrays of paths, depths and segments, the
+    triples as one int64 array: one argsort."""
     n = root.dim
+    low = n * D + shift
     pair = paths << n * (D - depth) + shift | depth
+    if segment is not None:
+        pair |= segment << low
     order = np.argsort(pair, kind="stable")
     pair = pair[order]
     dup = np.flatnonzero(pair[1:] == pair[:-1])
     if dup.size:
-        raise _duplicate(root, D, shift, int(pair[dup[0]]))
+        raise _duplicate(root, D, shift, int(pair[dup[0]]) & (1 << low) - 1)
     if not keep.all():
         kept = keep[order]
         order, pair = order[kept], pair[kept]
         width = int(depth[order].max(initial=0))
         shift, D = shift + n * (D - width), width
-    return D, (pair >> shift).tolist(), depth[order].tolist(), order.tolist()
+    key = pair >> shift
+    if segment is not None:
+        key &= (1 << n * D) - 1
+    return D, key.tolist(), depth[order].tolist(), order.tolist()
 
 
 def _duplicate(root: DyadicCube, width: int, shift: int, pair: int) -> ValueError:
@@ -215,23 +238,42 @@ class Geometry:
         segments: Sequence[tuple[int, list[int], list[int], np.ndarray]],
     ):
         """``segments`` holds the (key width, keys, depths, log2 magnitudes)
-        of each sequence, in depth-first order."""
-        self.root = root
-        n = self.dim = root.dim
-        j0 = self.min_level = root.level
-        width = self.depth = max(w for w, *_ in segments)
+        of each sequence, in depth-first order; they are concatenated into
+        the form ``from_sorted`` takes, the keys widened to the deepest."""
+        n = root.dim
+        width = max(w for w, *_ in segments)
         if len(segments) == 1:
-            _, self.key, self.node_depth, self.log2t = segments[0]
+            _, key, node_depth, log2t = segments[0]
         else:
-            self.key = [k << n * (width - w) for w, keys, *_ in segments for k in keys]
-            self.node_depth = [d for _, _, depth, _ in segments for d in depth]
-            self.log2t = np.concatenate([t for *_, t in segments])
-        self.m = len(self.key)
-        self.seg_lo = np.cumsum([0] + [len(keys) for _, keys, *_ in segments])
-        self.level = np.array(self.node_depth, dtype=np.int64) + j0
+            key = [k << n * (width - w) for w, keys, *_ in segments for k in keys]
+            node_depth = [d for _, _, depth, _ in segments for d in depth]
+            log2t = np.concatenate([t for *_, t in segments])
+        seg_lo = np.cumsum([0] + [len(keys) for _, keys, *_ in segments])
+        self._build(root, width, key, node_depth, log2t, seg_lo)
+
+    @classmethod
+    def from_sorted(
+        cls, root: DyadicCube, width: int, key: list[int], node_depth: list[int],
+        log2t: np.ndarray, seg_lo: np.ndarray,
+    ) -> "Geometry":
+        """The geometry of nodes already in depth-first order, segment by
+        segment: their keys, all ``width`` levels wide, depths and log2
+        magnitudes, segment s holding the nodes ``[seg_lo[s], seg_lo[s + 1])``."""
+        geo = cls.__new__(cls)
+        geo._build(root, width, key, node_depth, log2t, seg_lo)
+        return geo
+
+    def _build(self, root, width, key, node_depth, log2t, seg_lo) -> None:
+        self.root = root
+        self.dim = root.dim
+        j0 = self.min_level = root.level
+        self.depth, self.key, self.node_depth, self.log2t = width, key, node_depth, log2t
+        self.m = len(key)
+        self.seg_lo = seg_lo
+        self.level = np.array(node_depth, dtype=np.int64) + j0
         self.max_level = int(self.level.max()) if self.m else j0
         self.level_f = self.level.astype(float)
-        self.log2vol = -self.level_f * n
+        self.log2vol = -self.level_f * self.dim
         self._compile()
         self.mu_log2 = self._shell_measures()
 

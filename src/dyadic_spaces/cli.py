@@ -336,10 +336,8 @@ def cmd_sweep(args) -> int:
     check_sample_count(args.samples)
 
     @functools.cache
-    def samples() -> Forest:  # one sample set and forest for every cell
-        return Forest(random_sample_set(
-            args.seed, args.samples, dims=(args.dim,), depth_1d=6, depth_nd=4
-        ))
+    def samples() -> Forest:  # one sample set, drawn as a forest, for every cell
+        return random_sample_set(args.seed, args.samples, dims=(args.dim,), depth_1d=6, depth_nd=4)
 
     def run(tau, p, q):
         if fam == "F_type" and p == INF:
@@ -533,6 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy would refuse it without naming it
+            raise ParamError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except SequenceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

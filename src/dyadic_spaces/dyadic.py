@@ -6,6 +6,8 @@ space, so all measure bookkeeping below is exact dyadic-rational arithmetic.
 """
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -20,6 +22,8 @@ _PIECE = 10**_DIGITS
 
 def int_to_decimal(k: int) -> str:
     """Decimal text of an integer of any size."""
+    if -_PIECE < k < _PIECE:
+        return str(k)
     if k < 0:
         return "-" + int_to_decimal(-k)
     pieces = []
@@ -38,6 +42,34 @@ def decimal_to_int(text: str) -> int:
         piece = digits[i : i + _DIGITS]
         value = value * 10 ** len(piece) + int(piece)
     return -value if text.startswith("-") else value
+
+
+# ``json_dumps`` writes an integer of more bits than this in pieces
+_SAFE_BITS = 13000  # at most 3914 digits: converted in one piece
+
+
+def json_dumps(obj, **kwargs) -> str:
+    """``json.dumps`` that also writes integers of any size."""
+    try:
+        return json.dumps(obj, **kwargs)
+    except ValueError:  # an integer beyond the limit, or raised again below
+        pass
+    big: list[int] = []
+
+    def swap(o):
+        if isinstance(o, dict):
+            return {k: swap(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [swap(v) for v in o]
+        if isinstance(o, int) and o.bit_length() > _SAFE_BITS:
+            big.append(o)
+            return f"\0{len(big) - 1}"  # a NUL cannot occur in a real string here
+        return o
+
+    text = json.dumps(swap(obj), **kwargs)
+    if big:
+        text = re.sub(r'"\\u0000(\d+)"', lambda m: int_to_decimal(big[int(m[1])]), text)
+    return text
 
 
 class DimensionMismatchError(ValueError):

@@ -13,18 +13,20 @@ the constant-1 Hoelder embeddings.
 
 Each check takes one sequence, a list of them or a ``Forest``, and
 evaluates the samples as one forest: a compile and one kernel call per norm
-for the whole set, with every sample's log2 norm in one array.  Generating
-the samples and compiling their forest now take most of a check's time.
+for the whole set, with every sample's log2 norm in one array.
+``random_sample_set`` draws its samples straight into a forest, with one
+sort per root and no ``CubeSequence`` per sample, so what is left of its
+time is mostly numpy's random draws.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._geometry import Geometry, depth_first
 from ._log2 import INF, NEG_INF, geometric_tail_log2, inv, log2_to_linear
 from .dyadic import DyadicCube
 from .seqspace import CubeSequence, Family, Forest, ParamError, SpaceParams
@@ -87,14 +89,12 @@ def _forest(t) -> Forest:
     return Forest([t] if isinstance(t, CubeSequence) else t)
 
 
-def _uniform_dim(seqs: list[CubeSequence]) -> int:
+def _uniform_dim(forest: Forest) -> int:
     """Ambient dimension shared by a batch (the constants depend on it)."""
-    if not seqs:
-        return 1
-    dims = {seq.dim for seq in seqs}
+    dims = {root.dim for root in forest.roots}
     if len(dims) > 1:
         raise ValueError(f"mixed dimensions in one comparison batch: {sorted(dims)}")
-    return dims.pop()
+    return dims.pop() if dims else 1
 
 
 def _ratios(*pairs: tuple[float, float]) -> tuple[float, ...]:
@@ -156,16 +156,13 @@ def _collapse(
     there every sequence must be supported at levels >= 0.
     """
     forest = _forest(t)
-    if not homogeneous:
-        for seq in forest.sequences:
-            lvl = seq.min_support_level()
-            if lvl is not None and lvl < 0:
-                raise ParamError(
-                    "inhomogeneous comparison requires support at levels >= 0",
-                    rule="Definition 5",
-                )
+    if not homogeneous and any(geo.m and geo.level.min() < 0 for _, geo in forest._groups):
+        raise ParamError(
+            "inhomogeneous comparison requires support at levels >= 0",
+            rule="Definition 5",
+        )
     params = SpaceParams(family, s, tau, p, q, homogeneous=homogeneous)
-    n_dim = _uniform_dim(forest.sequences)
+    n_dim = _uniform_dim(forest)
     c_log2 = collapse_upper_constant_log2(params.s, params.tau, params.p, params.q, n_dim)
     s_eff = params.s + n_dim * (params.tau - inv(params.p))
     num = forest.log2_norms(params).tolist()
@@ -268,6 +265,34 @@ def check_sample_count(count: int) -> None:
         )
 
 
+def _grow(
+    rng: np.random.Generator, n: int, max_depth: int, retain: float, node_bound: int
+) -> tuple[list[int], list[int]]:
+    """The Z-order paths below the root and the depths of a random subtree
+    of the n-dimensional dyadic tree, grown a level at a time: one
+    ``rng.random`` draw per level, a value per child in child-code order,
+    each child surviving when its value is below ``retain``.  A level whose
+    children could take the tree past ``node_bound`` nodes is refused before
+    its draw [sample bound]."""
+    codes = range(1 << n)
+    frontier, paths, depths = [0], [0], [0]
+    for depth in range(1, max_depth + 1):
+        size = len(frontier) << n
+        if len(paths) + size > node_bound:
+            raise ParamError(
+                f"level {depth} of a sample could take it to {len(paths) + size} nodes, "
+                f"over the {node_bound} left to it", rule="sample bound"
+            )
+        draws = rng.random(size=size).tolist()
+        children = [p << n | c for p in frontier for c in codes]
+        frontier = [c for c, x in zip(children, draws) if x < retain]
+        if not frontier:
+            break
+        paths += frontier
+        depths += [depth] * len(frontier)
+    return paths, depths
+
+
 def random_sequence(
     rng: np.random.Generator,
     dim: int,
@@ -285,11 +310,10 @@ def random_sequence(
     uniform over [log2_low, log2_high], exercising extreme dynamic range.
     The tree grows a level at a time as Z-order paths below the root, a
     child's path being its parent's shifted by ``dim`` bits with the child
-    code below: one ``rng.random`` draw per level, a value per child in
-    child-code order, then one ``rng.uniform`` draw for every node.  A level
-    whose children could take the tree past ``node_bound`` nodes is refused
-    before its draw [sample bound].  The paths go straight to the keyed
-    constructor, with no re-validation.
+    code below (``_grow``), then one ``rng.uniform`` draw gives every node
+    its magnitude.  A level whose children could take the tree past
+    ``node_bound`` nodes is refused before its draw [sample bound].  The
+    paths go straight to the keyed constructor, with no re-validation.
     """
     if max_depth < 0:
         raise ValueError(f"depth must be >= 0, got {max_depth}")
@@ -297,22 +321,7 @@ def random_sequence(
         root = DyadicCube.unit(dim)
     elif root.dim != dim:
         raise ValueError(f"the root {root} has dimension {root.dim}, not dim {dim}")
-    n = dim
-    codes = range(1 << n)
-    frontier, paths, depths = [0], [0], [0]
-    for depth in range(1, max_depth + 1):
-        size = len(frontier) << n
-        if len(paths) + size > node_bound:
-            raise ParamError(
-                f"level {depth} of a sample could take it to {len(paths) + size} nodes, "
-                f"over the {node_bound} left to it", rule="sample bound"
-            )
-        keep = (rng.random(size=size) < retain).tolist()
-        frontier = list(compress([p << n | c for p in frontier for c in codes], keep))
-        if not frontier:
-            break
-        paths += frontier
-        depths += [depth] * len(frontier)
+    paths, depths = _grow(rng, dim, max_depth, retain, node_bound)
     log2t = rng.uniform(log2_low, log2_high, size=len(paths))
     return CubeSequence._from_paths(root, max_depth, paths, depths, log2t)
 
@@ -324,24 +333,102 @@ def random_sample_set(
     depth_1d: int = 10,
     depth_nd: int = 5,
     retain: float = 0.6,
-) -> list[CubeSequence]:
+) -> Forest:
     """Deterministic batch of random sequences cycling over the dimensions,
-    at most ``SAMPLE_NODE_BOUND`` nodes in all [sample bound]."""
+    at most ``SAMPLE_NODE_BOUND`` nodes in all [sample bound], as a
+    ``Forest``.
+
+    Sample i has dimension ``dims[i % len(dims)]``, a depth bound drawn by
+    one ``rng.integers`` up to its cap, and the draws of ``random_sequence``
+    under the unit cube.  The records of the samples under each root are
+    sorted once, by (sample, key, depth) in one ``depth_first`` call, and
+    those arrays compile into the forest's geometry at its first norm call;
+    a sample's own ``CubeSequence`` is built only when the forest is
+    indexed.  Raises ValueError, before any draw, for a negative count, no
+    dimensions, a negative depth cap or a ``retain`` outside [0, 1].
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not dims:
+        raise ValueError(f"dims must name at least one dimension, got {dims!r}")
+    if not 0.0 <= retain <= 1.0:
+        raise ValueError(f"retain must lie in [0, 1], got {retain}")
     check_sample_count(count)
-    if min((depth_1d if dim == 1 else depth_nd for dim in dims), default=0) < 0:
+    if min(depth_1d if dim == 1 else depth_nd for dim in dims) < 0:
         raise ValueError(f"depth caps must be >= 0, got {depth_1d} and {depth_nd}")
     rng = np.random.default_rng(seed)
-    out = []
-    roots = {dim: DyadicCube.unit(dim) for dim in dims}
+    sets = {dim: _SampleSet(DyadicCube.unit(dim)) for dim in dims}
+    where = []  # each sample's set and its segment there
     below = SAMPLE_NODE_BOUND - count  # the nodes left below the samples' roots
     for i in range(count):
         dim = dims[i % len(dims)]
         depth_cap = depth_1d if dim == 1 else depth_nd
         depth = int(rng.integers(0, depth_cap + 1))
-        seq = random_sequence(rng, dim, depth, retain, root=roots[dim], node_bound=1 + below)
-        below -= len(seq) - 1
-        out.append(seq)
-    return out
+        paths, depths = _grow(rng, dim, depth, retain, 1 + below)
+        below -= len(paths) - 1
+        log2t = rng.uniform(-20.0, 20.0, size=len(paths))
+        where.append(sets[dim].add(i, depth, paths, depths, log2t))
+    sorted_sets = [s.sort() for s in sets.values() if s.idx]
+    return Forest._of(
+        count, lambda i: where[i][0].sample(where[i][1]),
+        [s.root for s in sorted_sets], [(s.idx, s.geometry) for s in sorted_sets],
+    )
+
+
+class _SampleSet:
+    """The samples of a set under one root.  They are drawn one at a time
+    into set-wide lists of paths, depths, sample numbers and log2
+    magnitudes; ``sort`` then orders the records by (sample, key, depth) in
+    one ``depth_first`` call, the keys as wide as the deepest record: the
+    arrays of the forest's geometry."""
+
+    def __init__(self, root: DyadicCube):
+        self.root = root
+        self.idx, self.max_depth = [], []  # each sample's position in the set, depth bound
+        self._paths, self._depths, self._segment, self._log2t = [], [], [], []
+
+    def add(self, i, max_depth, paths, depths, log2t) -> tuple["_SampleSet", int]:
+        """Add the records of the set's sample i; returns this set and the
+        sample's segment in it."""
+        s = len(self.idx)
+        self.idx.append(i)
+        self.max_depth.append(max_depth)
+        self._paths += paths
+        self._depths += depths
+        self._segment += [s] * len(paths)
+        self._log2t.append(log2t)
+        return self, s
+
+    def sort(self) -> "_SampleSet":
+        log2t = np.concatenate(self._log2t)
+        self.width, self.key, self.depth, order = depth_first(
+            self.root, self._paths, self._depths, log2t > NEG_INF, self._segment
+        )
+        self.log2t = log2t[order]
+        segment = np.asarray(self._segment, dtype=np.int64)[order]
+        self.seg_lo = np.searchsorted(segment, np.arange(len(self.idx) + 1))
+        del self._paths, self._depths, self._segment, self._log2t
+        self._geometry = None
+        return self
+
+    def geometry(self) -> Geometry:
+        """The set's geometry, compiled on the first call and shared by
+        every forest of the set."""
+        if self._geometry is None:
+            self._geometry = Geometry.from_sorted(
+                self.root, self.width, self.key, self.depth, self.log2t, self.seg_lo
+            )
+        return self._geometry
+
+    def sample(self, s: int) -> CubeSequence:
+        """Sample s as ``random_sequence`` gives it: its keys narrowed to
+        its own deepest record."""
+        a, b = self.seg_lo[s : s + 2].tolist()
+        depth = self.depth[a:b]
+        width = max(depth)  # each sample has its root
+        shift = self.root.dim * (self.width - width)
+        key = [k >> shift for k in self.key[a:b]]
+        return CubeSequence(self.root, self.max_depth[s], width, key, depth, self.log2t[a:b])
 
 
 def saturated_tree_sequence(

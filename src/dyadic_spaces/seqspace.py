@@ -34,46 +34,41 @@ the fixed pair batch, whatever the depth.
 A sample set is evaluated as one forest, after the segmented scan of
 Blelloch ("Vector Models for Data-Parallel Computing", 1990).  ``Forest``
 compiles the sequences under a root into one ``Geometry``, a segment per
-sequence.  Each kernel runs once over all segments and touches each target
-in the same order as for a sequence alone.  A segmented maximum gives each
-sequence's log2 norm without decoding a cube.  The fixed costs of a norm
-call (compile, kernel set-up, reduction) are thus paid once per set.  A
-sequence's own ``geometry`` is a forest of one; the norm functions decode
-the attained cube from it.
+sequence; each kernel runs once over all segments, and a segmented maximum
+gives each sequence's log2 norm, so a norm call's fixed costs are paid once
+per set.  A sequence's own ``geometry`` is a forest of one; the norm
+functions decode the attained cube from it.
 
 Every input reaches the geometry through one sort, ``_geometry.depth_first``,
-which takes records as Z-order paths below the root with their depths and
-log2 magnitudes, sorts them once by (key, depth), finds duplicates as equal
-neighbours and drops the zeros.  ``from_records`` first checks (level,
-index, log2 magnitude) records (root, depth bound, index length, finite
-magnitudes, the key-memory bound) and builds their paths one axis at a
-time; ``from_values`` and ``from_log2_values`` go through it.  Given int64
-arrays of at least ``_NUMPY_SHELLS`` records with narrow keys (n * D + depth
-bits <= 62), ``from_records`` makes the same checks in numpy, in the same
-order, interleaves the paths a byte at a time, and sorts them as one int64
-array (``_from_arrays``).  ``random_sequence``, ``coefficients`` and
-``build_tower`` build their paths themselves and go through
-``CubeSequence._from_paths``.  The sequence keeps the sorted keys of its
-nonzero records, as wide as the deepest of them, with their depths and log2
-magnitudes; no cube object is built on the way.  The cube views and
-``save_jsonl`` decode the keys back into indices on use.
+of records given as Z-order paths below the root with their depths and log2
+magnitudes: by (key, depth), duplicates showing as equal neighbours, zeros
+dropped.  ``from_records`` first checks (level, index, log2 magnitude)
+records (root, depth bound, index length, finite magnitudes, the key-memory
+bound) and builds their paths; given int64 arrays of at least
+``_NUMPY_SHELLS`` records with narrow keys (n * D + depth bits <= 62), it
+does so in numpy, in the same order (``_from_arrays``).  ``random_sequence``,
+``coefficients`` and ``build_tower`` build their paths themselves and go
+through ``CubeSequence._from_paths``; ``random_sample_set`` sorts a whole
+set's records by (sample, key, depth) straight into a forest.  A sequence
+keeps the sorted keys of its nonzero records, as wide as the deepest, with
+their depths and log2 magnitudes; the cube views and ``save_jsonl`` decode
+the keys into indices on use.
 
 ``load_jsonl`` reads a file as ``save_jsonl`` writes it with one regex pass
-over its record lines (``_scan``) and hands the values to ``from_records``
-as int64 and float arrays; every other file, and one of fewer than
-``_NUMPY_SHELLS`` records, it reads line by line, one JSON value a line.
-The scan accepts only lines on which the two give the same values, so the
-file's contents alone pick the path, and every refusal, message and line
-number is the line loop's.
+over its record lines (``_scan``), handing int64 and float arrays to
+``from_records``; every other file, and one of fewer than ``_NUMPY_SHELLS``
+records, it reads one JSON value a line.  The scan accepts only lines on
+which the two agree, so every refusal, message and line number is the line
+loop's.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -85,7 +80,9 @@ from ._geometry import (
 )
 from ._kernels import _BKernel, _FKernel
 from ._log2 import INF, NEG_INF, log2_to_linear
-from .dyadic import DyadicCube, SupportTree, decimal_to_int, int_to_decimal
+from .dyadic import (
+    _SAFE_BITS, DyadicCube, SupportTree, decimal_to_int, int_to_decimal, json_dumps,
+)
 
 class Family(str, Enum):
     F_TYPE = "F_type"
@@ -399,9 +396,6 @@ class CubeSequence:
     def log2_value(self, cube: DyadicCube) -> float:
         return self._entries().get(cube, NEG_INF)
 
-    def min_support_level(self) -> int | None:
-        return min(self._node_depth) + self.root.level if self._key else None
-
     @property
     def _segment(self) -> tuple:
         """The arrays a ``Geometry`` compiles, as one segment of a forest."""
@@ -610,26 +604,51 @@ def norm(t: CubeSequence, params: SpaceParams, **kwargs) -> NormValue:
     return f_inf_inf_norm(t, params.s)
 
 
-class Forest:
-    """Sequences compiled for evaluation as one batch: those under each
-    root form one ``Geometry``, a segment per sequence (a lone sequence
-    keeps its own), so a norm costs one kernel call per root."""
+class Forest(Sequence):
+    """A read-only sequence of samples compiled as one batch: those under
+    each root form one ``Geometry``, a segment per sample (a lone sequence
+    keeps its own), so a norm costs one kernel call per root.  A forest
+    ``random_sample_set`` draws compiles at its first norm call and builds
+    a sample's sequence when indexed; ``Forest(forest)`` shares it."""
 
     def __init__(self, sequences: Iterable[CubeSequence]):
-        self.sequences = list(sequences)
+        if isinstance(sequences, Forest):
+            vars(self).update(vars(sequences))
+            return
+        seqs = list(sequences)
         groups: dict[DyadicCube, list[int]] = {}
-        for i, seq in enumerate(self.sequences):
+        for i, seq in enumerate(seqs):
             groups.setdefault(seq.root, []).append(i)
+        self._len, self._sample, self.roots = len(seqs), seqs.__getitem__, list(groups)
         self._groups = [
-            (idx, Geometry(root, [self.sequences[i]._segment for i in idx])
-             if len(idx) > 1 else self.sequences[idx[0]].geometry)
+            (idx, Geometry(root, [seqs[i]._segment for i in idx])
+             if len(idx) > 1 else seqs[idx[0]].geometry)
             for root, idx in groups.items()
         ]
 
+    @classmethod
+    def _of(cls, count: int, sample, roots: list[DyadicCube], parts: list) -> "Forest":
+        """``count`` samples, ``sample(i)`` building the i-th, and per root
+        the sample positions and a function compiling their geometry, called
+        at the first norm."""
+        forest = cls.__new__(cls)
+        forest._len, forest._sample, forest.roots, forest._parts = count, sample, roots, parts
+        return forest
+
+    @functools.cached_property
+    def _groups(self) -> list[tuple[list[int], Geometry]]:
+        return [(idx, build()) for idx, build in self._parts]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> CubeSequence:
+        return self._sample(range(self._len)[i])
+
     def log2_norms(self, params: SpaceParams, allow_negative_tau: bool = False) -> np.ndarray:
-        """log2 of the norm ``params`` names for every sequence, in order,
+        """log2 of the norm ``params`` names for every sample, in order,
         each equal to the ``log2_value`` of that family's norm function."""
-        out = np.full(len(self.sequences), NEG_INF)
+        out = np.full(self._len, NEG_INF)
         for idx, geo in self._groups:
             out[idx] = _maxima(params, geo, allow_negative_tau).log2_values()
         return out
@@ -656,64 +675,26 @@ def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) ->
 #
 # Integers past Python's int-string digit limit (cube indices below level
 # about 14000) are written and read in pieces, by ``dyadic.int_to_decimal``
-# and ``dyadic.decimal_to_int``.
-
-_SAFE_BITS = 13000  # at most 3914 digits: converted in one piece
-# a line this short holds no integer beyond the digit limit
+# and ``dyadic.decimal_to_int``.  A line this short holds no integer beyond
+# the digit limit:
 _SAFE_LINE = _SAFE_BITS // 4
 _DECODER = json.JSONDecoder()
 _DECODER_BIG = json.JSONDecoder(parse_int=decimal_to_int)
 
 
-def json_dumps(obj, **kwargs) -> str:
-    """``json.dumps`` that also writes integers of any size."""
-    try:
-        return json.dumps(obj, **kwargs)
-    except ValueError:  # an integer beyond the limit, or raised again below
-        pass
-    big: list[int] = []
-
-    def swap(o):
-        if isinstance(o, dict):
-            return {k: swap(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [swap(v) for v in o]
-        if isinstance(o, int) and o.bit_length() > _SAFE_BITS:
-            big.append(o)
-            return f"\0{len(big) - 1}"  # a NUL cannot occur in a real string here
-        return o
-
-    text = json.dumps(swap(obj), **kwargs)
-    if big:
-        text = re.sub(r'"\\u0000(\d+)"', lambda m: int_to_decimal(big[int(m[1])]), text)
-    return text
-
-
 def save_jsonl(t: CubeSequence, path: str | Path) -> None:
-    """Write header + one record per cube; log2 magnitudes round-trip exactly."""
+    """Write header + one record per cube; log2 magnitudes round-trip exactly.
+
+    A record is written by one format string, as ``json_dumps`` with
+    sorted keys would write it: ``v`` is Infinity past the float range."""
     root = t.root
-    lines = [
-        json_dumps(
-            {
-                "dim": t.dim,
-                "root": {"j": root.level, "k": list(root.index)},
-                "depth": t.max_depth,
-            },
-            sort_keys=True,
-        )
-    ]
-    for level, index, lv in t._records():
-        lines.append(
-            json_dumps(
-                {
-                    "j": level,
-                    "k": list(index),
-                    "v": log2_to_linear(lv),
-                    "log2v": lv,
-                },
-                sort_keys=True,
-            )
-        )
+    header = {"dim": t.dim, "root": {"j": root.level, "k": list(root.index)}, "depth": t.max_depth}
+    lines = [json_dumps(header, sort_keys=True)]
+    for level, index, lv in t._records():  # lv is finite
+        k = ", ".join(map(int_to_decimal, index))
+        v = log2_to_linear(lv)
+        v = "Infinity" if v == INF else repr(v)
+        lines.append(f'{{"j": {int_to_decimal(level)}, "k": [{k}], "log2v": {lv!r}, "v": {v}}}')
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -768,7 +749,7 @@ _FLOAT = rf"{_INT}(?:\.[0-9]+(?:{_EXP})?|{_EXP})|NaN|-?Infinity"
 _NUMBER = rf"{_INT}(?:\.[0-9]+)?(?:{_EXP})?|NaN|-?Infinity"
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _record_line(dim: int) -> re.Pattern:
     """One record line of a dim-dimensional file as ``save_jsonl`` writes
     it, with its newline, capturing j, each axis of k and log2v."""

@@ -15,6 +15,11 @@ one dyadic cube at a time, the loop the pyramid in ``analyze`` replaced.
 ``shell_measures`` is the geometry's shell measures in Python integers
 throughout, the loop that the float path of ``Geometry._shell_measures``
 replaced for parents whose child shifts fit in a float's mantissa.
+
+``reference_sample_set`` draws a sample set one ``random_sequence`` at a
+time and compiles the list as a ``Forest``: the route that drawing the set
+straight into one forest replaced.  ``reference_jsonl`` is the text
+``save_jsonl`` writes, each record through ``json_dumps``.
 """
 from __future__ import annotations
 
@@ -25,7 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dyadic_spaces import CubeSequence, DyadicCube, Family, SupportTree, lp_convolve
+from dyadic_spaces import (
+    CubeSequence, DyadicCube, Family, Forest, SupportTree, lp_convolve, random_sequence,
+)
+from dyadic_spaces._log2 import log2_to_linear
+from dyadic_spaces.seqspace import json_dumps
 
 INF = math.inf
 NEG_INF = float("-inf")
@@ -308,6 +317,31 @@ def small_random_sequence(rng, dim=1, depth=4, retain=0.6, span=3.0) -> CubeSequ
         frontier = nxt
     values = {c: float(rng.uniform(-span, span)) for c in cubes}
     return CubeSequence.from_log2_values(values, root=root)
+
+
+def reference_sample_set(seed, count, dims=(1, 2), depth_1d=10, depth_nd=5, retain=0.6):
+    """``random_sample_set``'s samples one ``random_sequence`` at a time,
+    from the same draws, as a list and as the ``Forest`` of that list."""
+    rng = np.random.default_rng(seed)
+    roots = {dim: DyadicCube.unit(dim) for dim in dims}
+    seqs = []
+    for i in range(count):
+        dim = dims[i % len(dims)]
+        depth = int(rng.integers(0, (depth_1d if dim == 1 else depth_nd) + 1))
+        seqs.append(random_sequence(rng, dim, depth, retain, root=roots[dim]))
+    return seqs, Forest(seqs)
+
+
+def reference_jsonl(t: CubeSequence) -> str:
+    """The text of ``save_jsonl``: the header, then each record as
+    ``json_dumps`` writes it with sorted keys, one a line."""
+    root = t.root
+    header = {"dim": t.dim, "root": {"j": root.level, "k": list(root.index)}, "depth": t.max_depth}
+    lines = [json_dumps(header, sort_keys=True)]
+    for level, index, lv in t._records():
+        rec = {"j": level, "k": list(index), "v": log2_to_linear(lv), "log2v": lv}
+        lines.append(json_dumps(rec, sort_keys=True))
+    return "\n".join(lines) + "\n"
 
 
 def reference_candidates(seq: CubeSequence):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -569,7 +570,7 @@ class TestSampleBound:
         def refuse(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(equivalence, "random_sequence", refuse)
+        monkeypatch.setattr(equivalence, "_grow", refuse)
         assert main([*command, "--samples", str(self.BOUND + 1)]) == 3
         assert "[sample bound]" in capsys.readouterr().err
         equivalence.check_sample_count(self.BOUND)  # a count at the bound gets through
@@ -607,6 +608,33 @@ class TestSampleBound:
     def test_negative_sweep_samples_names_the_option(self, capsys):
         assert main(["sweep", "--samples", "-5"]) == 3
         assert capsys.readouterr().err == "error: --samples must be >= 0, got -5\n"
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"count": -1}, "count must be >= 0, got -1"),
+        ({"dims": ()}, "dims must name at least one dimension, got ()"),
+        ({"retain": 2}, "retain must lie in [0, 1], got 2"),
+        ({"retain": -0.5}, "retain must lie in [0, 1], got -0.5"),
+        ({"retain": math.nan}, "retain must lie in [0, 1], got nan"),
+    ], ids=["count", "dims", "retain-2", "retain-negative", "retain-nan"])
+    def test_bad_sample_set_arguments_are_refused_before_any_draw(
+        self, kwargs, message, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(equivalence.np.random, "default_rng", refuse)
+        args = {"seed": 0, "count": 3, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_sample_set(**args)
+
+    @pytest.mark.parametrize("command", [
+        ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1"],
+        ["sweep", "--tau-grid", "2", "--p-grid", "1", "--q-grid", "2"],
+        ["analyze", "--L", "7"],
+    ], ids=["equiv", "sweep", "analyze"])
+    def test_negative_seed_names_the_option(self, command, capsys):
+        assert main([*command, "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 class TestSharedParser:

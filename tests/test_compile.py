@@ -111,7 +111,7 @@ def test_arrays_match_stack_pass_on_towers(n, J):
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,)])
 def test_arrays_match_stack_pass_on_sample_sets(dims):
-    seqs = random_sample_set(5, 30, dims=dims, depth_1d=9, depth_nd=3)
+    seqs = list(random_sample_set(5, 30, dims=dims, depth_1d=9, depth_nd=3))
     seqs.insert(7, CubeSequence.zero(DyadicCube.unit(dims[0])))
     assert_same_compile(DyadicCube.unit(dims[0]), seqs)
 

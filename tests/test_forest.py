@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadic_spaces import (
     CubeSequence,
@@ -23,7 +25,9 @@ from dyadic_spaces import (
     random_sample_set,
     random_sequence,
 )
-from dyadic_spaces import cli
+from dyadic_spaces import _geometry, cli
+
+from _oracles import reference_sample_set
 
 INF = math.inf
 F, B = Family.F_TYPE, Family.B_TYPE
@@ -146,3 +150,124 @@ def test_sample_set_matches_the_cube_generator(dims):
         assert (a.root, a.max_depth, a._width) == (b.root, b.max_depth, b._width)
         assert (a._key, a._node_depth) == (b._key, b._node_depth)
         assert a._log2t.tolist() == b._log2t.tolist()
+
+
+# -- sample sets drawn straight into a forest ----------------------------------
+
+GEOMETRY = ("key", "node_depth", "log2t", "seg_lo", "mu_log2", "seg_cand", "parent", "sdepth",
+            "cand_level", "cand_lo", "cand_hi", "cand_key", "gap_lo")
+
+
+def arrays(forest: Forest) -> list:
+    """Every group's sample positions, width and geometry arrays."""
+    return [
+        (list(idx), geo.root, geo.depth,
+         {name: list(np.asarray(getattr(geo, name), dtype=object)) for name in GEOMETRY})
+        for idx, geo in forest._groups
+    ]
+
+
+def fields(seq: CubeSequence) -> tuple:
+    return (seq.root, seq.max_depth, seq._width, seq._key, seq._node_depth,
+            seq._log2t.tobytes())
+
+
+def drawn_with_sort_spy(*args) -> tuple[Forest, int]:
+    """``random_sample_set(*args)`` and how many int64 sorts it ran."""
+    ran = []
+    sort = _geometry._depth_first_int64
+    _geometry._depth_first_int64 = lambda *a: ran.append(1) or sort(*a)
+    try:
+        return random_sample_set(*args), len(ran)
+    finally:
+        _geometry._depth_first_int64 = sort
+
+
+def int64_sorts(forest: Forest) -> int:
+    """The groups whose (sample, key, depth) triples take the int64 sort."""
+    return sum(
+        geo.m >= _geometry._NUMPY_SHELLS
+        and (len(idx) - 1).bit_length() + geo.dim * geo.depth + geo.depth.bit_length() <= 62
+        for idx, geo in forest._groups
+    )
+
+
+def assert_drawn_as_reference(args) -> int:
+    """The drawn forest and its samples against ``reference_sample_set``;
+    returns the int64 sorts that ran."""
+    got, sorts = drawn_with_sort_spy(*args)
+    seqs, want = reference_sample_set(*args)
+    assert len(got) == len(seqs)
+    assert got.roots == want.roots
+    assert arrays(got) == arrays(want)
+    assert sorts == int64_sorts(want)
+    assert [fields(s) for s in got] == [fields(s) for s in seqs]
+    return sorts
+
+
+@st.composite
+def sample_set_args(draw):
+    """Sets of 0-60 samples, their expected size kept small; one in four a
+    3-D set about 20 levels deep, too wide for an int64 sort."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.integers(0, 3)) == 0:
+        return (seed, draw(st.integers(1, 30)), (3,), 4, draw(st.integers(17, 21)),
+                draw(st.floats(0.1, 0.16)))
+    dims = draw(st.sampled_from([(1,), (2,), (3,), (1, 2)]))
+    depth_1d, depth_nd = draw(st.integers(0, 10)), draw(st.integers(0, 4))
+    retain = draw(st.floats(0.0, 0.9))
+    for dim in dims:  # (2**dim * retain)**depth <= 2**9
+        retain = min(retain, 2.0 ** (9 / max(depth_1d if dim == 1 else depth_nd, 1) - dim))
+    return seed, draw(st.integers(0, 60)), dims, depth_1d, depth_nd, retain
+
+
+@given(sample_set_args())
+@settings(max_examples=120, deadline=None)
+def test_drawn_forest_matches_the_per_sample_route(args):
+    assert_drawn_as_reference(args)
+
+
+@pytest.mark.parametrize("args,sorts", [
+    ((3, 100, (1,), 8, 8, 0.6), 1),  # the many-small set: one int64 sort
+    ((3, 5, (1,), 6, 4, 0.6), 0),  # under _NUMPY_SHELLS records
+    ((0, 40, (1, 2), 10, 5, 0.6), 2),  # a sort per root
+    # 19 levels deep: each sample alone fits an int64 sort (3 * 19 + 5 bits),
+    # not with the 4 bits of 12 samples, so the set sorts as Python integers
+    ((8, 12, (3,), 4, 20, 0.15), 0),
+])
+def test_drawn_forest_takes_each_sort(args, sorts):
+    assert assert_drawn_as_reference(args) == sorts
+    if args[0] == 8:
+        assert [geo.depth for _, geo in random_sample_set(*args)._groups] == [19]
+
+
+def test_forest_of_a_forest_builds_no_sample(monkeypatch):
+    drawn = random_sample_set(5, 30, dims=(1,), depth_1d=8)
+    params = SpaceParams(F, 0, 1.5, 1, 2)
+    built = []
+    init = CubeSequence.__init__
+    monkeypatch.setattr(CubeSequence, "__init__", lambda *a: built.append(1) or init(*a))
+    again = Forest(drawn)
+    assert len(again) == 30
+    assert again.log2_norms(params).tolist() == drawn.log2_norms(params).tolist()
+    assert again._groups[0][1] is drawn._groups[0][1]  # one compile for both
+    assert not built
+    assert fields(again[-1]) == fields(drawn[29]) and len(built) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1"],
+    ["equiv", "--check", "collapse-b", "--tau", "3/2", "--p", "1"],
+    ["equiv", "--check", "holder", "--tau", "1/4", "--p", "1", "--q", "2"],
+    ["equiv", "--check", "identities", "--r", "1"],
+    ["equiv", "--check", "inhom-f", "--tau", "3/2", "--p", "1"],
+    ["equiv", "--check", "inhom-b", "--tau", "3/2", "--p", "1"],
+    ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1", "--dim", "2", "--depth", "4"],
+    ["sweep"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_checks_build_no_sequence(argv, monkeypatch, tmp_path):
+    built = []
+    init = CubeSequence.__init__
+    monkeypatch.setattr(CubeSequence, "__init__", lambda *a: built.append(1) or init(*a))
+    assert cli.main([*argv, "--samples", "20", "--out", str(tmp_path / "out")]) == 0
+    assert not built

@@ -190,7 +190,7 @@ def test_shells_of_towers(n, J):
 
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2)])
 def test_shells_of_forests(dims):
-    seqs = random_sample_set(3, 40, dims=dims, depth_1d=9, depth_nd=3)
+    seqs = list(random_sample_set(3, 40, dims=dims, depth_1d=9, depth_nd=3))
     seqs.append(CubeSequence.zero(DyadicCube.unit(dims[0])))
     for _, geo in Forest(seqs)._groups:
         assert_exact_shells(geo)

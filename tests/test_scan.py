@@ -21,6 +21,8 @@ from dyadic_spaces import CubeSequence, DyadicCube, save_jsonl, saturated_tree_s
 from dyadic_spaces import _geometry, seqspace
 from dyadic_spaces.seqspace import SequenceFormatError, load_jsonl
 
+from _oracles import reference_jsonl
+
 
 @contextmanager
 def patched(owner, name, value):
@@ -263,3 +265,48 @@ def test_a_bad_line_in_a_big_file_is_named(tmp_path):
         assert f"{path}: line 201: " in str(exc)
     else:
         raise AssertionError("the file loaded")
+
+
+@st.composite
+def saved_sequences(draw):
+    """Sequences of dims 1-3 under roots at negative and positive levels,
+    some with records 13001 levels down, whose indices pass ``_SAFE_BITS``,
+    and with magnitudes whose ``v`` overflows to Infinity or underflows to
+    0.0."""
+    n = draw(st.integers(1, 3))
+    root = DyadicCube(n, draw(st.sampled_from([-3, 0, 5])),
+                      tuple(draw(st.integers(-3, 3)) for _ in range(n)))
+    width = draw(st.sampled_from([0, 3, seqspace._SAFE_BITS + 1]))
+    cubes = {}
+    for i in range(draw(st.integers(0, 12))):
+        d = draw(st.sampled_from([0, min(1, width), width // 2, width])) if i else width
+        rel = tuple(draw(st.integers(0, 2**d - 1)) for _ in range(n))
+        cubes[d, tuple((r << d) + k for r, k in zip(root.index, rel))] = draw(st.sampled_from(
+            [-math.inf, 0.0, -0.0, 1.5, -1e-300, 1 / 3, 1023.9, 1024.0, 2000.0, -1074.5, -1075.0,
+             -1100.0, 1e300]
+        ))
+    levels = [root.level + d for d, _ in cubes]
+    indices = [k for _, k in cubes]
+    return CubeSequence.from_records(root, levels, indices, list(cubes.values()), width)
+
+
+@given(saved_sequences())
+@settings(max_examples=80, deadline=None)
+def test_saved_lines_are_json_dumps_lines(tmp_path_factory, seq):
+    path = tmp_path_factory.mktemp("save") / "seq.jsonl"
+    save_jsonl(seq, path)
+    assert path.read_bytes() == reference_jsonl(seq).encode()
+
+
+def test_saved_lines_cover_every_spelling(tmp_path):
+    """Infinity and 0.0 for v, and indices past ``_SAFE_BITS``, all in one file."""
+    d = seqspace._SAFE_BITS + 1
+    root = DyadicCube(2, -3, (-1, 2))
+    deep = tuple((r << d) + (1 << d - 1) for r in root.index)
+    seq = CubeSequence.from_records(root, [-3, -2, -3 + d], [root.index, (-2, 4), deep],
+                                    [2000.0, -1100.0, 0.5])
+    save_jsonl(seq, tmp_path / "seq.jsonl")
+    text = (tmp_path / "seq.jsonl").read_text()
+    assert text == reference_jsonl(seq)
+    assert '"v": Infinity}' in text and '"v": 0.0}' in text
+    assert max(map(len, text.splitlines())) > 2 * 3914
