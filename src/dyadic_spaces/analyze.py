@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._log2 import INF, NEG_INF
-from ._geometry import morton_paths
+from ._geometry import _depth_first_int64, morton_paths_int64
 from .dyadic import DyadicCube
 from .seqspace import (
     CubeSequence,
@@ -175,12 +175,21 @@ class GridFunction:
         n_modes: int = 20,
         j_hi: int | None = None,
     ) -> "GridFunction":
-        """Sum of ``n_modes`` random cosines with |m| in [1, 2**j_hi]."""
+        """Sum of ``n_modes`` random cosines amp * cos(2 pi m . x + phase) with
+        |m| in [1, 2**j_hi].
+
+        Modes are drawn one at a time, a draw outside the ball being drawn
+        again, then its amplitude and phase.  Each mode adds amp * e^(i phase)
+        into bin m mod 2**L (per axis) of one spectrum, so one inverse FFT
+        gives the sum on the grid; modes that alias to one bin add there.
+        Raises ValueError for a negative ``n_modes``."""
+        if n_modes < 0:
+            raise ValueError(f"n_modes must be >= 0, got {n_modes}")
         if j_hi is None:
             j_hi = L - 3
         m_max = 1 << j_hi
-        grid = _grids(dim, L)
-        samples = np.zeros(((1 << L),) * dim)
+        N = 1 << L
+        spectrum = np.zeros((N,) * dim, dtype=complex)
         picked = 0
         while picked < n_modes:
             mode = tuple(int(v) for v in rng.integers(-m_max, m_max + 1, size=dim))
@@ -189,22 +198,23 @@ class GridFunction:
                 continue
             amp = float(rng.uniform(0.5, 1.5))
             phase = float(rng.uniform(0.0, 2 * np.pi))
-            arg = sum(m * g for m, g in zip(mode, grid))
-            samples += amp * np.cos(2 * np.pi * arg + phase)
+            term = complex(amp * math.cos(phase), amp * math.sin(phase))
+            spectrum[tuple(m % N for m in mode)] += term
             picked += 1
-        return cls(dim, L, samples)
+        return cls(dim, L, N**dim * np.fft.ifftn(spectrum).real)
 
     @classmethod
     def sawtooth_smoothed(cls, dim: int, L: int) -> "GridFunction":
-        """Smoothly truncated sawtooth Fourier series (dim 1 only)."""
+        """Smoothly truncated sawtooth Fourier series (dim 1 only):
+        sum of exp(-3 (m/M)**2) sin(2 pi m x) / m over m = 1..M = 2**(L-3),
+        as the imaginary part of one inverse FFT of those coefficients."""
         if dim != 1:
             raise ValueError("the sawtooth family is one-dimensional")
         M = 1 << (L - 3)
-        x = _grids(1, L)[0]
-        samples = np.zeros(1 << L)
-        for m in range(1, M + 1):
-            samples += math.exp(-3.0 * (m / M) ** 2) * np.sin(2 * np.pi * m * x) / m
-        return cls(1, L, samples)
+        N = 1 << L
+        spectrum = np.zeros(N, dtype=complex)
+        spectrum[1 : M + 1] = [math.exp(-3.0 * (m / M) ** 2) / m for m in range(1, M + 1)]
+        return cls(1, L, N * np.fft.ifft(spectrum).imag)
 
 
 def _grids(dim: int, L: int) -> tuple[np.ndarray, ...]:
@@ -285,21 +295,25 @@ def coefficients(
     L = f.log_resolution
     dim = f.dim
     root = DyadicCube.unit(dim)
-    paths: list[int] = []
-    depths: list[int] = []
+    # dim * L <= 24 on every analyzer grid, so the keys fit the int64 sort
+    indices: list[np.ndarray] = []
     log2_values: list[float] = []
     for j in range(0, max_level + 1):
         corners = bands[j][(slice(None, None, 1 << (L - j)),) * dim]
         mags = corners * 2.0 ** (-j * dim / 2.0)
         nonzero = mags > 0.0
-        found = np.argwhere(nonzero).tolist()
-        paths += morton_paths(root, found, [j] * len(found))
-        depths += [j] * len(found)
+        indices.append(np.argwhere(nonzero))
         log2_values += map(math.log2, mags[nonzero].tolist())
     log2t = np.array(log2_values)
     if not (log2t < INF).all():
         raise ValueError("non-finite coefficient magnitude")
-    return CubeSequence._from_paths(root, max_level, paths, depths, log2t)
+    depth = np.repeat(np.arange(max_level + 1), [len(k) for k in indices])
+    D = int(depth.max(initial=0))
+    paths = morton_paths_int64(root, np.concatenate(indices), depth)
+    width, key, node_depth, order = _depth_first_int64(
+        root, paths, depth, log2t > NEG_INF, D, D.bit_length()
+    )
+    return CubeSequence(root, max_level, width, key, node_depth, log2t[order])
 
 
 def _pool(arr: np.ndarray, k: int, reduce) -> np.ndarray:

@@ -376,6 +376,9 @@ def cmd_sweep(args) -> int:
 # The grid-size bound: ``analyze`` samples 2**(dim * L) points, and the filter
 # bank and the band-passes hold several arrays of that size.
 GRID_BITS_BOUND = 24
+# The modes bound: the random signal draws its modes one at a time in Python,
+# about 20 us a mode, so the bound keeps the draws near a second.
+MODES_BOUND = 1 << 16
 
 
 def cmd_analyze(args) -> int:
@@ -383,6 +386,12 @@ def cmd_analyze(args) -> int:
         raise ParamError(
             f"--dim {args.dim} and --L {args.L} make a grid of 2**{args.dim * args.L} "
             f"points, over the bound of 2**{GRID_BITS_BOUND}", rule="grid-size bound"
+        )
+    if args.modes < 0:
+        raise ParamError(f"--modes must be >= 0, got {args.modes}")
+    if args.modes > MODES_BOUND:
+        raise ParamError(
+            f"--modes {args.modes} is over the bound of {MODES_BOUND}", rule="modes bound"
         )
     bank = build_filter_bank(args.L)
     rng = np.random.default_rng(args.seed)

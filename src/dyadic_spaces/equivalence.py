@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -265,6 +266,12 @@ def check_sample_count(count: int) -> None:
         )
 
 
+def _check_retain(retain: float) -> None:
+    """Refuse a survival probability outside [0, 1], NaN included."""
+    if not 0.0 <= retain <= 1.0:
+        raise ValueError(f"retain must lie in [0, 1], got {retain}")
+
+
 def _grow(
     rng: np.random.Generator, n: int, max_depth: int, retain: float, node_bound: int
 ) -> tuple[list[int], list[int]]:
@@ -314,9 +321,11 @@ def random_sequence(
     its magnitude.  A level whose children could take the tree past
     ``node_bound`` nodes is refused before its draw [sample bound].  The
     paths go straight to the keyed constructor, with no re-validation.
+    Raises ValueError for a negative depth or a ``retain`` outside [0, 1].
     """
     if max_depth < 0:
         raise ValueError(f"depth must be >= 0, got {max_depth}")
+    _check_retain(retain)
     if root is None:
         root = DyadicCube.unit(dim)
     elif root.dim != dim:
@@ -345,14 +354,16 @@ def random_sample_set(
     those arrays compile into the forest's geometry at its first norm call;
     a sample's own ``CubeSequence`` is built only when the forest is
     indexed.  Raises ValueError, before any draw, for a negative count, no
-    dimensions, a negative depth cap or a ``retain`` outside [0, 1].
+    dimensions, a dimension that is not a positive int (a bool is not one),
+    a negative depth cap or a ``retain`` outside [0, 1].
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if not dims:
         raise ValueError(f"dims must name at least one dimension, got {dims!r}")
-    if not 0.0 <= retain <= 1.0:
-        raise ValueError(f"retain must lie in [0, 1], got {retain}")
+    if not all(isinstance(d, Integral) and not isinstance(d, bool) and d > 0 for d in dims):
+        raise ValueError(f"dims must be positive ints, got {dims!r}")
+    _check_retain(retain)
     check_sample_count(count)
     if min(depth_1d if dim == 1 else depth_nd for dim in dims) < 0:
         raise ValueError(f"depth caps must be >= 0, got {depth_1d} and {depth_nd}")

@@ -46,9 +46,11 @@ dropped.  ``from_records`` first checks (level, index, log2 magnitude)
 records (root, depth bound, index length, finite magnitudes, the key-memory
 bound) and builds their paths; given int64 arrays of at least
 ``_NUMPY_SHELLS`` records with narrow keys (n * D + depth bits <= 62), it
-does so in numpy, in the same order (``_from_arrays``).  ``random_sequence``,
-``coefficients`` and ``build_tower`` build their paths themselves and go
-through ``CubeSequence._from_paths``; ``random_sample_set`` sorts a whole
+does so in numpy, in the same order (``_from_arrays``).  ``random_sequence``
+and ``build_tower`` build their paths themselves and go through
+``CubeSequence._from_paths``; the analyzer's ``coefficients``, whose keys
+always fit (dim * L <= 24), builds int64 paths and takes the int64 sort,
+``_depth_first_int64``, directly; ``random_sample_set`` sorts a whole
 set's records by (sample, key, depth) straight into a forest.  A sequence
 keeps the sorted keys of its nonzero records, as wide as the deepest, with
 their depths and log2 magnitudes; the cube views and ``save_jsonl`` decode

@@ -20,6 +20,10 @@ replaced for parents whose child shifts fit in a float's mantissa.
 time and compiles the list as a ``Forest``: the route that drawing the set
 straight into one forest replaced.  ``reference_jsonl`` is the text
 ``save_jsonl`` writes, each record through ``json_dumps``.
+
+``reference_random_bandlimited`` and ``reference_sawtooth_smoothed`` are the
+analyzer's seeded signals as direct sums, one full-grid cosine or sine per
+mode: the loops that one inverse FFT of the known spectrum replaced.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from dyadic_spaces import (
     CubeSequence, DyadicCube, Family, Forest, SupportTree, lp_convolve, random_sequence,
 )
 from dyadic_spaces._log2 import log2_to_linear
+from dyadic_spaces.analyze import _grids
 from dyadic_spaces.seqspace import json_dumps
 
 INF = math.inf
@@ -512,3 +517,40 @@ def reference_function_norm(f, bank, params, max_level: int):
     best = max(values.values())
     cube = min((c for c, v in values.items() if v == best), key=DyadicCube.sort_key)
     return best, cube, values
+
+
+def reference_random_bandlimited(dim, L, rng, n_modes=20, j_hi=None):
+    """``GridFunction.random_bandlimited`` as a direct sum: the same draws in
+    the same order, each mode's cosine evaluated on the whole grid.  Returns
+    the samples and the drawn (mode, amplitude, phase) triples."""
+    if j_hi is None:
+        j_hi = L - 3
+    m_max = 1 << j_hi
+    grid = _grids(dim, L)
+    samples = np.zeros(((1 << L),) * dim)
+    drawn = []
+    while len(drawn) < n_modes:
+        mode = tuple(int(v) for v in rng.integers(-m_max, m_max + 1, size=dim))
+        radius = math.sqrt(sum(m * m for m in mode))
+        if radius < 1 or radius > m_max:
+            continue
+        amp = float(rng.uniform(0.5, 1.5))
+        phase = float(rng.uniform(0.0, 2 * np.pi))
+        arg = sum(m * g for m, g in zip(mode, grid))
+        samples += amp * np.cos(2 * np.pi * arg + phase)
+        drawn.append((mode, amp, phase))
+    return samples, drawn
+
+
+def reference_sawtooth_smoothed(L):
+    """``GridFunction.sawtooth_smoothed`` as a direct sum of its sines.
+    Returns the samples and the coefficients, mode m at index m - 1."""
+    M = 1 << (L - 3)
+    x = _grids(1, L)[0]
+    samples = np.zeros(1 << L)
+    coefficients = []
+    for m in range(1, M + 1):
+        c = math.exp(-3.0 * (m / M) ** 2) / m
+        samples += c * np.sin(2 * np.pi * m * x)
+        coefficients.append(c)
+    return samples, coefficients

@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from dyadic_spaces import (
@@ -25,6 +26,7 @@ from dyadic_spaces import (
     cmo_norm,
     f_type_norm,
     random_sample_set,
+    random_sequence,
     save_jsonl,
     transform_consistency,
 )
@@ -517,6 +519,37 @@ class TestAnalyze:
         with pytest.raises(AssertionError):  # a grid at the bound gets through
             main(["analyze", "--dim", str(dim), "--L", str(24 // dim)])
 
+    @pytest.mark.parametrize("modes,message", [
+        (-1, "error: --modes must be >= 0, got -1\n"),
+        (65537, "error: --modes 65537 is over the bound of 65536 [modes bound]\n"),
+        (10**9, "error: --modes 1000000000 is over the bound of 65536 [modes bound]\n"),
+    ])
+    def test_modes_out_of_range_exit_3_before_any_draw(
+        self, modes, message, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the filter bank was built")
+
+        monkeypatch.setattr(cli, "build_filter_bank", refuse)
+        assert main(["analyze", "--L", "6", "--modes", str(modes)]) == 3
+        assert capsys.readouterr().err == message
+
+    def test_modes_at_the_bound_reach_the_draw(self, monkeypatch):
+        def drawn(cls, dim, L, rng, n_modes, j_hi):
+            raise AssertionError(f"drew {n_modes}")
+
+        monkeypatch.setattr(GridFunction, "random_bandlimited", classmethod(drawn))
+        with pytest.raises(AssertionError, match="drew 65536"):
+            main(["analyze", "--L", "6", "--modes", "65536"])
+
+    def test_zero_modes_is_the_zero_signal(self, tmp_path):
+        code, raw = run(["analyze", "--L", "6", "--modes", "0"], tmp_path)
+        assert code == 0
+        doc = json.loads(raw)
+        assert doc["consistency"]["ratio"] is None
+        assert doc["consistency"]["function_norm_log2"] == "-inf"
+        assert doc["coefficients"]["entries"] == 0
+
 
 # refute's defaults (p = q = 2) fail its parameter check before any depth
 TOWER_COMMANDS = pytest.mark.parametrize(
@@ -561,6 +594,17 @@ class TestDepthBound:
 
 class TestSampleBound:
     BOUND = equivalence.SAMPLE_NODE_BOUND
+
+    @pytest.mark.parametrize("retain", [math.nan, 2, -0.5])
+    def test_random_sequence_checks_retain_as_the_set_does(self, retain):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        message = f"retain must lie in [0, 1], got {retain}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_sequence(rng, 1, 5, retain=retain)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_sample_set(0, 3, retain=retain)
 
     @pytest.mark.parametrize("command", [
         ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1"],
@@ -615,7 +659,12 @@ class TestSampleBound:
         ({"retain": 2}, "retain must lie in [0, 1], got 2"),
         ({"retain": -0.5}, "retain must lie in [0, 1], got -0.5"),
         ({"retain": math.nan}, "retain must lie in [0, 1], got nan"),
-    ], ids=["count", "dims", "retain-2", "retain-negative", "retain-nan"])
+        ({"dims": (1.5,)}, "dims must be positive ints, got (1.5,)"),
+        ({"dims": (True,)}, "dims must be positive ints, got (True,)"),
+        ({"dims": (1, 0)}, "dims must be positive ints, got (1, 0)"),
+        ({"dims": (2, "1")}, "dims must be positive ints, got (2, '1')"),
+    ], ids=["count", "dims", "retain-2", "retain-negative", "retain-nan", "dims-float",
+            "dims-bool", "dims-zero", "dims-str"])
     def test_bad_sample_set_arguments_are_refused_before_any_draw(
         self, kwargs, message, monkeypatch
     ):
