@@ -29,6 +29,7 @@ from .seqspace import (
     ParamError,
     SpaceParams,
     _argmax,
+    check_exponents,
     norm,
 )
 
@@ -367,8 +368,7 @@ def function_norm(
     if params.family not in (Family.F_TYPE, Family.B_TYPE):
         raise ParamError(f"function_norm supports F/B families, got {params.family}")
     s, tau, p, q = params.s, params.tau, params.p, params.q
-    if tau < 0:
-        raise ParamError("tau must be >= 0", rule="Definition 1")
+    check_exponents(p, q, tau)
     if bands is None:
         bands = band_magnitudes(f, bank, max_level)
     L = f.log_resolution

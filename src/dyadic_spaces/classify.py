@@ -15,6 +15,7 @@ from numbers import Rational
 from typing import Any
 
 from ._log2 import INF, exact_inv, num, nums
+from .seqspace import check_exponents
 from .witness import GrowthReport, certify_separation
 
 _FLOAT_TOL = 1e-12
@@ -103,11 +104,6 @@ class _Cmp:
         return self.lt(b, a)
 
 
-def _check_exponents(p, q) -> None:
-    if not (p > 0 and q > 0):
-        raise ValueError("p and q must be positive (inf allowed)")
-
-
 _INCLUSION_CHAIN_NOTES = (
     "B^s_(inf,q) is a proper subspace of B^(s,1/p)_(p,q) [Proposition 1(iii)]",
     "B^(s,1/p)_(p,q) is contained in B^(s,1/q)_(q,q) when p >= q; "
@@ -125,14 +121,12 @@ def classify(d: SpaceDescriptor) -> ClassificationReport:
     if fam not in ("F_type", "B_type", "BBMO"):
         raise ValueError(f"unknown family {fam!r}")
     p, q = num(d.p), num(d.q)
-    _check_exponents(p, q)
+    check_exponents(p, q, f_type=fam == "F_type")
     inv_p = exact_inv(p)
     if fam == "BBMO":  # the B-type space at Morrey exponent 1/p
         fam, tau = "B_type", inv_p
     else:
         tau = num(d.tau)
-    if fam == "F_type" and p == INF:
-        raise ValueError("the F-type family requires p < inf")
     s = num(d.s)
     d = SpaceDescriptor(fam, s, tau, p, q, d.homogeneous, d.dim)
 
@@ -256,7 +250,7 @@ def classify_cmo(s, q, r, dim: int = 1, homogeneous: bool = True) -> Classificat
     F-space at p = inf.
     """
     q, r = num(q), num(r)
-    _check_exponents(q, q)  # the delegate's p and q
+    check_exponents(q, q)  # the delegate's p and q
     if q == INF:
         cmp = _Cmp()
         if cmp.eq(r, 1) or cmp.gt(r, 1):
@@ -278,7 +272,7 @@ def classify_cmo(s, q, r, dim: int = 1, homogeneous: bool = True) -> Classificat
 def cmo_param_of(tau, p, q):
     """The Carleson index r matching Morrey exponent tau: r = tau*q + 1 - q/p."""
     tau, p, q = num(tau), num(p), num(q)
-    _check_exponents(p, q)
+    check_exponents(p, q)
     if q == INF:
         raise ValueError("the index mapping is undefined at q = inf")
     return tau * q - q * exact_inv(p) + 1
@@ -315,12 +309,12 @@ def refute_claim(
     # the region is decided on nums(); the messages and the reports take the
     # parameters one at a time, as given
     tau_d, p_d, q_d = nums(tau, p, q)
+    check_exponents(p, q, tau, f_type=True)
     if q_d <= p_d:
         raise ValueError(
             f"rejected: the counterexample requires q > p (got p={p}, q={q}); "
             "at p = q the two norms are identical"
         )
-    _check_exponents(p, q)
     inv_p = exact_inv(p_d)
     if tau_d > inv_p:
         raise ValueError(

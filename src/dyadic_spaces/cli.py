@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from ._log2 import INF
 from .analyze import GridFunction, build_filter_bank, transform_consistency
-from .classify import SpaceDescriptor, classify, classify_cmo, refute_claim
+from .classify import SpaceDescriptor, classify, refute_claim
 from .equivalence import (
     check_holder_embeddings,
     check_exact_identities,
@@ -62,8 +62,10 @@ def parse_extended(text: str):
     if text in ("inf", "infty", "infinity", "oo"):
         return INF
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     try:
         return int(text)
     except ValueError:
@@ -149,13 +151,11 @@ _NORM_FAMILIES = {
 def cmd_norm(args) -> int:
     seq = load_jsonl(args.infile)
     family = _NORM_FAMILIES[args.family]
-    # each family reads the options of its norm function alone
+    # a family's unread options are refused (OPTION_TABLE): they hold their defaults
     if family == Family.CMO:
         if args.r is None:
             raise ParamError("--r is required for the cmo family")
         params = SpaceParams(family, args.s, args.r, args.q, args.q)
-    elif family == Family.BBMO:
-        params = SpaceParams(family, args.s, 0, args.p, args.q)
     elif family in (Family.F_INF_INF, Family.B_INF_INF):
         params = SpaceParams(family, args.s, 0, INF, INF)
     else:
@@ -184,12 +184,6 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _refuse_unread(given: bool, option: str, command: str) -> None:
-    """An option given to a command that never reads it is refused, not ignored."""
-    if given:
-        raise ParamError(f"{option} is not read by {command}")
-
-
 def _depths(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(d) for d in text.split(","))
@@ -200,7 +194,6 @@ def _depths(text: str) -> tuple[int, ...]:
 
 
 def cmd_witness(args) -> int:
-    _refuse_unread(args.inhomogeneous, "--inhomogeneous", "witness")
     depths = _depths(args.depths)
     divergent, bounded = certify_separation(
         args.s, args.p, args.q, args.tau, n=args.dim, depths=depths, family=args.part
@@ -227,8 +220,6 @@ def cmd_witness(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    _refuse_unread(args.inhomogeneous, "--inhomogeneous",
-                   "equiv; its inhomogeneous checks are inhom-f and inhom-b")
     if args.samples < 1:
         raise ParamError(f"--samples must be >= 1, got {args.samples}")
     if args.depth < 0:
@@ -251,11 +242,9 @@ def cmd_equiv(args) -> int:
     elif check == "identities":
         r = args.r if args.r is not None else 0
         report = check_exact_identities(samples, s, p, q, r)
-    elif check in ("inhom-f", "inhom-b"):
+    else:  # inhom-f or inhom-b
         family = check.removeprefix("inhom-")
         report = check_collapse_inhomogeneous(samples, s, tau, p, q, family=family, tol=tol)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ParamError(f"unknown check {check}")
     if args.format == "json":
         fields = ("check", "lower_constant", "upper_constant", "worst_ratio_low",
                   "worst_ratio_high", "samples", "vacuous", "tol", "all_ok")
@@ -273,30 +262,13 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _refuse_unread(args.family == "bbmo" and args.tau is not None, "--tau", "classify --family bbmo")
-    _refuse_unread(args.family == "cmo" and args.p is not None, "--p", "classify --family cmo")
-    # the config echo shows the defaults of the options left out
-    args.tau = 0 if args.tau is None else args.tau
-    args.p = 2 if args.p is None else args.p
-    if args.family == "cmo":
-        if args.r is None:
-            raise ParamError("--r is required for the cmo family")
-        report = classify_cmo(
-            args.s, args.q, args.r, dim=args.dim, homogeneous=not args.inhomogeneous
-        )
-    else:
-        fam = {"f": "F_type", "b": "B_type", "bbmo": "BBMO"}[args.family]
-        report = classify(
-            SpaceDescriptor(
-                fam,
-                args.s,
-                args.tau,
-                args.p,
-                args.q,
-                homogeneous=not args.inhomogeneous,
-                dim=args.dim,
-            )
-        )
+    if args.family == "cmo" and args.r is None:
+        raise ParamError("--r is required for the cmo family")
+    fam = {"f": "F_type", "b": "B_type", "cmo": "CMO", "bbmo": "BBMO"}[args.family]
+    tau = args.r if fam == "CMO" else args.tau  # a CMO descriptor carries r in tau
+    report = classify(
+        SpaceDescriptor(fam, args.s, tau, args.p, args.q, not args.inhomogeneous, args.dim)
+    )
     if args.format == "json":
         _write_json(args, {"report": report.to_json_dict()})
     else:
@@ -318,7 +290,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    _refuse_unread(args.inhomogeneous, "--inhomogeneous", "refute")
     depths = None if args.depths is None else _depths(args.depths)
     bundle = refute_claim(args.s, args.tau, args.p, args.q, dim=args.dim, depths=depths)
     ok = bundle.divergent.verdict == "diverges" and bundle.bounded.verdict == "bounded"
@@ -382,6 +353,8 @@ MODES_BOUND = 1 << 16
 
 
 def cmd_analyze(args) -> int:
+    if args.dim < 1:
+        raise ParamError(f"--dim must be >= 1, got {args.dim}")
     if args.dim * args.L > GRID_BITS_BOUND:
         raise ParamError(
             f"--dim {args.dim} and --L {args.L} make a grid of 2**{args.dim * args.L} "
@@ -393,6 +366,11 @@ def cmd_analyze(args) -> int:
         raise ParamError(
             f"--modes {args.modes} is over the bound of {MODES_BOUND}", rule="modes bound"
         )
+    # the mode 2**j0 may reach the grid's Nyquist frequency 2**(L-1), no further
+    if args.signal == "harmonic" and not 0 <= args.j0 <= args.L - 1:
+        raise ParamError(f"--j0 must lie in 0..L-1 = 0..{args.L - 1}, got {args.j0}")
+    if args.max_level is not None and not 0 <= args.max_level <= args.L - 2:
+        raise ParamError(f"--max-level must lie in 0..L-2 = 0..{args.L - 2}, got {args.max_level}")
     bank = build_filter_bank(args.L)
     rng = np.random.default_rng(args.seed)
     if args.signal == "harmonic":
@@ -401,14 +379,11 @@ def cmd_analyze(args) -> int:
         f = GridFunction.random_bandlimited(
             args.dim, args.L, rng, n_modes=args.modes, j_hi=args.L - 3
         )
-    elif args.signal == "sawtooth-smoothed":
+    else:  # sawtooth-smoothed
         f = GridFunction.sawtooth_smoothed(args.dim, args.L)
-    else:  # pragma: no cover
-        raise ParamError(f"unknown signal family {args.signal}")
     family = Family.F_TYPE if args.family == "f" else Family.B_TYPE
     params = SpaceParams(family, args.s, args.tau, args.p, args.q, not args.inhomogeneous)
-    max_level = args.max_level if args.max_level is not None else args.L - 2
-    report = transform_consistency(f, bank, params, max_level)
+    report = transform_consistency(f, bank, params, args.max_level)
     payload = {
         "bank": {
             "L": bank.log_resolution,
@@ -427,24 +402,53 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, *, seed=True):
-    sp.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="ignored; every command runs serially")
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
+# The option table: for each command, the option whose value selects what a
+# command line reads (None when every line reads the same), the defaults of
+# the mathematical options its parser takes, and, for each selector value,
+# the options read.  The parser takes these options with None defaults, so
+# that ``_read_options`` can refuse one given but not read (exit 3) before
+# it fills in the defaults that the config echo shows.  --seed, --threads,
+# --out, --format and the command's own options are outside the table.
+_SPACE = {"s": 0, "tau": 0, "p": 2, "q": 2, "dim": 1, "inhomogeneous": False}
+_F_B = "s tau p q inhomogeneous"
+_COLLAPSE = "s tau p q dim tol"
+OPTION_TABLE = {
+    "norm": ("family", {**_SPACE, "r": None}, {
+        "f": _F_B, "b": _F_B, "cmo": "s q r", "bbmo": "s p q", "finfinf": "s", "binfinf": "s",
+    }),
+    # the README's separating pair: the shared p = q = 2 fail the witness's q > p
+    "witness": (None, {**_SPACE, "tau": Fraction(1, 2), "p": 1}, {None: "s tau p q dim"}),
+    "equiv": ("check", {**_SPACE, "r": None, "tol": 1e-9}, {
+        "collapse-f": _COLLAPSE, "collapse-b": _COLLAPSE, "holder": "s tau p q dim",
+        "identities": "s p q r dim", "inhom-f": _COLLAPSE, "inhom-b": _COLLAPSE,
+    }),
+    "classify": ("family", {**_SPACE, "r": None}, {
+        "f": _F_B + " dim", "b": _F_B + " dim", "cmo": "s q r dim inhomogeneous",
+        "bbmo": "s p q dim inhomogeneous",
+    }),
+    "refute": (None, _SPACE, {None: "s tau p q dim"}),
+    "sweep": (None, {"s": 0, "dim": 1, "tol": 1e-9}, {None: "s dim tol"}),
+    "analyze": ("signal", {**_SPACE, "j0": 3, "modes": 20}, {
+        "harmonic": _F_B + " dim j0", "random-bandlimited": _F_B + " dim modes",
+        "sawtooth-smoothed": _F_B + " dim",
+    }),
+}
+
+_OPTION_TYPES = {"dim": int, "j0": int, "modes": int, "tol": float}  # the rest: parse_extended
 
 
-def _add_params(sp, *, tau=True, r=True):
-    sp.add_argument("--s", type=parse_extended, default=0)
-    if tau:
-        sp.add_argument("--tau", type=parse_extended, default=0)
-    sp.add_argument("--p", type=parse_extended, default=2)
-    sp.add_argument("--q", type=parse_extended, default=2)
-    if r:
-        sp.add_argument("--r", type=parse_extended, default=None)
-    sp.add_argument("--dim", type=int, default=1)
-    sp.add_argument("--inhomogeneous", action="store_true")
+def _read_options(args) -> None:
+    """Refuse every table option that the command line gives and its command
+    does not read; then fill in the defaults of those it leaves out."""
+    selector, defaults, reads = OPTION_TABLE[args.command]
+    value = getattr(args, selector) if selector else None
+    read = reads[value].split()
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in read:
+            where = f"{args.command} --{selector} {value}" if selector else args.command
+            raise ParamError(f"--{name} is not read by {where}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -462,84 +466,64 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("norm", help="evaluate a sequence norm on a JSONL file")
-    sp.add_argument("--family", choices=tuple(_NORM_FAMILIES), required=True)
-    _add_params(sp)
-    sp.add_argument("--in", dest="infile", type=Path, required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_norm)
+    def command(name, func, text, formats=("json", "csv"), seed=True, **selector):
+        """The parser of one command: its selector and table options, then
+        the options outside the table; the caller adds the command's own."""
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(func=func)
+        option, defaults, reads = OPTION_TABLE[name]
+        if option:
+            sp.add_argument(f"--{option}", choices=tuple(reads), **selector)
+        for key in defaults:
+            if key == "inhomogeneous":
+                sp.add_argument("--inhomogeneous", action="store_true", default=None)
+            else:
+                sp.add_argument(f"--{key}", type=_OPTION_TYPES.get(key, parse_extended))
+        sp.add_argument("--format", choices=formats, default="json")
+        sp.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
+        sp.add_argument("--threads", type=int, default=None,
+                        help="ignored; every command runs serially")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        return sp
 
-    sp = sub.add_parser("witness", help="tower growth certification")
-    _add_params(sp, r=False)
-    # the README's separating pair; the shared defaults p = q = 2 fail q > p
-    sp.set_defaults(tau=Fraction(1, 2), p=1, q=2)
+    sp = command("norm", cmd_norm, "evaluate a sequence norm on a JSONL file", required=True)
+    sp.add_argument("--in", dest="infile", type=Path, required=True)
+
+    sp = command("witness", cmd_witness, "tower growth certification")
     sp.add_argument("--depths", default="4,8,16,32,64")
     sp.add_argument("--part", choices=("f", "b"), default="f")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_witness)
 
-    sp = sub.add_parser("equiv", help="equivalence checks over random samples")
-    sp.add_argument("--check", choices=("collapse-f", "collapse-b", "holder", "identities", "inhom-f", "inhom-b"),
-                    required=True)
-    _add_params(sp)
+    sp = command("equiv", cmd_equiv, "equivalence checks over random samples", required=True)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--depth", type=int, default=8)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_equiv)
 
-    sp = sub.add_parser("classify", help="symbolic parameter classification")
-    sp.add_argument("--family", choices=("f", "b", "cmo", "bbmo"), required=True)
-    _add_params(sp)
-    # None marks --tau and --p as not given: bbmo never reads --tau, cmo never --p
-    sp.set_defaults(tau=None, p=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp, seed=False)
-    sp.set_defaults(func=cmd_classify)
+    command("classify", cmd_classify, "symbolic parameter classification", seed=False,
+            required=True)
 
-    sp = sub.add_parser("refute", help="counterexample bundle for the equivalence claim")
-    _add_params(sp, r=False)
+    sp = command("refute", cmd_refute, "counterexample bundle for the equivalence claim",
+                 ("json",))
     sp.add_argument("--depths", default=None)
-    sp.add_argument("--format", choices=("json",), default="json")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_refute)
 
-    sp = sub.add_parser("sweep", help="verdict/ratio grid over (tau, p, q)")
+    sp = command("sweep", cmd_sweep, "verdict/ratio grid over (tau, p, q)")
     sp.add_argument("--family", choices=("f", "b"), default="f")
-    sp.add_argument("--s", type=parse_extended, default=0)
-    sp.add_argument("--dim", type=int, default=1)
     sp.add_argument("--tau-grid", default="0,1/4,1/2,1,2")
     sp.add_argument("--p-grid", default="1/2,1,2")
     sp.add_argument("--q-grid", default="1,2,inf")
     sp.add_argument("--samples", type=int, default=50)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("analyze", help="filter bank + transform consistency")
+    sp = command("analyze", cmd_analyze, "filter bank + transform consistency", ("json",),
+                 default="random-bandlimited")
     sp.add_argument("--L", type=int, default=8)
-    sp.add_argument("--signal",
-                    choices=("harmonic", "random-bandlimited", "sawtooth-smoothed"),
-                    default="random-bandlimited")
-    sp.add_argument("--j0", type=int, default=3)
-    sp.add_argument("--modes", type=int, default=20)
     sp.add_argument("--family", choices=("f", "b"), default="f")
-    _add_params(sp, r=False)
     sp.add_argument("--max-level", type=int, default=None)
-    sp.add_argument("--format", choices=("json",), default="json")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _read_options(args)
         if getattr(args, "seed", 0) < 0:  # numpy would refuse it without naming it
             raise ParamError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
@@ -551,6 +535,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except (ParamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    except OverflowError as exc:  # a parameter such as --s 2000 past the float range
+        print(f"error: out of the float range: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except MemoryError:
         print("error: out of memory: the input or the parameters need more than is available",

@@ -30,7 +30,7 @@ import numpy as np
 from ._geometry import Geometry, depth_first
 from ._log2 import INF, NEG_INF, geometric_tail_log2, inv, log2_to_linear
 from .dyadic import DyadicCube
-from .seqspace import CubeSequence, Family, Forest, ParamError, SpaceParams
+from .seqspace import CubeSequence, Family, Forest, ParamError, SpaceParams, check_exponents
 
 
 def identity_tolerance(p: float, q: float) -> float:
@@ -38,11 +38,10 @@ def identity_tolerance(p: float, q: float) -> float:
 
     Powering by large exponent ratios amplifies rounding, so the tolerance
     relaxes from 1e-12 to 1e-9 once the exponent ratio exceeds 8.  Raises
-    ``ParamError`` unless both exponents are positive.
+    ``ParamError`` unless both exponents are positive (``check_exponents``).
     """
+    check_exponents(p, q)
     p, q = float(p), float(q)
-    if not (p > 0 and q > 0):
-        raise ParamError(f"p and q must be positive, got p={p}, q={q}")
     if p == INF or q == INF:
         return 1e-12
     ratio = max(p / q, q / p)
@@ -163,6 +162,7 @@ def _collapse(
             rule="Definition 5",
         )
     params = SpaceParams(family, s, tau, p, q, homogeneous=homogeneous)
+    check_exponents(params.p, params.q, params.tau)  # tau < 0 before the region rule
     n_dim = _uniform_dim(forest)
     c_log2 = collapse_upper_constant_log2(params.s, params.tau, params.p, params.q, n_dim)
     s_eff = params.s + n_dim * (params.tau - inv(params.p))
@@ -266,6 +266,14 @@ def check_sample_count(count: int) -> None:
         )
 
 
+def _check_dims(dims) -> None:
+    """Refuse no dimensions, or one that is not a positive int (a bool is not one)."""
+    if not dims:
+        raise ValueError(f"dims must name at least one dimension, got {dims!r}")
+    if not all(isinstance(d, Integral) and not isinstance(d, bool) and d > 0 for d in dims):
+        raise ValueError(f"dims must be positive ints, got {dims!r}")
+
+
 def _check_retain(retain: float) -> None:
     """Refuse a survival probability outside [0, 1], NaN included."""
     if not 0.0 <= retain <= 1.0:
@@ -321,8 +329,10 @@ def random_sequence(
     its magnitude.  A level whose children could take the tree past
     ``node_bound`` nodes is refused before its draw [sample bound].  The
     paths go straight to the keyed constructor, with no re-validation.
-    Raises ValueError for a negative depth or a ``retain`` outside [0, 1].
+    Raises ValueError, before any draw, for a ``dim`` that is not a positive
+    int, a negative depth or a ``retain`` outside [0, 1].
     """
+    _check_dims((dim,))
     if max_depth < 0:
         raise ValueError(f"depth must be >= 0, got {max_depth}")
     _check_retain(retain)
@@ -359,10 +369,7 @@ def random_sample_set(
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if not dims:
-        raise ValueError(f"dims must name at least one dimension, got {dims!r}")
-    if not all(isinstance(d, Integral) and not isinstance(d, bool) and d > 0 for d in dims):
-        raise ValueError(f"dims must be positive ints, got {dims!r}")
+    _check_dims(dims)
     _check_retain(retain)
     check_sample_count(count)
     if min(depth_1d if dim == 1 else depth_nd for dim in dims) < 0:

@@ -109,6 +109,24 @@ class SequenceFormatError(ValueError):
     """Malformed coefficient-sequence file."""
 
 
+def check_exponents(p, q, tau=0, f_type: bool = False) -> None:
+    """The exponent rules of every space, with one message each whichever
+    entry point checks them: q > 0 and p > 0 (inf allowed; q first, as a
+    CMO record's p is its q), p < inf on the F-type scale and tau >= 0.
+    Values compare as given, rationals exactly, and print as given."""
+    if not q > 0:
+        raise ParamError(f"q must be positive, got {q}")
+    if not p > 0:
+        raise ParamError(f"p must be positive, got {p}")
+    if f_type and p == INF:
+        raise ParamError("the F-type scale requires p < inf", rule="Definition 1(i)")
+    if tau < 0:
+        raise ParamError(
+            "tau < 0 collapses the space to polynomials; use the classifier",
+            rule="Proposition 1(iv)",
+        )
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """Parameter tuple (family, s, tau, p, q) with extended p, q in (0, inf];
@@ -129,15 +147,7 @@ class SpaceParams:
 
     def __post_init__(self):
         s, tau, p, q = float(self.s), float(self.tau), float(self.p), float(self.q)
-        # q first: a CMO record's p is its q
-        if not q > 0:
-            raise ParamError(f"q must be positive, got {self.q}")
-        if not p > 0:
-            raise ParamError(f"p must be positive, got {self.p}")
-        if self.family == Family.F_TYPE and p == INF:
-            raise ParamError(
-                "the F-type scale requires p < inf", rule="Definition 1(i)"
-            )
+        check_exponents(self.p, self.q, f_type=self.family == Family.F_TYPE)
         if self.family == Family.CMO and tau < 0:
             raise ParamError(f"r must be >= 0, got {self.tau}", rule="Proposition 1(iv)")
         if math.isnan(s) or math.isnan(tau):
@@ -183,14 +193,18 @@ def _outside_error(root: DyadicCube, cubes: Iterable[DyadicCube]) -> ValueError:
     return ValueError(f"{cube} lies outside the root {root}")
 
 
-def _check_keys_and_magnitudes(m: int, n: int, D: int, log2t: np.ndarray, record) -> None:
-    """The key-memory bound on m records D levels deep, then finite log2
-    magnitudes (or -inf); ``record(i)`` names the i-th record."""
+def _check_keys_and_magnitudes(m: int, n: int, j0: int, D: int, log2t: np.ndarray, record) -> None:
+    """The key-memory bound on m records D levels deep, the level bound
+    (levels j0..j0 + D inside +-2**62, so that the geometry's int64 levels
+    cannot overflow), then finite log2 magnitudes (or -inf); ``record(i)``
+    names the i-th record."""
     if m * n * D > KEY_BITS_BOUND:
         raise ValueError(
             f"{m} records {D} levels deep need {m * n * D} bits of keys, over "
             f"the bound of 2**30 [key-memory bound]"
         )
+    if (abs(j0) + D) >> 62:
+        raise ValueError(f"levels {j0}..{j0 + D} pass the level bound of +-2**62 [level bound]")
     if not (log2t < INF).all():
         i = int(np.flatnonzero(~(log2t < INF))[0])
         raise ValueError(f"non-finite log2 magnitude {log2t[i]} at {record(i)}")
@@ -270,7 +284,7 @@ class CubeSequence:
             i = next(i for i, d in enumerate(depth) if not 0 <= d <= max_depth)
             raise _placement_error(root, record(i), max_depth)
         log2t = np.array(log2_values, dtype=float)
-        _check_keys_and_magnitudes(m, n, D, log2t, record)
+        _check_keys_and_magnitudes(m, n, j0, D, log2t, record)
         paths = morton_paths(root, indices, depth)
         if paths is None:
             raise _outside_error(root, map(record, range(m)))
@@ -307,7 +321,7 @@ class CubeSequence:
         if m and (depth.min() < 0 or D > max_depth):
             i = int(np.flatnonzero((depth < 0) | (depth > min(D, max_depth)))[0])
             raise _placement_error(root, record(i), max_depth)
-        _check_keys_and_magnitudes(m, n, D, log2t, record)
+        _check_keys_and_magnitudes(m, n, j0, D, log2t, record)
         paths = morton_paths_int64(root, indices, depth)
         if paths is None:
             raise _outside_error(root, map(record, range(m)))
@@ -525,11 +539,8 @@ def _maxima(params: SpaceParams, geo: Geometry, allow_negative_tau: bool = False
         )
     if params.family not in (Family.F_TYPE, Family.B_TYPE):
         return _supremum(geo, _kernel(params, geo))
-    if params.tau < 0 and not allow_negative_tau:
-        raise ParamError(
-            "tau < 0 collapses the space to polynomials; use the classifier",
-            rule="Proposition 1(iv)",
-        )
+    if not allow_negative_tau:
+        check_exponents(params.p, params.q, params.tau)
     return _supremum(geo, _kernel(params, geo), params.homogeneous)
 
 

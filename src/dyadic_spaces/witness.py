@@ -20,6 +20,7 @@ from .seqspace import (
     ParamError,
     SpaceParams,
     b_type_norm,
+    check_exponents,
     norm,
 )
 
@@ -165,11 +166,10 @@ def _bounded_report(space, depths, values, bound_log2) -> GrowthReport:
 
 def validate_separation_params(s, p, q, tau, family: str = "f") -> None:
     """Hypothesis region of the counterexample construction, decided exactly
-    when p, q and tau are all rationals (see ``nums``).  Messages print the
-    values as given, as ``SpaceParams`` does."""
+    when p, q and tau are all rationals (see ``nums``), after the rules of
+    every space (``check_exponents``).  Messages print the values as given."""
     pn, qn, taun = nums(p, q, tau)
-    if not pn > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    check_exponents(p, q, tau, f_type=family == "f")
     if qn <= pn:
         raise ValueError(f"the counterexample needs q > p, got p={p}, q={q}")
     if qn == INF:

@@ -18,7 +18,7 @@ S = [0, F(1, 2), 0.25, 1e-13]
 TAU = [-1, 0, F(1, 4), F(1, 3), F(1, 2), 1, 2, 0.5, 0.5 + 4e-13, 1 / 3 + 1e-13, 1e-13, INF]
 P = [F(1, 2), 1, 2, 3, 0.5, 2 + 1e-12, 3.0, INF]
 Q = [1, 2, 4, 2 - 1e-13, INF]
-SHA256 = "f4d87491befacca5223773231a6a65894472a0e897bdb029e575f25c0e95484e"
+SHA256 = "225cb921248f22b4a9881f4d089a744f23f856f5008b1b575a08280ea8af95ca"
 
 
 def _outcome(fn, *args, **kwargs) -> str:

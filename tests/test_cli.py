@@ -13,6 +13,7 @@ from dyadic_spaces import (
     Family,
     GridFunction,
     ParamError,
+    SpaceDescriptor,
     SpaceParams,
     b_type_norm,
     bbmo_norm,
@@ -23,10 +24,16 @@ from dyadic_spaces import (
     check_collapse_inhomogeneous,
     check_exact_identities,
     check_holder_embeddings,
+    classify,
+    classify_cmo,
     cmo_norm,
+    cmo_param_of,
     f_type_norm,
+    function_norm,
+    identity_tolerance,
     random_sample_set,
     random_sequence,
+    refute_claim,
     save_jsonl,
     transform_consistency,
 )
@@ -534,6 +541,33 @@ class TestAnalyze:
         assert main(["analyze", "--L", "6", "--modes", str(modes)]) == 3
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--signal", "harmonic", "--j0", "-1"], "--j0 must lie in 0..L-1 = 0..7, got -1"),
+        (["--signal", "harmonic", "--j0", "8"], "--j0 must lie in 0..L-1 = 0..7, got 8"),
+        (["--signal", "harmonic", "--j0", "1100"], "--j0 must lie in 0..L-1 = 0..7, got 1100"),
+        (["--max-level", "7"], "--max-level must lie in 0..L-2 = 0..6, got 7"),
+        (["--max-level", "-1"], "--max-level must lie in 0..L-2 = 0..6, got -1"),
+        (["--dim", "0"], "--dim must be >= 1, got 0"),
+        (["--dim", "-1"], "--dim must be >= 1, got -1"),
+    ], ids=["j0-negative", "j0-past-nyquist", "j0-huge", "max-level-over", "max-level-negative",
+            "dim-0", "dim-negative"])
+    def test_out_of_range_exit_3_naming_the_option_before_any_allocation(
+        self, argv, message, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the filter bank was built")
+
+        monkeypatch.setattr(cli, "build_filter_bank", refuse)
+        assert main(["analyze", "--L", "8", *argv]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("j0", [0, 7])
+    def test_j0_up_to_nyquist_is_read(self, j0, tmp_path):
+        code, raw = run(["analyze", "--L", "8", "--signal", "harmonic", "--j0", str(j0)],
+                        tmp_path)
+        assert code == 0
+        assert json.loads(raw)["config"]["j0"] == j0
+
     def test_modes_at_the_bound_reach_the_draw(self, monkeypatch):
         def drawn(cls, dim, L, rng, n_modes, j_hi):
             raise AssertionError(f"drew {n_modes}")
@@ -605,6 +639,17 @@ class TestSampleBound:
         assert rng.bit_generator.state == state
         with pytest.raises(ValueError, match=re.escape(message)):
             random_sample_set(0, 3, retain=retain)
+
+    @pytest.mark.parametrize("dim", [1.5, True, 0, "1"])
+    def test_random_sequence_checks_dim_as_the_set_does(self, dim):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        message = f"dims must be positive ints, got {(dim,)!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_sequence(rng, dim, 3)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match=re.escape(message)):
+            random_sample_set(0, 3, dims=(dim,))
 
     @pytest.mark.parametrize("command", [
         ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1"],
@@ -787,9 +832,32 @@ class TestDeterminism:
         assert outs[0] == outs[1] == outs[2]
 
 
+def _unread_table_options():
+    """(command, selector, selector value, option) for every table option that
+    a command takes and a command line with that selector value does not read."""
+    for command, (selector, defaults, reads) in cli.OPTION_TABLE.items():
+        for value, read in reads.items():
+            for name in defaults:
+                if name not in read.split():
+                    yield command, selector, value, name
+
+
 class TestUnreadOptions:
     """An option that a command line gives and its command never reads is
     refused with exit 3, naming the option."""
+
+    @pytest.mark.parametrize("command,selector,value,name", list(_unread_table_options()))
+    def test_every_unread_table_option_is_refused(
+        self, command, selector, value, name, single_cube_file, capsys
+    ):
+        argv = [command, *([f"--{selector}", value] if selector else [])]
+        argv += [f"--{name}"] if name == "inhomogeneous" else [f"--{name}", "1"]
+        if command == "norm":
+            argv += ["--in", str(single_cube_file)]
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        where = f"{command} --{selector} {value}" if selector else command
+        assert (out.out, out.err) == ("", f"error: --{name} is not read by {where}\n")
 
     @pytest.mark.parametrize(
         "args,option",
@@ -884,11 +952,38 @@ class TestPublicNormNames:
 
 
 _UNIT = CubeSequence.from_values({DyadicCube.unit(1): 1.0})
+_HARMONIC = GridFunction.harmonic(1, 5, 2)
+INF = math.inf
 
-# A bad p, q or r, the message every entry point gives for it, and library
-# calls given the same value
+
+def _norm(family, *args):
+    return ["norm", "--family", family, *args]
+
+
+def _equiv(check, *args):
+    # tau where the check reads it, where the collapse and Hoelder regions hold
+    tau = {"holder": "1/4", "identities": None}.get(check, "3")
+    given = [] if tau is None or "--tau" in args else ["--tau", tau]
+    return ["equiv", "--check", check, *given, "--samples", "2", *args]
+
+
+_READ_P = [*(_norm(f) for f in ("f", "b", "bbmo")),
+           *(_equiv(c) for c in ("collapse-f", "collapse-b", "holder", "identities",
+                                 "inhom-f", "inhom-b")),
+           ["witness"], ["refute"], *(["classify", "--family", f] for f in ("f", "b", "bbmo")),
+           ["analyze", "--L", "5"]]
+
+# A bad p, q, r or tau, the message every entry point gives for it, the
+# command lines that give it (each option only to commands that read it;
+# each line ends in the option and its value, or names the value itself),
+# and library calls given the same value.  Not listed: ``classify`` and
+# ``sweep`` read tau < 0 (and ``classify --family cmo`` r < 0) as the
+# polynomial verdict, ``sweep`` writes F at p = inf as an invalid cell, and
+# ``equiv --check holder`` needs q > p, which p = inf never meets.
 PARAMETER_FAULTS = {
-    ("--p", "0"): ("p must be positive, got 0", [
+    ("--p", "0"): ("p must be positive, got 0", _READ_P + [
+        ["sweep", "--p-grid", "0"],
+    ], [
         lambda: SpaceParams(Family.B_TYPE, 0, 0, 0, 2),
         lambda: bbmo_norm(_UNIT, 0, 0, 2),
         lambda: check_collapse_f([_UNIT], 0, 3, 0, 2),
@@ -896,46 +991,80 @@ PARAMETER_FAULTS = {
         lambda: check_collapse_inhomogeneous([_UNIT], 0, 3, 0, 2, family="b"),
         lambda: check_holder_embeddings([_UNIT], 0, 0.25, 0, 2),
         lambda: check_exact_identities([_UNIT], 0, 0, 2, 1),
+        lambda: identity_tolerance(0, 2),
+        lambda: certify_separation(0, 0, 2, Fraction(1, 4)),
+        lambda: refute_claim(0, Fraction(1, 4), 0, 2),
+        lambda: classify(SpaceDescriptor("F_type", 0, 0, 0, 2)),
+        lambda: cmo_param_of(0, 0, 2),
     ]),
     ("--q", "0"): ("q must be positive, got 0", [
+        *_READ_P,
+        _norm("cmo", "--r", "1"), ["classify", "--family", "cmo", "--r", "1"],
+        ["sweep", "--q-grid", "0"],
+    ], [
         lambda: SpaceParams(Family.F_TYPE, 0, 0, 2, 0),
         lambda: cmo_norm(_UNIT, 0, 0, 1),
         lambda: bbmo_norm(_UNIT, 0, 2, 0),
         lambda: check_collapse_f([_UNIT], 0, 3, 1, 0),
         lambda: check_holder_embeddings([_UNIT], 0, 0.25, 1, 0),
         lambda: check_exact_identities([_UNIT], 0, 1, 0, 1),
+        lambda: identity_tolerance(2, 0),
+        lambda: certify_separation(0, 1, 0, Fraction(1, 4)),
+        lambda: refute_claim(0, Fraction(1, 4), 1, 0),
+        lambda: classify_cmo(0, 0, 1),
     ]),
     ("--r", "-1"): ("r must be >= 0, got -1 [Proposition 1(iv)]", [
+        _norm("cmo"), _equiv("identities"),
+    ], [
         lambda: SpaceParams(Family.CMO, 0, -1, 2, 2),
         lambda: cmo_norm(_UNIT, 0, 2, -1),
         lambda: check_exact_identities([_UNIT], 0, 1, 2, -1),
     ]),
-}
-# the norm families and equiv checks that read each option
-READERS = {
-    "--p": (("f", "b", "bbmo"),
-            ("collapse-f", "collapse-b", "holder", "identities", "inhom-f", "inhom-b")),
-    "--q": (("f", "b", "cmo", "bbmo"),
-            ("collapse-f", "collapse-b", "holder", "identities", "inhom-f", "inhom-b")),
-    "--r": (("cmo",), ("identities",)),
+    ("--tau", "-1"): (
+        "tau < 0 collapses the space to polynomials; use the classifier [Proposition 1(iv)]", [
+            _norm("f"), _norm("b"),
+            *(_equiv(c) for c in ("collapse-f", "collapse-b", "inhom-f", "inhom-b")),
+            _equiv("holder", "--p", "1", "--q", "2"),
+            ["witness"], ["refute", "--p", "1", "--q", "2"], ["analyze", "--L", "5"],
+        ], [
+            lambda: f_type_norm(_UNIT, SpaceParams(Family.F_TYPE, 0, -1, 2, 2)),
+            lambda: b_type_norm(_UNIT, SpaceParams(Family.B_TYPE, 0, -1, 1, 2)),
+            lambda: check_collapse_f([_UNIT], 0, -1, 1, 2),
+            lambda: check_holder_embeddings([_UNIT], 0, -1, 1, 2),
+            lambda: certify_separation(0, 1, 2, -1),
+            lambda: refute_claim(0, -1, 1, 2),
+            lambda: function_norm(_HARMONIC, build_filter_bank(5),
+                                  SpaceParams(Family.F_TYPE, 0, -1, 2, 2), 3),
+        ]),
+    ("--p", "inf"): ("the F-type scale requires p < inf [Definition 1(i)]", [
+        _norm("f"), _equiv("collapse-f"), _equiv("inhom-f"),
+        ["witness"], ["refute"], ["classify", "--family", "f"], ["analyze", "--L", "5"],
+    ], [
+        lambda: SpaceParams(Family.F_TYPE, 0, 0, INF, 2),
+        lambda: check_collapse_f([_UNIT], 0, 3, INF, 2),
+        lambda: certify_separation(0, INF, 2, Fraction(1, 4)),
+        lambda: refute_claim(0, Fraction(1, 4), INF, 2),
+        lambda: classify(SpaceDescriptor("F_type", 0, 0, INF, 2)),
+    ]),
 }
 
 
 @pytest.mark.parametrize("fault", list(PARAMETER_FAULTS), ids=lambda f: f"{f[0]}={f[1]}")
 def test_parameter_fault_reads_alike(fault, single_cube_file, tmp_path, capsys):
     option, value = fault
-    message, library_calls = PARAMETER_FAULTS[fault]
-    families, checks = READERS[option]
-    argvs = [["norm", "--family", fam, "--r", "1", option, value, "--in", str(single_cube_file)]
-             for fam in families]
-    argvs += [["equiv", "--check", check, "--tau", "3", "--samples", "2", option, value]
-              for check in checks]
-    if option == "--p":  # the witness checks p before its other rules
-        argvs.append(["witness", option, value])
+    message, argvs, library_calls = PARAMETER_FAULTS[fault]
+    commands = set()
     for argv in argvs:
+        if argv[0] != "sweep":
+            argv = [*argv, option, value]
+        if argv[0] == "norm":
+            argv += ["--in", str(single_cube_file)]
+        commands.add(argv[0])
         code, raw = run(argv, tmp_path)
         assert (code, raw, capsys.readouterr().err) == (3, b"", f"error: {message}\n"), argv
     for call in library_calls:
         with pytest.raises(ParamError) as info:
             call()
         assert str(info.value) == message
+    if value == "0":  # every command reads p and q
+        assert commands == set(cli.OPTION_TABLE)
