@@ -261,7 +261,13 @@ def cmd_equiv(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION_FAILED
 
 
+def _check_dim(args) -> None:
+    if args.dim < 1:
+        raise ParamError(f"--dim must be >= 1, got {args.dim}")
+
+
 def cmd_classify(args) -> int:
+    _check_dim(args)
     if args.family == "cmo" and args.r is None:
         raise ParamError("--r is required for the cmo family")
     fam = {"f": "F_type", "b": "B_type", "cmo": "CMO", "bbmo": "BBMO"}[args.family]
@@ -298,6 +304,7 @@ def cmd_refute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_dim(args)
     taus = [parse_extended(x) for x in args.tau_grid.split(",")]
     ps = [parse_extended(x) for x in args.p_grid.split(",")]
     qs = [parse_extended(x) for x in args.q_grid.split(",")]
@@ -353,8 +360,7 @@ MODES_BOUND = 1 << 16
 
 
 def cmd_analyze(args) -> int:
-    if args.dim < 1:
-        raise ParamError(f"--dim must be >= 1, got {args.dim}")
+    _check_dim(args)
     if args.dim * args.L > GRID_BITS_BOUND:
         raise ParamError(
             f"--dim {args.dim} and --L {args.L} make a grid of 2**{args.dim * args.L} "

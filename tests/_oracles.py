@@ -24,6 +24,10 @@ straight into one forest replaced.  ``reference_jsonl`` is the text
 ``reference_random_bandlimited`` and ``reference_sawtooth_smoothed`` are the
 analyzer's seeded signals as direct sums, one full-grid cosine or sine per
 mode: the loops that one inverse FFT of the known spectrum replaced.
+
+``reference_certify`` is ``certify_separation`` with each depth's tower
+evaluated alone, through ``b_type_norm`` and ``norm``: the per-depth loop
+that evaluating the whole depth schedule as one forest replaced.
 """
 from __future__ import annotations
 
@@ -35,9 +39,11 @@ from typing import NamedTuple
 import numpy as np
 
 from dyadic_spaces import (
-    CubeSequence, DyadicCube, Family, Forest, SupportTree, lp_convolve, random_sequence,
+    CubeSequence, DyadicCube, Family, Forest, SpaceParams, SupportTree, b_type_norm,
+    build_tower, lp_convolve, norm, random_sequence, separation_b_bound_log2,
+    separation_f_bound_log2, witness,
 )
-from dyadic_spaces._log2 import log2_to_linear
+from dyadic_spaces._log2 import inv, log2_to_linear
 from dyadic_spaces.analyze import _grids
 from dyadic_spaces.seqspace import json_dumps
 
@@ -554,3 +560,29 @@ def reference_sawtooth_smoothed(L):
         samples += c * np.sin(2 * np.pi * m * x)
         coefficients.append(c)
     return samples, coefficients
+
+
+def reference_certify(s, p, q, tau, n=1, depths=(4, 8, 16, 32, 64), family="f"):
+    """``certify_separation``'s two reports, each tower evaluated alone, for
+    parameters inside the counterexample's region."""
+    s, p, q, tau = float(s), float(p), float(q), float(tau)
+    tau_prime = tau + inv(q) - inv(p)
+    coarse = SpaceParams(Family.B_TYPE, s, tau_prime, q, q)
+    target = SpaceParams(Family.F_TYPE if family == "f" else Family.B_TYPE, s, tau, p, q)
+    div_vals, tgt_vals = [], []
+    for J in depths:
+        tower = build_tower(s, tau, p, n, J).sequence
+        div_vals.append(b_type_norm(tower, coarse, allow_negative_tau=True).log2_value)
+        tgt_vals.append(norm(tower, target).log2_value)
+    boundary = q < INF and abs(tau - (inv(p) - 1.0 / q)) < 1e-12
+    divergent = witness._divergence_report(
+        f"b^(s,{tau_prime:g})_({q:g},{q:g})", depths, div_vals, 1.0 / q if boundary else None
+    )
+    if family == "f":
+        bound = separation_f_bound_log2(tau, p, n)
+    else:
+        bound = separation_b_bound_log2(tau, q, n)
+    bounded = witness._bounded_report(
+        f"{family}^(s,{tau:g})_({p:g},{q:g})", depths, tgt_vals, bound
+    )
+    return divergent, bounded

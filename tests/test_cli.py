@@ -11,6 +11,7 @@ from dyadic_spaces import (
     CubeSequence,
     DyadicCube,
     Family,
+    Forest,
     GridFunction,
     ParamError,
     SpaceDescriptor,
@@ -504,6 +505,25 @@ class TestSweep:
         assert len(lines) == 1 + 3 * 2 * 2
 
 
+class TestDimRefused:
+    """``classify`` and ``sweep`` refuse a dimension below 1 as ``analyze``
+    does: by name, exit 3, before any work."""
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--family", "f"], ["classify", "--family", "cmo", "--r", "1"],
+        ["sweep"], ["sweep", "--samples", "0"],
+    ])
+    def test_exit_3_before_any_work(self, argv, dim, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(cli, "classify", refuse)
+        monkeypatch.setattr(cli, "random_sample_set", refuse)
+        assert main([*argv, "--dim", dim]) == 3
+        assert capsys.readouterr() == ("", f"error: --dim must be >= 1, got {dim}\n")
+
+
 class TestAnalyze:
     def test_json_report(self, tmp_path):
         code, raw = run(
@@ -917,9 +937,9 @@ def norm_calls(monkeypatch):
 
 
 class TestPublicNormNames:
-    """The CLI, the analyzer and the witness reach the kernels through the
-    public norm functions, looked up by name, so that rebinding those names
-    sees every call."""
+    """The CLI and the analyzer reach the kernels through the public norm
+    functions, looked up by name, so that rebinding those names sees every
+    call; the witness evaluates its depth schedule as one forest."""
 
     @pytest.mark.parametrize(
         "family,args,name",
@@ -945,10 +965,19 @@ class TestPublicNormNames:
         assert norm_calls == {n: int(n == name) for n in NORM_NAMES}
 
     @pytest.mark.parametrize("part", ["f", "b"])
-    def test_certify_separation(self, part, norm_calls):
+    def test_certify_separation(self, part, norm_calls, monkeypatch):
+        forest_calls = []
+        log2_norms = Forest.log2_norms
+
+        def counted(self, params, **kwargs):
+            forest_calls.append((len(self), params.family))
+            return log2_norms(self, params, **kwargs)
+
+        monkeypatch.setattr(Forest, "log2_norms", counted)
         certify_separation(0, 1, 2, Fraction(1, 2), depths=(4, 8), family=part)
-        want = {"b_type_norm": 2 if part == "f" else 4, "f_type_norm": 2 if part == "f" else 0}
-        assert norm_calls == {n: want.get(n, 0) for n in NORM_NAMES}
+        assert norm_calls == dict.fromkeys(NORM_NAMES, 0)
+        target = Family.F_TYPE if part == "f" else Family.B_TYPE
+        assert forest_calls == [(2, Family.B_TYPE), (2, target)]
 
 
 _UNIT = CubeSequence.from_values({DyadicCube.unit(1): 1.0})

@@ -22,7 +22,7 @@ from dyadic_spaces import (
     save_jsonl,
 )
 from dyadic_spaces.equivalence import random_sequence
-from dyadic_spaces.witness import build_tower
+from dyadic_spaces.witness import build_tower, certify_separation
 
 from _oracles import (
     loop_b_contents,
@@ -777,6 +777,25 @@ class TestKernelMemory:
             finally:
                 tracemalloc.stop()
             assert peak < self.BOUND, (params, peak)
+
+
+class TestCertifyMemory:
+    """Certifying a depth schedule holds all of its towers at once, as one
+    forest; its own allocations stay under a fixed bound all the same."""
+
+    BOUND = 4 * 2**20
+
+    def test_peak_under_bound(self):
+        import tracemalloc
+
+        certify_separation(0, 1, INF, 0.5, depths=(4, 8))  # imports and caches
+        tracemalloc.start()
+        try:
+            certify_separation(0, 1, INF, 0.5, depths=(256, 512, 1024, 2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND, peak
 
 
 # one CLI norm per family, with finite and infinite exponents

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,8 @@ from dyadic_spaces import (
 )
 
 from dyadic_spaces import cli, witness
+
+from _oracles import reference_certify
 
 INF = math.inf
 
@@ -217,3 +220,41 @@ class TestDepthBound:
         expected = ParamError if refused else AssertionError
         with pytest.raises(expected):
             certify_separation(0.0, 1.0, 2.0, 0.5, depths=depths)
+
+
+# (p, q, tau) inside the counterexample's region for both parts, the first
+# and the last at the region's end tau = 1/p - 1/q
+_REGION = [(1, 2, Fraction(1, 2)), (1, 2, Fraction(1, 4)), (1, 3, Fraction(1, 3)),
+           (1, INF, Fraction(1, 2)), (3, 4, Fraction(1, 12))]
+# sorted, unsorted, a repeated depth, a 0 among others, and single depths
+_SCHEDULES = [(4, 8, 16, 32), (16, 4, 8), (8, 8, 3), (0, 5, 2), (0,), (7,)]
+
+
+class TestForestSchedule:
+    """The whole depth schedule, evaluated as one forest, gives the reports
+    of every tower evaluated alone, bit for bit."""
+
+    @pytest.mark.parametrize("p,q,tau", _REGION)
+    @pytest.mark.parametrize("family", ["f", "b"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reports_equal_the_per_depth_loop(self, n, family, p, q, tau):
+        schedules = _SCHEDULES + ([(32, 64, 128, 256)] if n == 1 else [])
+        for depths in schedules:
+            got = certify_separation(Fraction(1, 3), p, q, tau, n=n, depths=depths,
+                                     family=family)
+            want = reference_certify(Fraction(1, 3), p, q, tau, n=n, depths=depths,
+                                     family=family)
+            assert got == want, depths  # every field: log2_values, fitted_exponent, verdict
+
+    def test_b_part_at_tau_zero(self):
+        for depths in _SCHEDULES:
+            got = certify_separation(0, 1, INF, 0, depths=depths, family="b")
+            assert got == reference_certify(0, 1, INF, 0, depths=depths, family="b")
+
+    def test_depth_zero_is_left_out_of_the_fit(self):
+        with_zero = certify_separation(0, 1, 2, Fraction(1, 2), depths=(0, 4, 8))
+        without = certify_separation(0, 1, 2, Fraction(1, 2), depths=(4, 8))
+        for a, b in zip(with_zero, without):
+            assert a.fitted_exponent == b.fitted_exponent
+            assert a.log2_values[1:] == b.log2_values
+        assert certify_separation(0, 1, 2, Fraction(1, 2), depths=(0, 4))[0].fitted_exponent == 0
