@@ -60,7 +60,6 @@ from .seqspace import (
     SpaceParams,
     b_type_norm,
     bbmo_norm,
-    candidate_value,
     cmo_norm,
     f_inf_inf_norm,
     f_type_norm,

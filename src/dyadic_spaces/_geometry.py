@@ -2,26 +2,26 @@
 
 A support node's key is its path from the root as a Z-order code: the child
 codes from the root down, most significant first, dimension 0 in the lowest
-bit of each.  ``morton_paths`` builds the paths of indices
-(``morton_paths_int64`` of int64 indices, a byte at a time), and
+bit of each.  ``morton_paths`` builds the paths of indices, and
 ``depth_first`` shifts paths to one common width, the depth of the deepest
 record, so that sorting by (key, depth) gives the depth-first order; given a
 segment number per record, one sort orders the records of many sequences,
-segment by segment.
+segment by segment.  Both take lists or int64 arrays.
 
 ``Geometry`` compiles the sorted keys into the candidate tree of the norm
 suprema, from a list of sequences or from the sorted arrays of a forest
 (``Geometry.from_sorted``).  The path building, the sort and the compile
-each have two paths that give the same result: a Python one for keys of any
-width, and a numpy one on int64 arrays, taken when the keys fit in a machine
-word from ``_NUMPY_SHELLS`` records up (``_NUMPY_COMPILE`` nodes up for the
-compile).
+each have two branches that give the same result, and each chooses its own:
+a Python one for keys of any width, and a numpy one on int64 arrays
+(``_morton_paths_int64``, ``_depth_first_int64``, ``_compile_arrays``),
+taken when the keys fit in a machine word from ``_NUMPY_SHELLS`` records up
+(``_NUMPY_COMPILE`` nodes up for the compile).  This module is the only
+place that makes that choice.
 """
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
@@ -60,13 +60,41 @@ def spread(x: int, dim: int) -> int:
     return int.from_bytes(b"".join([pieces[b] for b in raw]), "little")
 
 
+def _ints(x):
+    """Python ints of an int64 array (numpy scalars would wrap on a wide
+    shift); a list or range as it is."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def _int64(x) -> np.ndarray:
+    """An int64 array of an array, list or range (``np.fromiter`` converts
+    the last two faster than ``np.asarray``)."""
+    if isinstance(x, np.ndarray):
+        return x.astype(np.int64, copy=False)
+    return np.fromiter(x, np.int64, len(x))
+
+
 def morton_paths(
     root: DyadicCube, indices: Sequence[Sequence[int]], depth: Sequence[int]
-) -> list[int] | None:
+) -> Sequence[int] | None:
     """The Z-order path of every index at its depth below the root; None when
-    an index does not lie under the root."""
-    n = root.dim
-    path = [0] * len(depth)
+    an index does not lie under the root.  ``indices`` and ``depth`` may be
+    lists or int64 arrays, of shapes (m, dim) and (m,).  From
+    ``_NUMPY_SHELLS`` records up, paths of at most 62 bits under a root
+    whose index fits in 62 bits take ``_morton_paths_int64`` and come back
+    as an int64 array, unless an index is past int64; any other records
+    take Python ints."""
+    n, m = root.dim, len(depth)
+    if (m >= _NUMPY_SHELLS and n * int(np.max(depth, initial=0)) <= 62
+            and not max(map(abs, root.index)) >> 62):
+        try:
+            indices64 = np.asarray(indices, dtype=np.int64).reshape(m, n)
+        except OverflowError:  # an index past int64
+            pass
+        else:
+            return _morton_paths_int64(root, indices64, _int64(depth))
+    indices, depth = _ints(indices), _ints(depth)
+    path = [0] * m
     for axis, r in enumerate(root.index):  # one axis at a time
         rel = [k[axis] - (r << d) for k, d in zip(indices, depth)]
         if any(map(operator.rshift, rel, depth)):  # rel < 0 or rel >= 2**d
@@ -78,7 +106,7 @@ def morton_paths(
     return path
 
 
-def morton_paths_int64(
+def _morton_paths_int64(
     root: DyadicCube, indices: np.ndarray, depth: np.ndarray
 ) -> np.ndarray | None:
     """``morton_paths`` on int64 arrays: indices of shape (m, dim) at depths
@@ -113,19 +141,21 @@ def depth_first(
     the records kept, and their input positions.  Given a ``segment``
     number per record, the sort is by (segment, key, depth): one sort for
     the records of many sequences, each sequence a segment in its own
-    depth-first order, their keys as wide as the deepest of all.  From
+    depth-first order, their keys as wide as the deepest of all.  The
+    paths, depths and segments may be lists or int64 arrays.  From
     ``_NUMPY_SHELLS`` records up, (segment, key, depth) triples that fit in
     62 bits take ``_depth_first_int64``, with the same result."""
     n, m = root.dim, len(depths)
-    D = max(depths, default=0)
+    D = int(depths.max(initial=0)) if isinstance(depths, np.ndarray) else max(depths, default=0)
     shift = D.bit_length()  # a pair is key << shift | depth
     low = n * D + shift  # a triple is segment << low | pair
     top = 0 if segment is None else int(max(segment, default=0)).bit_length()
     if m >= _NUMPY_SHELLS and top + low <= 62:
         return _depth_first_int64(
-            root, np.fromiter(paths, np.int64, m), np.fromiter(depths, np.int64, m), keep, D,
-            shift, None if segment is None else np.asarray(segment, dtype=np.int64),
+            root, _int64(paths), _int64(depths), keep, D, shift,
+            None if segment is None else _int64(segment),
         )
+    paths, depths, segment = _ints(paths), _ints(depths), _ints(segment)
     pair = [p << (n * (D - d) + shift) | d for p, d in zip(paths, depths)]
     if segment is not None:
         pair = [s << low | x for s, x in zip(segment, pair)]
@@ -495,20 +525,3 @@ class Geometry:
     def cube(self, key: int, level: int) -> DyadicCube:
         """The cube at ``level`` on the path from the root to the key's node."""
         return key_cube(self.root, self.depth, key, level)
-
-    def locate(self, cube: DyadicCube) -> tuple[int, int] | None:
-        """Depth-first range [lo, hi) of the support nodes inside an arbitrary
-        cube, in a forest of one; None when the cube is disjoint from the
-        root."""
-        if cube.contains(self.root):
-            return 0, self.m
-        if not self.root.contains(cube):
-            return None
-        n, d = self.dim, cube.level - self.min_level
-        if d > self.depth:  # finer than every support node
-            return 0, 0
-        shift = n * (self.depth - d)
-        key = morton_paths(self.root, [cube.index], [d])[0] << shift
-        lo = bisect_left(self.key, key)
-        lo = bisect_left(self.node_depth, d, lo, bisect_right(self.key, key, lo))
-        return lo, bisect_left(self.key, key + (1 << shift), lo)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._log2 import INF, NEG_INF
-from ._geometry import _depth_first_int64, morton_paths_int64
+from ._geometry import morton_paths
 from .dyadic import DyadicCube
 from .seqspace import (
     CubeSequence,
@@ -296,7 +296,6 @@ def coefficients(
     L = f.log_resolution
     dim = f.dim
     root = DyadicCube.unit(dim)
-    # dim * L <= 24 on every analyzer grid, so the keys fit the int64 sort
     indices: list[np.ndarray] = []
     log2_values: list[float] = []
     for j in range(0, max_level + 1):
@@ -309,12 +308,8 @@ def coefficients(
     if not (log2t < INF).all():
         raise ValueError("non-finite coefficient magnitude")
     depth = np.repeat(np.arange(max_level + 1), [len(k) for k in indices])
-    D = int(depth.max(initial=0))
-    paths = morton_paths_int64(root, np.concatenate(indices), depth)
-    width, key, node_depth, order = _depth_first_int64(
-        root, paths, depth, log2t > NEG_INF, D, D.bit_length()
-    )
-    return CubeSequence(root, max_level, width, key, node_depth, log2t[order])
+    paths = morton_paths(root, np.concatenate(indices), depth)
+    return CubeSequence._from_paths(root, max_level, paths, depth, log2t)
 
 
 def _pool(arr: np.ndarray, k: int, reduce) -> np.ndarray:

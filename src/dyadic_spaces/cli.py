@@ -240,8 +240,9 @@ def cmd_equiv(args) -> int:
     elif check == "holder":
         report = check_holder_embeddings(samples, s, tau, p, q)
     elif check == "identities":
-        r = args.r if args.r is not None else 0
-        report = check_exact_identities(samples, s, p, q, r)
+        if args.r is None:  # r = 0, named so in the config echo
+            args.r = 0
+        report = check_exact_identities(samples, s, p, q, args.r)
     else:  # inhom-f or inhom-b
         family = check.removeprefix("inhom-")
         report = check_collapse_inhomogeneous(samples, s, tau, p, q, family=family, tol=tol)

@@ -42,26 +42,24 @@ functions decode the attained cube from it.
 Every input reaches the geometry through one sort, ``_geometry.depth_first``,
 of records given as Z-order paths below the root with their depths and log2
 magnitudes: by (key, depth), duplicates showing as equal neighbours, zeros
-dropped.  ``from_records`` first checks (level, index, log2 magnitude)
-records (root, depth bound, index length, finite magnitudes, the key-memory
-bound) and builds their paths; given int64 arrays of at least
-``_NUMPY_SHELLS`` records with narrow keys (n * D + depth bits <= 62), it
-does so in numpy, in the same order (``_from_arrays``).  ``random_sequence``
-and ``build_tower`` build their paths themselves and go through
-``CubeSequence._from_paths``; the analyzer's ``coefficients``, whose keys
-always fit (dim * L <= 24), builds int64 paths and takes the int64 sort,
-``_depth_first_int64``, directly; ``random_sample_set`` sorts a whole
-set's records by (sample, key, depth) straight into a forest.  A sequence
-keeps the sorted keys of its nonzero records, as wide as the deepest, with
-their depths and log2 magnitudes; the cube views and ``save_jsonl`` decode
-the keys into indices on use.
+dropped.  ``from_records``, the one validating constructor, checks (level,
+index, log2 magnitude) records, as lists or int64 arrays, in one body (root,
+depth bound, index length, finite magnitudes, the key-memory bound) and
+builds their paths with ``_geometry.morton_paths``.  ``random_sequence``,
+``build_tower`` and the analyzer's ``coefficients`` build their paths
+themselves and go through ``CubeSequence._from_paths``;
+``random_sample_set`` sorts a whole set's records by (sample, key, depth)
+straight into a forest.  Whether paths and sort run on int64 arrays or on
+Python ints is ``_geometry``'s choice alone.  A sequence keeps the sorted
+keys of its nonzero records, as wide as the deepest, with their depths and
+log2 magnitudes; the cube views and ``save_jsonl`` decode the keys into
+indices on use.
 
-``load_jsonl`` reads a file as ``save_jsonl`` writes it with one regex pass
-over its record lines (``_scan``), handing int64 and float arrays to
-``from_records``; every other file, and one of fewer than ``_NUMPY_SHELLS``
-records, it reads one JSON value a line.  The scan accepts only lines on
-which the two agree, so every refusal, message and line number is the line
-loop's.
+``load_jsonl`` reads a file as ``save_jsonl`` writes it, whatever its
+record count, with one regex pass over its record lines (``_scan``),
+handing int64 and float arrays to ``from_records``; every other file it
+reads one JSON value a line.  The scan accepts only lines on which the two
+agree, so every refusal, message and line number is the line loop's.
 """
 from __future__ import annotations
 
@@ -76,10 +74,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import _geometry
-from ._geometry import (
-    Geometry, _depth_first_int64, depth_first, key_indices, morton_paths, morton_paths_int64,
-)
+from ._geometry import Geometry, depth_first, key_indices, morton_paths
 from ._kernels import _BKernel, _FKernel
 from ._log2 import INF, NEG_INF, log2_to_linear
 from .dyadic import (
@@ -150,7 +145,7 @@ class SpaceParams:
         check_exponents(self.p, self.q, f_type=self.family == Family.F_TYPE)
         if self.family == Family.CMO and tau < 0:
             raise ParamError(f"r must be >= 0, got {self.tau}", rule="Proposition 1(iv)")
-        if math.isnan(s) or math.isnan(tau):
+        if not (math.isfinite(s) and math.isfinite(tau)):
             raise ParamError("s and tau must be finite reals")
         for name, value in (("s", s), ("tau", tau), ("p", p), ("q", q)):
             object.__setattr__(self, name, value)
@@ -180,34 +175,19 @@ class NormValue:
 KEY_BITS_BOUND = 1 << 30
 
 
-def _placement_error(root: DyadicCube, cube: DyadicCube, max_depth: int) -> ValueError:
-    """The error for a record above the root's level or below the depth bound."""
-    if cube.level < root.level:
-        return ValueError(f"{cube} lies outside the root {root}")
-    return ValueError(f"{cube} lies below level {root.level + max_depth}, the depth bound")
-
-
-def _outside_error(root: DyadicCube, cubes: Iterable[DyadicCube]) -> ValueError:
-    """The error for the first of the cubes that the root does not contain."""
-    cube = next(c for c in cubes if not root.contains(c))
-    return ValueError(f"{cube} lies outside the root {root}")
-
-
-def _check_keys_and_magnitudes(m: int, n: int, j0: int, D: int, log2t: np.ndarray, record) -> None:
-    """The key-memory bound on m records D levels deep, the level bound
-    (levels j0..j0 + D inside +-2**62, so that the geometry's int64 levels
-    cannot overflow), then finite log2 magnitudes (or -inf); ``record(i)``
-    names the i-th record."""
-    if m * n * D > KEY_BITS_BOUND:
-        raise ValueError(
-            f"{m} records {D} levels deep need {m * n * D} bits of keys, over "
-            f"the bound of 2**30 [key-memory bound]"
-        )
-    if (abs(j0) + D) >> 62:
-        raise ValueError(f"levels {j0}..{j0 + D} pass the level bound of +-2**62 [level bound]")
-    if not (log2t < INF).all():
-        i = int(np.flatnonzero(~(log2t < INF))[0])
-        raise ValueError(f"non-finite log2 magnitude {log2t[i]} at {record(i)}")
+def _level_array(levels, j0: int) -> np.ndarray:
+    """Record levels as an int64 array when they and the root level ``j0``
+    lie inside +-2**62, so that their depths below the root cannot
+    overflow; otherwise as an array of Python ints (an int64 would wrap
+    silently), which a later check always refuses."""
+    try:
+        array = np.asarray(levels, dtype=np.int64)
+    except OverflowError:  # a level past int64
+        return np.array(list(levels), dtype=object)
+    bounds = [j0, int(array.min()), int(array.max())] if array.size else [j0]
+    if max(map(abs, bounds)) >> 62:
+        return np.array(array.tolist(), dtype=object)
+    return array
 
 
 class CubeSequence:
@@ -256,79 +236,51 @@ class CubeSequence:
         duplicate check.  Raises ValueError naming the rule a record breaks.
 
         ``levels`` and ``indices`` may also be int64 arrays, of shapes (m,)
-        and (m, root.dim), as ``load_jsonl`` scans them; see
-        ``_from_arrays``.
+        and (m, root.dim), as ``load_jsonl`` scans them.  Either way the
+        levels are checked as an int64 array when they and the root level
+        lie inside +-2**62, and as Python ints otherwise; ``morton_paths``
+        and ``depth_first`` choose their own int64 or Python-int branch.
         """
-        if isinstance(levels, np.ndarray):
-            seq = cls._from_arrays(root, levels, indices, np.asarray(log2_values, float), max_depth)
-            if seq is not None:
-                return seq
-            levels, indices = levels.tolist(), indices.tolist()
         n, j0, m = root.dim, root.level, len(levels)
+        levels = _level_array(levels, j0)
 
         def record(i: int) -> DyadicCube:  # a record as a cube, for messages
             return DyadicCube(n, levels[i], tuple(indices[i]))
 
-        depth = [j - j0 for j in levels]
-        D = max(depth, default=0)
+        depth = levels - j0
+        D = int(depth.max()) if m else 0  # < 0 when every record lies above the root
         if max_depth is None:
             max_depth = D
         if max_depth < 0:
             raise ValueError(f"depth must be >= 0, got {max_depth}")
-        if not all(len(k) == n for k in indices):
+        lengths_ok = (indices.shape[1:] == (n,) if isinstance(indices, np.ndarray)
+                      else all(len(k) == n for k in indices))
+        if not lengths_ok:
             i = next(i for i, k in enumerate(indices) if len(k) != n)
             raise ValueError(
                 f"index length {len(indices[i])} != dim {n} in a record at level {levels[i]}"
             )
-        if depth and (min(depth) < 0 or D > max_depth):
-            i = next(i for i, d in enumerate(depth) if not 0 <= d <= max_depth)
-            raise _placement_error(root, record(i), max_depth)
-        log2t = np.array(log2_values, dtype=float)
-        _check_keys_and_magnitudes(m, n, j0, D, log2t, record)
-        paths = morton_paths(root, indices, depth)
-        if paths is None:
-            raise _outside_error(root, map(record, range(m)))
-        return cls._from_paths(root, max_depth, paths, depth, log2t)
-
-    @classmethod
-    def _from_arrays(cls, root, levels, indices, log2t, max_depth) -> "CubeSequence | None":
-        """``from_records`` on int64 arrays, with the same checks in the same
-        order, naming the same record; None when the arrays need the list
-        path: fewer than ``_NUMPY_SHELLS`` records, wide keys (n * D + depth
-        bits > 62, the rule of the int64 sort), or a level or root index
-        beyond 62 bits."""
-        n, j0, m = root.dim, root.level, levels.size
-        if m < _geometry._NUMPY_SHELLS or indices.shape != (m, n):
-            return None
-        bounds = [j0, *root.index]
-        if m:
-            bounds += [int(levels.min()), int(levels.max())]
-        if max(map(abs, bounds)) >> 62:  # so that levels - j0 cannot overflow
-            return None
-        depth = levels - j0
-        D = int(depth.max()) if m else 0
-        shift = D.bit_length()
-        if n * D + shift > 62:
-            return None
-
-        def record(i: int) -> DyadicCube:
-            return DyadicCube(n, levels[i], indices[i])
-
-        if max_depth is None:
-            max_depth = D
-        if max_depth < 0:
-            raise ValueError(f"depth must be >= 0, got {max_depth}")
         if m and (depth.min() < 0 or D > max_depth):
             i = int(np.flatnonzero((depth < 0) | (depth > min(D, max_depth)))[0])
-            raise _placement_error(root, record(i), max_depth)
-        _check_keys_and_magnitudes(m, n, j0, D, log2t, record)
-        paths = morton_paths_int64(root, indices, depth)
+            if depth[i] < 0:
+                raise ValueError(f"{record(i)} lies outside the root {root}")
+            raise ValueError(f"{record(i)} lies below level {j0 + max_depth}, the depth bound")
+        if m * n * D > KEY_BITS_BOUND:
+            raise ValueError(
+                f"{m} records {D} levels deep need {m * n * D} bits of keys, over "
+                f"the bound of 2**30 [key-memory bound]"
+            )
+        if (abs(j0) + D) >> 62:  # the geometry's int64 levels would overflow
+            raise ValueError(f"levels {j0}..{j0 + D} pass the level bound of +-2**62 [level bound]")
+        log2t = np.array(log2_values, dtype=float)
+        if not (log2t < INF).all():
+            i = int(np.flatnonzero(~(log2t < INF))[0])
+            raise ValueError(f"non-finite log2 magnitude {log2t[i]} at {record(i)}")
+        paths = morton_paths(root, indices, depth)
         if paths is None:
-            raise _outside_error(root, map(record, range(m)))
-        width, key, node_depth, order = _depth_first_int64(
-            root, paths, depth, log2t > NEG_INF, D, shift
-        )
-        return cls(root, max_depth, width, key, node_depth, log2t[order])
+            cube = next(c for c in map(record, range(m)) if not root.contains(c))
+            raise ValueError(f"{cube} lies outside the root {root}")
+        return cls._from_paths(root, max_depth, paths, depth, log2t)
 
     @classmethod
     def _from_paths(cls, root, max_depth, paths, depths, log2t) -> "CubeSequence":
@@ -667,21 +619,6 @@ class Forest(Sequence):
         return out
 
 
-def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) -> float:
-    """The single-cube term of the outer supremum, as a log2 value.
-
-    Accepts any dyadic cube that is comparable to the root (inside it, equal
-    to it, or an ancestor of it); cubes disjoint from the root give -inf.
-    """
-    geo = t.geometry
-    span = geo.locate(region)
-    if span is None:
-        return NEG_INF
-    kern = _kernel(params, geo)
-    lo, hi, level = (np.array([x]) for x in (*span, region.level))
-    return float(kern.slope * region.level + kern.contents(lo, hi, level)[0])
-
-
 # ---------------------------------------------------------------------------
 # JSON Lines interchange
 # ---------------------------------------------------------------------------
@@ -776,16 +713,17 @@ def _scan(text: str) -> tuple | None:
     """The header and records of a file as ``save_jsonl`` writes it, the
     records as int64 levels (m,) and indices (m, dim) and float log2
     magnitudes, with one regex pass over the records; None for any other
-    file, and for one of fewer than ``_NUMPY_SHELLS`` records.
+    file.
 
     The first line must be one line to ``splitlines`` too and hold a valid
     header, and every later line, each ending in a newline, must match
     ``_record_line``: then the line loop reads the same values, and finds
-    nothing to refuse before ``from_records``.  A dim over 61 gives no
-    narrow keys below the root, so such files take the line loop."""
+    nothing to refuse before ``from_records``.  The pattern grows with the
+    dim, so a dim over 61, which has no int64 keys below the root, takes
+    the line loop."""
     head, _, body = text.partition("\n")
     m = body.count("\n")
-    if len(head.splitlines()) != 1 or m < _geometry._NUMPY_SHELLS:
+    if len(head.splitlines()) != 1:
         return None
     try:
         root, depth = _header(_decode(head.strip()))

@@ -122,10 +122,11 @@ def separation_b_bound_log2(tau: float, q: float, n: int) -> float:
 
 def _fit_exponent(depths, log2_values) -> float:
     """Least-squares slope of log2 norm against log2 depth, over the depths
-    above 0 (depth 0 has no log2)."""
+    above 0 (depth 0 has no log2); 0.0 unless two of them differ, as no
+    slope fits a single depth."""
     depths = np.asarray(depths, dtype=float)
     fit = depths > 0
-    if fit.sum() < 2:
+    if len(set(depths[fit].tolist())) < 2:
         return 0.0
     return float(np.polyfit(np.log2(depths[fit]), np.asarray(log2_values)[fit], 1)[0])
 

@@ -25,6 +25,10 @@ straight into one forest replaced.  ``reference_jsonl`` is the text
 analyzer's seeded signals as direct sums, one full-grid cosine or sine per
 mode: the loops that one inverse FFT of the known spectrum replaced.
 
+``candidate_value`` is the single-cube term of the outer supremum at any
+cube comparable to the root, through the production kernel, and ``locate``
+the range of support nodes inside that cube.
+
 ``reference_certify`` is ``certify_separation`` with each depth's tower
 evaluated alone, through ``b_type_norm`` and ``norm``: the per-depth loop
 that evaluating the whole depth schedule as one forest replaced.
@@ -32,7 +36,7 @@ that evaluating the whole depth schedule as one forest replaced.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -43,9 +47,10 @@ from dyadic_spaces import (
     build_tower, lp_convolve, norm, random_sequence, separation_b_bound_log2,
     separation_f_bound_log2, witness,
 )
+from dyadic_spaces._geometry import morton_paths
 from dyadic_spaces._log2 import inv, log2_to_linear
 from dyadic_spaces.analyze import _grids
-from dyadic_spaces.seqspace import json_dumps
+from dyadic_spaces.seqspace import _kernel, json_dumps
 
 INF = math.inf
 NEG_INF = float("-inf")
@@ -395,6 +400,39 @@ def reference_supremum(seq: CubeSequence, kern, homogeneous: bool = True, candid
     best = max(values.values())
     cube = min((c for c, v in values.items() if v == best), key=DyadicCube.sort_key)
     return best, cube, values
+
+
+def locate(geo, cube: DyadicCube) -> tuple[int, int] | None:
+    """Depth-first range [lo, hi) of the support nodes inside an arbitrary
+    cube, in a forest of one; None when the cube is disjoint from the
+    root."""
+    if cube.contains(geo.root):
+        return 0, geo.m
+    if not geo.root.contains(cube):
+        return None
+    n, d = geo.dim, cube.level - geo.min_level
+    if d > geo.depth:  # finer than every support node
+        return 0, 0
+    shift = n * (geo.depth - d)
+    key = morton_paths(geo.root, [cube.index], [d])[0] << shift
+    lo = bisect_left(geo.key, key)
+    lo = bisect_left(geo.node_depth, d, lo, bisect_right(geo.key, key, lo))
+    return lo, bisect_left(geo.key, key + (1 << shift), lo)
+
+
+def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) -> float:
+    """The single-cube term of the outer supremum, as a log2 value.
+
+    Accepts any dyadic cube that is comparable to the root (inside it, equal
+    to it, or an ancestor of it); cubes disjoint from the root give -inf.
+    """
+    geo = t.geometry
+    span = locate(geo, region)
+    if span is None:
+        return NEG_INF
+    kern = _kernel(params, geo)
+    lo, hi, level = (np.array([x]) for x in (*span, region.level))
+    return float(kern.slope * region.level + kern.contents(lo, hi, level)[0])
 
 
 def shell_measures(geo) -> np.ndarray:

@@ -37,7 +37,8 @@ from dyadic_spaces import (
 )
 from dyadic_spaces.analyze import annulus_profile, cap_profile, lp_convolve
 from dyadic_spaces.cli import main
-from dyadic_spaces.seqspace import candidate_value
+
+from _oracles import candidate_value
 
 INF = math.inf
 F = Family

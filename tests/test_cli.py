@@ -296,6 +296,17 @@ class TestWitness:
         code = main(["witness", "--s", "0", "--tau", "2", "--p", "1", "--q", "2"])
         assert code == 3
 
+    def test_equal_depths_fit_no_slope(self, tmp_path, capsys):
+        """Equal depths leave one point to fit: no slope, and no numpy
+        warning on stderr; a single depth cannot show divergence."""
+        code, raw = run(["witness", "--depths", "8,8"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        doc = json.loads(raw)
+        for side in ("divergent", "bounded"):
+            assert doc[side]["fitted_exponent"] == 0.0
+            assert doc[side]["verdict"] == "bounded"
+
 
 class TestEquiv:
     def test_collapse_f_small_sweep(self, tmp_path):
@@ -345,6 +356,50 @@ class TestEquiv:
         code, raw = run(["equiv", "--check", *check, "--samples", "3"], tmp_path)
         assert code == 3 and raw == b""
         assert "must be positive" in capsys.readouterr().err
+
+
+    def test_identities_echo_the_r_they_use(self, tmp_path):
+        """Without --r the identities check evaluates r = 0 and echoes it;
+        the other checks, which read no r, still echo null."""
+        base = ["--samples", "3", "--p", "2", "--q", "2"]
+        _, bare = run(["equiv", "--check", "identities", *base], tmp_path, "bare.json")
+        _, zero = run(["equiv", "--check", "identities", *base, "--r", "0"], tmp_path, "zero.json")
+        assert json.loads(bare)["config"]["r"] == 0
+        assert bare == zero
+        _, other = run(["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1",
+                        "--samples", "3"], tmp_path)
+        assert json.loads(other)["config"]["r"] is None
+
+
+class TestInfiniteParameters:
+    """s and tau must be finite: an infinite tau made every ratio NaN, and
+    an infinite s left no value to take the maximum of."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["equiv", "--check", "collapse-f", "--tau", "inf", "--p", "1", "--q", "2",
+             "--samples", "3"],
+            ["equiv", "--check", "collapse-b", "--tau=-inf", "--p", "1", "--q", "2",
+             "--samples", "3"],
+            ["sweep", "--tau-grid", "inf", "--samples", "2"],
+            ["sweep", "--s", "inf", "--samples", "2"],
+            ["norm", "--family", "finfinf", "--s", "inf"],
+            ["norm", "--family", "f", "--s=-inf"],
+            ["norm", "--family", "cmo", "--r", "inf"],
+        ],
+    )
+    def test_exit_3_naming_the_rule(self, args, single_cube_file, tmp_path, capsys):
+        if args[0] == "norm":
+            args = [*args, "--in", str(single_cube_file)]
+        code, raw = run(args, tmp_path)
+        assert code == 3 and raw == b""
+        assert capsys.readouterr().err == "error: s and tau must be finite reals\n"
+
+    def test_space_params(self):
+        for s, tau in ((math.inf, 0), (0, math.inf), (-math.inf, 0), (0, math.nan)):
+            with pytest.raises(ParamError, match="finite reals"):
+                SpaceParams(Family.F_TYPE, s, tau, 1, 2)
 
 
 class TestEquivCsvRows:

@@ -3,12 +3,13 @@
 ``Geometry._compile`` takes the array pass for geometries of at least
 ``_NUMPY_COMPILE`` nodes whose (segment, key, depth) triples fit in 62 bits
 with keys of at most 52, and the stack pass otherwise; ``depth_first`` sorts
-as one int64 array from ``_NUMPY_SHELLS`` records when its (key, depth)
-pairs fit in 62 bits.  Each side of both dispatches is forced by setting the
-module constants, and the two sides must give the same arrays, in the same
-order, or the same error.
+as one int64 array, and ``morton_paths`` builds int64 paths, from
+``_NUMPY_SHELLS`` records when the keys fit in 62 bits.  Each side of every
+dispatch is forced by setting the module constants, and the two sides must
+give the same arrays, in the same order, or the same error.
 """
 import math
+import random
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from dyadic_spaces import CubeSequence, DyadicCube, random_sample_set, saturated_tree_sequence
 from dyadic_spaces import _geometry
-from dyadic_spaces._geometry import Geometry, depth_first
+from dyadic_spaces._geometry import Geometry, depth_first, morton_paths
 from dyadic_spaces.witness import build_tower
 
 COMPILED = ("seg_cand", "parent", "sdepth", "cand_level", "cand_lo", "cand_hi", "gap_lo")
@@ -214,3 +215,42 @@ def test_int64_sort_at_the_width_limit(n, width, int64, monkeypatch):
     depths[9] = depths[0]
     got, want = sorted_both(root, paths, depths, keep)
     assert got == want and want.startswith("duplicate record for Q(")
+
+
+# -- Morton paths --------------------------------------------------------------
+
+
+def paths_both(root, indices, depth):
+    """``morton_paths`` on both branches, as lists of ints (None when an
+    index lies outside the root)."""
+    out = []
+    for size in (0, 1 << 62):
+        with numpy_from(size):
+            paths = morton_paths(root, indices, depth)
+        out.append(None if paths is None else list(map(int, paths)))
+    return out
+
+
+@pytest.mark.parametrize("n,r,width,int64", [
+    (1, 0, 62, True), (2, -3, 31, True), (3, 5, 20, True), (2, 0, 40, False),
+    (1, 1 << 61, 40, False), (2, 1 << 40, 30, False),
+])
+def test_morton_paths_on_both_branches(n, r, width, int64, monkeypatch):
+    """Lists and int64 arrays give the same paths on both branches.  Keys
+    wider than 62 bits, and indices past int64 under a root far from 0,
+    take the Python ints whatever the size; an index moved outside the
+    root gives None on both."""
+    ran = []
+    build = _geometry._morton_paths_int64
+    monkeypatch.setattr(_geometry, "_morton_paths_int64", lambda *a: ran.append(1) or build(*a))
+    root = DyadicCube(n, 0, (r,) * n)
+    rng = random.Random(n * width)
+    depth = [width] + [rng.randint(0, width) for _ in range(49)]
+    indices = [tuple((r << d) + rng.randrange(1 << d) for _ in range(n)) for d in depth]
+    got, want = paths_both(root, indices, depth)
+    assert got == want and bool(ran) == int64
+    if int64:
+        arrays = np.array(indices, dtype=np.int64), np.array(depth, dtype=np.int64)
+        assert paths_both(root, *arrays) == [want, want]
+    indices[7] = (indices[7][0] + (1 << depth[7]), *indices[7][1:])
+    assert paths_both(root, indices, depth) == [None, None]

@@ -23,7 +23,8 @@ from dyadic_spaces import (
     saturated_tree_sequence,
     collapse_upper_constant_log2,
 )
-from dyadic_spaces.seqspace import candidate_value
+
+from _oracles import candidate_value
 
 INF = math.inf
 

@@ -8,13 +8,19 @@ bound, ``--modes`` past the modes bound, tower depths past the depth bound,
 and ``--j0`` past its range.  The JSONL test draws small coefficient files
 with hostile fields (huge or negative levels, long indices, NaN, deep but
 sparse files) and reads each with ``norm``.
+
+During each draw a NaN from invalid arithmetic (numpy's "invalid value"
+RuntimeWarning) and numpy's RankWarning are errors: either means a verdict
+rests on a value no input supports.  Overflow warnings are left as they are.
 """
 import contextlib
 import io
 import json
 import math
+import warnings
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -60,6 +66,7 @@ TABLE_VALUES = {
 
 
 IN = "<in>"  # the place of the norm command's input file
+RANK_WARNING = getattr(np, "exceptions", np).RankWarning  # np.RankWarning before numpy 1.25
 
 
 @st.composite
@@ -91,10 +98,13 @@ def argvs(draw):
 
 
 def _run(argv) -> tuple[int, str]:
-    """The exit code of ``main`` and its stderr; any other exception is a
-    traceback and fails the test."""
+    """The exit code of ``main`` and its stderr; any other exception, and a
+    NaN or rank warning turned into one, is a traceback and fails the test."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.filterwarnings("error", "invalid value", RuntimeWarning)
+        warnings.filterwarnings("error", category=RANK_WARNING)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: 2 for an argument error

@@ -1,11 +1,12 @@
 """The record scan of ``load_jsonl`` against its line loop.
 
-A file as ``save_jsonl`` writes it is read by ``seqspace._scan``, one regex
-pass over its records, and its int64 arrays are checked and keyed by
-``CubeSequence._from_arrays``; any other file is read line by line into
-lists.  Both must give the same sequence, or the same error message.  The
-loop is forced by replacing ``_scan``; the scan and the array path are taken
-at every size by setting ``_geometry._NUMPY_SHELLS`` to 0.
+A file as ``save_jsonl`` writes it, at any size, is read by
+``seqspace._scan``, one regex pass over its records, into int64 arrays;
+any other file is read line by line into lists.  Both go to
+``CubeSequence.from_records``, and must give the same sequence, or the same
+error message.  The loop is forced by replacing ``_scan``; the int64
+branches of the key building and the sort are taken at every size by
+setting ``_geometry._NUMPY_SHELLS`` to 0.
 """
 import json
 import math
@@ -48,22 +49,21 @@ def outcome(load, *args):
 
 
 def load_both(path) -> tuple[list, object, object]:
-    """(whether the scan and the array path ran, scan side, loop side)."""
+    """(whether the scan and the int64 sort ran, scan side, loop side)."""
     ran = []
-    scan, arrays = seqspace._scan, vars(CubeSequence)["_from_arrays"].__func__
+    scan, sort = seqspace._scan, _geometry._depth_first_int64
 
     def spy_scan(text):
         found = scan(text)
         ran.append(("scan", found is not None))
         return found
 
-    def spy_arrays(cls, *args):
-        seq = arrays(cls, *args)
-        ran.append(("arrays", seq is not None))
-        return seq
+    def spy_sort(*args):
+        ran.append(("int64", True))
+        return sort(*args)
 
     with patched(_geometry, "_NUMPY_SHELLS", 0), patched(seqspace, "_scan", spy_scan), \
-            patched(CubeSequence, "_from_arrays", classmethod(spy_arrays)):
+            patched(_geometry, "_depth_first_int64", spy_sort):
         fast = outcome(load_jsonl, path)
     with patched(seqspace, "_scan", lambda text: None):
         slow = outcome(load_jsonl, path)
@@ -107,7 +107,7 @@ def test_saved_files_load_alike(tmp_path_factory, seq):
     digits = max((len(str(abs(x))) for _, k, _ in seq._records() for x in k), default=0)
     assert ("scan", digits <= 18) in ran
     if ("scan", True) in ran:
-        assert ("arrays", narrow(seq.dim, width)) in ran
+        assert (("int64", True) in ran) == narrow(seq.dim, width)
 
 
 def _edit_log2v(line: str, text: str) -> str:
@@ -234,21 +234,22 @@ def test_array_records_far_apart_take_the_list_path():
                        np.array(indices, dtype=np.int64), np.zeros(41)) == want
 
 
-def test_scan_reads_big_saved_files_only(tmp_path, monkeypatch):
-    """At the default sizes a saved file of 2047 records takes the scan and
-    the array path, and one of 31 records, fewer than ``_NUMPY_SHELLS``,
-    the line loop."""
+def test_scan_reads_saved_files_of_any_size(tmp_path, monkeypatch):
+    """At the default sizes saved files of 2047 and of 31 records both take
+    the scan; the first takes the int64 sort, and the second, fewer than
+    ``_NUMPY_SHELLS`` records, the Python one."""
     ran = []
-    arrays = vars(CubeSequence)["_from_arrays"].__func__
-    monkeypatch.setattr(CubeSequence, "_from_arrays",
-                        classmethod(lambda *args: ran.append(1) or arrays(*args)))
-    for depth, scanned in ((10, True), (4, False)):
+    sort = _geometry._depth_first_int64
+    monkeypatch.setattr(_geometry, "_depth_first_int64",
+                        lambda *args: ran.append(1) or sort(*args))
+    for depth, int64 in ((10, True), (4, False)):
         path = tmp_path / f"sat{depth}.jsonl"
         seq = saturated_tree_sequence(1, depth, 0.5)
         save_jsonl(seq, path)
-        assert (seqspace._scan(path.read_text()) is not None) == scanned
+        assert seqspace._scan(path.read_text()) is not None
+        ran.clear()
         assert fields(load_jsonl(path)) == fields(seq)
-    assert ran == [1]
+        assert ran == [1] * int64
 
 
 def test_a_bad_line_in_a_big_file_is_named(tmp_path):

@@ -13,7 +13,6 @@ from dyadic_spaces import (
     SpaceParams,
     b_type_norm,
     bbmo_norm,
-    candidate_value,
     cmo_norm,
     f_inf_inf_norm,
     f_type_norm,
@@ -25,6 +24,7 @@ from dyadic_spaces.equivalence import random_sequence
 from dyadic_spaces.witness import build_tower, certify_separation
 
 from _oracles import (
+    candidate_value,
     loop_b_contents,
     loop_f_contents,
     reference_b_norm,
