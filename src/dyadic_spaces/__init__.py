@@ -46,8 +46,6 @@ from .equivalence import (
     identity_tolerance,
     random_sample_set,
     random_sequence,
-    saturated_ratio_log2,
-    saturated_tree_sequence,
     collapse_upper_constant_log2,
 )
 from .seqspace import (

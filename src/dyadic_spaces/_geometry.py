@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Sequence
 
@@ -39,6 +39,13 @@ _NUMPY_SHELLS = 40
 # The array compile costs about 0.1-0.2 ms whatever the size, and overtakes
 # the stack pass at about 128 nodes.
 _NUMPY_COMPILE = 128
+# Leaf chains shorter than this are left to the kernels' pair expansion and
+# depth sweep.  On a lone tower the pass along the chain wins from 8 nodes
+# on.  In a forest of 4096 nodes of equal towers it costs a Python loop per
+# chain: the B pass wins from about 12 nodes at p != q and 24 at p = q,
+# while the depth sweep, vectorised across the towers, keeps F at q = inf
+# ahead of the Python stack past 64 nodes (1.6 against 2.9 ms at 32).
+_MIN_CHAIN = 32
 
 
 @lru_cache(maxsize=None)
@@ -131,17 +138,18 @@ def _morton_paths_int64(
 def depth_first(
     root: DyadicCube, paths: Sequence[int], depths: Sequence[int], keep: np.ndarray,
     segment: Sequence[int] | None = None,
-) -> tuple[int, list[int], list[int], list[int]]:
+) -> tuple[int, list[int], list[int], Sequence[int]]:
     """Records given as Z-order paths below the root, in depth-first order.
 
     One sort by (key, depth), the keys as wide as the deepest record; a
     duplicate shows as two equal neighbours and raises ValueError.  The
     records where ``keep`` is false are then dropped and the keys narrowed
     to the deepest record kept.  Returns that width, the keys and depths of
-    the records kept, and their input positions.  Given a ``segment``
-    number per record, the sort is by (segment, key, depth): one sort for
-    the records of many sequences, each sequence a segment in its own
-    depth-first order, their keys as wide as the deepest of all.  The
+    the records kept, and their input positions (an int64 array from the
+    int64 sort, a list otherwise; either indexes an array).  Given a
+    ``segment`` number per record, the sort is by (segment, key, depth):
+    one sort for the records of many sequences, each sequence a segment in
+    its own depth-first order, their keys as wide as the deepest of all.  The
     paths, depths and segments may be lists or int64 arrays.  From
     ``_NUMPY_SHELLS`` records up, (segment, key, depth) triples that fit in
     62 bits take ``_depth_first_int64``, with the same result."""
@@ -197,7 +205,7 @@ def _depth_first_int64(root, paths, depth, keep, D, shift, segment=None):
     key = pair >> shift
     if segment is not None:
         key &= (1 << n * D) - 1
-    return D, key.tolist(), depth[order].tolist(), order.tolist()
+    return D, key.tolist(), depth[order].tolist(), order
 
 
 def _duplicate(root: DyadicCube, width: int, shift: int, pair: int) -> ValueError:
@@ -261,6 +269,12 @@ class Geometry:
     (``cand_level``, ``cand_lo``, ``cand_hi``, ``cand_key``), with ``gap_lo``
     the coarsest level of the gap above each candidate; the gap ends just
     above the candidate's own level.
+
+    A leaf chain is a run of nodes, consecutive in depth-first order, each
+    the only support child of the one before, that ends at a leaf; each of
+    its nodes' subtrees is a suffix of the run.  ``chains`` holds the maximal
+    ones of at least ``_MIN_CHAIN`` nodes, which the kernels evaluate in one
+    pass each.
     """
 
     def __init__(
@@ -477,6 +491,32 @@ class Geometry:
             cand = np.flatnonzero(level >= 0)
             level, gap_lo = level[cand], np.maximum(self.gap_lo[cand], 0)
         return cand, self.cand_lo[cand], self.cand_hi[cand], level, gap_lo
+
+    @cached_property
+    def chains(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first nodes and the ends of the maximal leaf chains of at
+        least ``_MIN_CHAIN`` nodes, in depth-first order.  A chain of that
+        length needs as many support depths, so a geometry with fewer has
+        none, which one maximum finds before any other pass."""
+        none = np.zeros(0, dtype=np.int64)
+        if self.m == 0 or self.sdepth.max() + 1 < _MIN_CHAIN:
+            return none, none
+        children = np.bincount(self.parent[self.parent >= 0], minlength=self.m)
+        # a one-child node's child is the node after it; every other node
+        # ends a run of one-child nodes, a leaf chain when it is a leaf
+        stop = np.flatnonzero(children != 1)
+        start = np.append(0, stop[:-1] + 1)
+        run = (children[stop] == 0) & (stop + 1 - start >= _MIN_CHAIN)
+        return start[run], stop[run] + 1
+
+    def in_chain(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Whether each range [lo, hi) is a nonempty suffix of a leaf chain
+        in ``chains``: a chain node and every node below it."""
+        first, end = self.chains
+        if not first.size:
+            return np.zeros(lo.size, dtype=bool)
+        run = np.maximum(np.searchsorted(first, lo, "right") - 1, 0)
+        return (lo < hi) & (lo >= first[run]) & (hi == end[run])
 
     def _shell_measures(self) -> np.ndarray:
         """log2 of each node's volume minus the volume of its support

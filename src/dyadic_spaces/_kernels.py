@@ -10,9 +10,21 @@ constant there and the value is monotone in the level.
 ``contents(lo, hi, level)`` evaluates a batch of cubes in one vectorised
 pass, in which each (cube, support node inside it) pair is one array
 element.  The work is proportional to the pairs, about m log m on saturated
-trees and m**2 / 2 on towers, and never to m times the number of levels.
+trees, and never to m times the number of levels.
+
+A range that is a suffix of a long leaf chain (``Geometry.chains``) holds
+one node per level, so it needs no pairs: the B, BBMO and CMO contents of
+every suffix of a chain come from one accumulate along it, from the leaf
+up, and the F contents at q = inf from one stack of prefix maxima along it
+(the all-nearest-smaller-values stack of Berkman, Schieber and Vishkin, J.
+Algorithms, 1993).  A tower, one chain, then costs O(m) in these kernels,
+where pairs would number m**2 / 2; F at finite q still sweeps its chains.
+Each pass depends on its own chain alone, so a sequence in a forest gets
+the bits it gets alone.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -64,6 +76,66 @@ def _seg_log2_sum(vals: np.ndarray, starts: np.ndarray, owner: np.ndarray) -> np
         return top + np.log2(np.add.reduceat(np.exp2(vals - top[owner]), starts))
 
 
+_LOG2_E = 1.0 / math.log(2.0)
+
+
+def _log2_add(a: float, b: float) -> float:
+    """log2(2**a + 2**b), two positive terms."""
+    if a < b:
+        a, b = b, a
+    return a if b == NEG_INF else a + math.log1p(2.0 ** (b - a)) * _LOG2_E
+
+
+def _chain_stack(w: list[float], mu: list[float], p: float) -> tuple[list[float], list]:
+    """F contents at q = inf of every node t of a leaf chain, the log-sum
+    over the nodes i at or below t of mu_i + p * max(w_t..w_i), and the
+    blocks left at the top.
+
+    Walking up from the leaf, the nodes below t fall into blocks of equal
+    prefix maximum W, which grows toward the leaf; a block holds W, the
+    log-sum of its mu and ``cum``, the log-sum of p W + mass over it and
+    every block below.  Node t absorbs each block with W <= w_t, pushes one
+    block for w_t, and its content is that block's ``cum``: every node is
+    pushed and popped once, and only positive terms are added."""
+    out = [0.0] * len(w)
+    blocks: list[tuple[float, float, float]] = []
+    for t in range(len(w) - 1, -1, -1):
+        W, mass = w[t], mu[t]
+        while blocks and blocks[-1][0] <= W:
+            mass = _log2_add(mass, blocks.pop()[1])
+        out[t] = cum = _log2_add(p * W + mass, blocks[-1][2] if blocks else NEG_INF)
+        blocks.append((W, mass, cum))
+    return out, blocks
+
+
+def _sweep(geo: Geometry, anc, chain, shell, entry, w, combine, power) -> np.ndarray:
+    """The content of every node from the rows of the F sweep.
+
+    A row enters at support depth ``entry`` at node ``anc``, with the chain
+    value ``chain`` accumulated up to that node and the log2 measure
+    ``shell`` of its shell (or block of shells).  One step per support
+    depth, deepest first, moves every row that entered below the step's
+    depth up one ancestor, so each (ancestor, row) pair is touched once."""
+    order = np.argsort(-entry, kind="stable")  # deepest first
+    anc, chain, shell = anc[order], chain[order], shell[order]
+    # the rows entering at support depth >= d are the first active[d]
+    active = np.cumsum(np.bincount(entry, minlength=1)[::-1])[::-1]
+    top = np.full(geo.m, NEG_INF)
+    total = np.zeros(geo.m)
+    for d in range(active.size - 1, -1, -1):
+        k = active[d]
+        if d + 1 < active.size:  # move the deeper rows up to depth d
+            old = active[d + 1]
+            up = geo.parent[anc[:old]]
+            anc[:old] = up
+            chain[:old] = combine(chain[:old], w[up])
+        terms = shell[:k] + power * chain[:k]
+        np.maximum.at(top, anc[:k], terms)
+        np.add.at(total, anc[:k], np.exp2(terms - top[anc[:k]]))
+    with np.errstate(divide="ignore"):
+        return top + np.log2(total)
+
+
 class _FKernel:
     """The F-type expression for fixed parameters, as slope and contents.
 
@@ -77,6 +149,12 @@ class _FKernel:
     catastrophically on deep towers.  The sweep does one step per support
     depth and O(m) memory.  The tops of any cube's range share one support
     depth, and its content is the log-sum of theirs.
+
+    At q = inf the nodes of each leaf chain take ``_chain_stack`` instead,
+    and the blocks left at the chain's top enter the sweep at the top's
+    parent as rows, each with its prefix maximum W for chain value, so the
+    nodes above get the same terms; a chain whose top has no parent, as a
+    tower, leaves the sweep nothing.
     """
 
     def __init__(self, geo: Geometry, s: float, tau: float, p: float, q: float):
@@ -88,26 +166,30 @@ class _FKernel:
             combine, w, power = np.maximum, logw, p
         else:
             combine, w, power = np.logaddexp2, q * logw, p / q
-        sdepth = geo.sdepth
-        live = np.flatnonzero(geo.mu_log2 > NEG_INF)
-        live = live[np.argsort(-sdepth[live], kind="stable")]  # deepest first
-        # the live nodes at support depth >= d are live[:active[d]]
-        active = np.cumsum(np.bincount(sdepth[live], minlength=1)[::-1])[::-1]
-        anc, chain, shell = live.copy(), w[live], geo.mu_log2[live]
-        top = np.full(geo.m, NEG_INF)
-        total = np.zeros(geo.m)
-        for d in range(active.size - 1, -1, -1):
-            k = active[d]
-            if d + 1 < active.size:  # move the deeper chains up to depth d
-                old = active[d + 1]
-                up = geo.parent[anc[:old]]
-                anc[:old] = up
-                chain[:old] = combine(chain[:old], w[up])
-            terms = shell[:k] + power * chain[:k]
-            np.maximum.at(top, anc[:k], terms)
-            np.add.at(total, anc[:k], np.exp2(terms - top[anc[:k]]))
-        with np.errstate(divide="ignore"):
-            node_content = top + np.log2(total)
+        sdepth, mu = geo.sdepth, geo.mu_log2
+        live = mu > NEG_INF
+        chains = zip(*(x.tolist() for x in geo.chains)) if q == INF else ()
+        chained, up, block_w, block_mu = {}, [], [], []
+        for a, b in chains:
+            live[a:b] = False
+            chained[a], blocks = _chain_stack(w[a:b].tolist(), mu[a:b].tolist(), p)
+            above = int(geo.parent[a])
+            if above >= 0:  # a chain node's shell is never empty: every block is live
+                for W, mass, _ in blocks:
+                    up.append(above)
+                    block_w.append(max(W, w[above]))
+                    block_mu.append(mass)
+        rows = np.flatnonzero(live)
+        anc = np.concatenate([rows, np.array(up, dtype=np.int64)])
+        if anc.size:
+            node_content = _sweep(
+                geo, anc, np.concatenate([w[rows], block_w]),
+                np.concatenate([mu[rows], block_mu]), sdepth[anc], w, combine, power,
+            )
+        else:
+            node_content = np.full(geo.m, NEG_INF)
+        for a, values in chained.items():
+            node_content[a : a + len(values)] = values
         # support nodes ordered by (support depth, depth-first index), so
         # that the tops of a range are one slice
         by_depth = np.argsort(sdepth, kind="stable")
@@ -137,6 +219,11 @@ class _BKernel:
     level aggregates.  The inhomogeneous variant drops the levels < 0.  The
     BBMO and CMO contents are this one with other slopes; when p = q the two
     stages collapse into one sum or maximum over all nodes.
+
+    On a suffix of a leaf chain each level holds one node, whose aggregate
+    is its own z / p; the content of every suffix of the chain is then one
+    suffix log-sum (a maximum at q = inf) of q z / p, read from ``suffix``
+    wherever no level cut applies.  Every other range expands pairs.
     """
 
     def __init__(
@@ -150,8 +237,32 @@ class _BKernel:
         self.homogeneous = homogeneous
         logw = geo.level_f * (s + geo.dim / 2.0) + geo.log2t
         self.z = logw if p == INF else p * logw + geo.log2vol
+        self.suffix = None
+        first, end = geo.chains
+        if first.size:
+            agg = self.z if p in (q, INF) else self.z / p
+            terms = agg if q in (p, INF) else q * agg
+            accumulate = np.maximum.accumulate if q == INF else np.logaddexp2.accumulate
+            self.suffix = np.full(geo.m, NEG_INF)
+            for a, b in zip(first.tolist(), end.tolist()):
+                self.suffix[a:b] = accumulate(terms[a:b][::-1])[::-1]
+            if q < INF:
+                self.suffix /= q
 
     def contents(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
+        if self.suffix is None:
+            return self._pairs(lo, hi, level)
+        chain = self.geo.in_chain(lo, hi)
+        if not self.homogeneous:
+            chain &= level >= 0
+        out = np.empty(lo.size)
+        out[chain] = self.suffix[lo[chain]]
+        rest = np.flatnonzero(~chain)
+        if rest.size:
+            out[rest] = self._pairs(lo[rest], hi[rest], level[rest])
+        return out
+
+    def _pairs(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
         geo, p, q = self.geo, self.p, self.q
         per_level = _seg_max if p == INF else _seg_log2_sum
         p_root = 1.0 if p == INF else p  # log2 of an l^p norm: power sum / p

@@ -20,7 +20,6 @@ time is mostly numpy's random draws.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -448,35 +447,3 @@ class _SampleSet:
         key = [k >> shift for k in self.key[a:b]]
         return CubeSequence(self.root, self.max_depth[s], width, key, depth, self.log2t[a:b])
 
-
-def saturated_tree_sequence(
-    dim: int, depth: int, delta: float, s: float = 0.0
-) -> CubeSequence:
-    """Every cube of the unit tree to the given depth, equal effective weights.
-
-    Magnitudes are chosen so |Q|**(-s/n - delta - 1/2) |t_Q| = 1 on every
-    cube; this family attains the upper collapse constant as depth grows.
-    """
-    root = DyadicCube.unit(dim)
-    exponent = float(s) + dim / 2.0 + dim * float(delta)
-    values: dict[DyadicCube, float] = {}
-    frontier = [root]
-    values[root] = 0.0
-    for j in range(1, depth + 1):
-        nxt = []
-        for cube in frontier:
-            for child in cube.children():
-                values[child] = -j * exponent
-                nxt.append(child)
-        frontier = nxt
-    return CubeSequence.from_log2_values(values, root=root, max_depth=depth)
-
-
-def saturated_ratio_log2(q: float, delta: float, n: int, depth: int) -> float:
-    """Closed-form log2 ratio (norm over weighted-sup norm) of the saturated tree."""
-    alpha = float(q) * float(delta) * n
-    if float(q) == INF:
-        return 0.0
-    return (
-        math.log2(sum(2.0 ** (-j * alpha) for j in range(depth + 1)))
-    ) / float(q)

@@ -26,10 +26,15 @@ Each kernel (module ``_kernels``) evaluates the contents of all candidates
 in one batched call.  The B, CMO and BBMO kernels expand (candidate, support
 node) pairs, in batches of at most 2**12 pairs, and reduce them by segmented
 sums and maxima, max-factored per segment: about m log m pairs on saturated
-trees and m**2 / 2 on towers.  The F kernel sweeps the support depths once,
-touching each (support ancestor, node) pair once, then sums each candidate's
-tops.  No table of nodes by levels is ever built, so memory stays O(m) plus
-the fixed pair batch, whatever the depth.
+trees.  The F kernel sweeps the support depths once, touching each (support
+ancestor, node) pair once, then sums each candidate's tops.  A long leaf
+chain (``Geometry.chains``: one-child nodes down to a leaf, as a whole
+tower) holds one node per level, and its ranges need neither: the B, CMO
+and BBMO contents of all of them come from one suffix log-sum along the
+chain, and F at q = inf from one stack of prefix maxima.  A tower thus
+costs O(m) in every kernel but F at finite q, whose sweep still touches
+about m**2 / 2 pairs on it.  No table of nodes by levels is ever built, so
+memory stays O(m) plus the fixed pair batch, whatever the depth.
 
 A sample set is evaluated as one forest, after the segmented scan of
 Blelloch ("Vector Models for Data-Parallel Computing", 1990).  ``Forest``

@@ -19,13 +19,16 @@ from .seqspace import CubeSequence, Family, Forest, ParamError, SpaceParams, che
 DEFAULT_DEPTHS_1D = (4, 8, 16, 32, 64)
 DEFAULT_DEPTHS_ND = (4, 8, 16)
 
-# The depth bound: every norm of a depth-J tower expands about J**2 / 2
-# (cube, node) pairs.  One certification takes 2.5-3.4 s at depth 8192 and
-# 9-10.4 s at 16384 (the CLI, start-up included, on a shared 2-vCPU x86-64
-# virtual machine: Intel Xeon, Python 3.11.7, numpy 2.4.6); deeper towers
-# are refused before any is built.  A list of depths is one forest, whose
-# pairs add up over its towers, so a list is refused when its sum of J**2
-# exceeds that of two towers at the bound (16384,16384 took 17.4 s).
+# The depth bound: a depth-J tower is one leaf chain, which the B kernel
+# and F at q = inf evaluate in one pass, but F at finite q still sweeps
+# about J**2 / 2 (cube, node) pairs.  One certification of the F part at
+# q = 2 takes 2.3-2.5 s at depth 8192 and 7.2-8.1 s at 16384; the B part,
+# and either part at q = inf, 0.3-0.4 s at 16384 (the CLI, start-up
+# included, on a shared 2-vCPU x86-64 virtual machine: Intel Xeon, Python
+# 3.11.7, numpy 2.4.6).  Deeper towers are refused before any is built.  A
+# list of depths is one forest, whose pairs add up over its towers, so a
+# list is refused when its sum of J**2 exceeds that of two towers at the
+# bound (16384,16384 took 14.4-14.8 s for the F part at q = 2).
 DEPTH_BOUND = 1 << 14
 DEPTH_SQUARES_BOUND = 2 * DEPTH_BOUND**2
 

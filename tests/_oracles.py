@@ -32,6 +32,10 @@ the range of support nodes inside that cube.
 ``reference_certify`` is ``certify_separation`` with each depth's tower
 evaluated alone, through ``b_type_norm`` and ``norm``: the per-depth loop
 that evaluating the whole depth schedule as one forest replaced.
+
+``saturated_tree_sequence`` builds every cube of the unit tree to a depth,
+with equal effective weights, and ``saturated_ratio_log2`` is the closed
+form of its collapse ratio: fixtures of the tests, not library API.
 """
 from __future__ import annotations
 
@@ -624,3 +628,36 @@ def reference_certify(s, p, q, tau, n=1, depths=(4, 8, 16, 32, 64), family="f"):
         f"{family}^(s,{tau:g})_({p:g},{q:g})", depths, tgt_vals, bound
     )
     return divergent, bounded
+
+
+def saturated_tree_sequence(
+    dim: int, depth: int, delta: float, s: float = 0.0
+) -> CubeSequence:
+    """Every cube of the unit tree to the given depth, equal effective weights.
+
+    Magnitudes are chosen so |Q|**(-s/n - delta - 1/2) |t_Q| = 1 on every
+    cube; this family attains the upper collapse constant as depth grows.
+    """
+    root = DyadicCube.unit(dim)
+    exponent = float(s) + dim / 2.0 + dim * float(delta)
+    values: dict[DyadicCube, float] = {}
+    frontier = [root]
+    values[root] = 0.0
+    for j in range(1, depth + 1):
+        nxt = []
+        for cube in frontier:
+            for child in cube.children():
+                values[child] = -j * exponent
+                nxt.append(child)
+        frontier = nxt
+    return CubeSequence.from_log2_values(values, root=root, max_depth=depth)
+
+
+def saturated_ratio_log2(q: float, delta: float, n: int, depth: int) -> float:
+    """Closed-form log2 ratio (norm over weighted-sup norm) of the saturated tree."""
+    alpha = float(q) * float(delta) * n
+    if float(q) == INF:
+        return 0.0
+    return (
+        math.log2(sum(2.0 ** (-j * alpha) for j in range(depth + 1)))
+    ) / float(q)

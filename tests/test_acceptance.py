@@ -31,14 +31,12 @@ from dyadic_spaces import (
     separation_b_bound_log2,
     separation_f_bound_log2,
     random_sample_set,
-    saturated_ratio_log2,
-    saturated_tree_sequence,
     collapse_upper_constant_log2,
 )
 from dyadic_spaces.analyze import annulus_profile, cap_profile, lp_convolve
 from dyadic_spaces.cli import main
 
-from _oracles import candidate_value
+from _oracles import candidate_value, saturated_ratio_log2, saturated_tree_sequence
 
 INF = math.inf
 F = Family

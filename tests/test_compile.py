@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadic_spaces import CubeSequence, DyadicCube, random_sample_set, saturated_tree_sequence
+from dyadic_spaces import CubeSequence, DyadicCube, random_sample_set
 from dyadic_spaces import _geometry
 from dyadic_spaces._geometry import Geometry, depth_first, morton_paths
 from dyadic_spaces.witness import build_tower
+
+from _oracles import saturated_tree_sequence
 
 COMPILED = ("seg_cand", "parent", "sdepth", "cand_level", "cand_lo", "cand_hi", "gap_lo")
 
@@ -158,13 +160,20 @@ def test_small_geometries_take_the_stack_pass(monkeypatch):
 # -- depth-first sort ----------------------------------------------------------
 
 
+def sorted_as_lists(root, paths, depths, keep):
+    """``depth_first`` with its order as a list: the int64 sort returns an
+    int64 array, the Python sort a list."""
+    width, key, depth, order = depth_first(root, paths, depths, np.array(keep, dtype=bool))
+    return width, key, depth, list(map(int, order))
+
+
 def sorted_both(root, paths, depths, keep):
     """``depth_first`` on both paths: its result, or its error message."""
     out = []
     for size in (0, 1 << 62):
         with numpy_from(size):
             try:
-                out.append(depth_first(root, paths, depths, np.array(keep, dtype=bool)))
+                out.append(sorted_as_lists(root, paths, depths, keep))
             except ValueError as exc:
                 out.append(str(exc))
     return out
@@ -209,8 +218,10 @@ def test_int64_sort_at_the_width_limit(n, width, int64, monkeypatch):
     depths = [width - d % 3 for d in range(50)]
     paths = [(7 * d + 3) % (1 << n * depths[d]) for d in range(50)]
     keep = np.array(depths) < width  # dropping the deepest records narrows the keys
-    assert depth_first(root, paths, depths, keep) == sorted_both(root, paths, depths, keep)[1]
+    assert sorted_as_lists(root, paths, depths, keep) == sorted_both(root, paths, depths, keep)[1]
     assert bool(ran) == int64
+    # the int64 sort hands its order on as an array, for the callers to index with
+    assert isinstance(depth_first(root, paths, depths, keep)[3], np.ndarray) == int64
     paths[9] = paths[0]
     depths[9] = depths[0]
     got, want = sorted_both(root, paths, depths, keep)

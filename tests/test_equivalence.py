@@ -19,12 +19,10 @@ from dyadic_spaces import (
     f_inf_inf_norm,
     f_type_norm,
     random_sequence,
-    saturated_ratio_log2,
-    saturated_tree_sequence,
     collapse_upper_constant_log2,
 )
 
-from _oracles import candidate_value
+from _oracles import candidate_value, saturated_ratio_log2, saturated_tree_sequence
 
 INF = math.inf
 

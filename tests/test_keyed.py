@@ -25,7 +25,6 @@ from dyadic_spaces import (
     coefficients,
     load_jsonl,
     random_sample_set,
-    saturated_tree_sequence,
 )
 from dyadic_spaces import _geometry
 from dyadic_spaces._geometry import Geometry
@@ -33,7 +32,7 @@ from dyadic_spaces.analyze import band_magnitudes
 from dyadic_spaces.seqspace import SequenceFormatError
 from dyadic_spaces.witness import build_tower
 
-from _oracles import shell_measures
+from _oracles import saturated_tree_sequence, shell_measures
 
 
 def same_arrays(a: CubeSequence, b: CubeSequence) -> None:

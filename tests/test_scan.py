@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadic_spaces import CubeSequence, DyadicCube, save_jsonl, saturated_tree_sequence
+from dyadic_spaces import CubeSequence, DyadicCube, save_jsonl
 from dyadic_spaces import _geometry, seqspace
 from dyadic_spaces.seqspace import SequenceFormatError, load_jsonl
 
-from _oracles import reference_jsonl
+from _oracles import reference_jsonl, saturated_tree_sequence
 
 
 @contextmanager
