@@ -10,7 +10,9 @@ segment by segment.  Both take lists or int64 arrays.
 
 ``Geometry`` compiles the sorted keys into the candidate tree of the norm
 suprema, from a list of sequences or from the sorted arrays of a forest
-(``Geometry.from_sorted``).  The path building, the sort and the compile
+(``Geometry.from_sorted``).  The tree is integer arrays of node indices and
+levels; ``Geometry.cube`` decodes a cube from a node's key on demand, and no
+other module reads a key.  The path building, the sort and the compile
 each have two branches that give the same result, and each chooses its own:
 a Python one for keys of any width, and a numpy one on int64 arrays
 (``_morton_paths_int64``, ``_depth_first_int64``, ``_compile_arrays``),
@@ -265,10 +267,12 @@ class Geometry:
     more support subtrees), at most 2m cubes.  Every other dyadic subcube of
     the root that contains support lies in a chain gap: strictly between a
     candidate and its nearest candidate ancestor, with exactly the support
-    of the candidate below it.  Candidates are stored as arrays
-    (``cand_level``, ``cand_lo``, ``cand_hi``, ``cand_key``), with ``gap_lo``
-    the coarsest level of the gap above each candidate; the gap ends just
-    above the candidate's own level.
+    of the candidate below it.  Candidates are stored as integer arrays
+    (``cand_level``, ``cand_lo``, ``cand_hi``), with ``gap_lo`` the coarsest
+    level of the gap above each candidate; the gap ends just above the
+    candidate's own level.  A candidate, and every cube of its gap, is the
+    cube at its level on the path to its first node ``cand_lo``, which
+    ``cube`` decodes: the keys are read nowhere else.
 
     A leaf chain is a run of nodes, consecutive in depth-first order, each
     the only support child of the one before, that ends at a leaf; each of
@@ -349,11 +353,10 @@ class Geometry:
         keys, depth = self.key, self.node_depth
         parent = [-1] * m
         sdepth = [0] * m + [-1]  # the entry at index -1 serves the parentless
-        c_depth, c_key, c_lo, c_hi, c_up, seg_cand = [], [], [], [], [], []
+        c_depth, c_lo, c_hi, c_up, seg_cand = [], [], [], [], []
         for a, b in zip(self.seg_lo.tolist(), self.seg_lo[1:].tolist()):
             seg_cand.append(len(c_depth))
             c_depth.append(0)
-            c_key.append(0)
             c_lo.append(a)
             c_hi.append(b)
             c_up.append(-1)
@@ -375,7 +378,6 @@ class Geometry:
                         shift = n * (D - lca)
                         bkey = k >> shift << shift
                         c_depth.append(lca)
-                        c_key.append(bkey)
                         c_lo.append(c_lo[last[0]])
                         c_hi.append(b)
                         c_up.append(-1)
@@ -386,7 +388,6 @@ class Geometry:
                 c_up.append(-1)
                 c_hi.append(b)
                 c_lo.append(i)
-                c_key.append(k)
                 c_depth.append(d)
                 stack.append((len(c_depth) - 1, d, k, i))
             for below, above in zip(stack, stack[1:]):
@@ -398,7 +399,6 @@ class Geometry:
         self.cand_level = np.array(c_depth, dtype=np.int64) + self.min_level
         self.cand_lo = np.array(c_lo, dtype=np.int64)
         self.cand_hi = np.array(c_hi, dtype=np.int64)
-        self.cand_key = c_key
         up = np.array(c_up, dtype=np.int64)
         self.gap_lo = np.where(up >= 0, self.cand_level[up] + 1, self.cand_level)
 
@@ -452,8 +452,7 @@ class Geometry:
         first = np.ones(new.size, dtype=bool)
         first[by[1:]] = np.diff(start[by]) != 0
         new = new[first]
-        pair, depth_b, shift, base_b, lo_b = (x[new] for x in (pair, depth_b, shift, base_b, lo_b))
-        key_b = key[pair] >> shift << shift
+        pair, depth_b, base_b, lo_b = (x[new] for x in (pair, depth_b, base_b, lo_b))
 
         # the segment roots, branch points and nodes (but a segment's root
         # node), ordered at each node index root, branch point, node
@@ -467,7 +466,6 @@ class Geometry:
         self.cand_level = np.concatenate([nil, depth_b, depth[node]])[order] + j0
         self.cand_lo = np.concatenate([seg_lo[:-1], lo])[order]
         self.cand_hi = np.concatenate([seg_lo[1:], hi])[order]
-        self.cand_key = np.concatenate([nil, key_b, key[node]])[order].tolist()
         gap = np.concatenate([nil - 1, np.maximum(L[lo], L[hi])])[order] + 1
         self.gap_lo = gap + j0
 
@@ -562,6 +560,10 @@ class Geometry:
             mu[p] = math.log2(r) - t + mu[p] if r > 0 else NEG_INF
         return mu
 
-    def cube(self, key: int, level: int) -> DyadicCube:
-        """The cube at ``level`` on the path from the root to the key's node."""
-        return key_cube(self.root, self.depth, key, level)
+    def cube(self, node: int, level: int) -> DyadicCube:
+        """The cube at ``level`` on the path from the root to ``node``.  At
+        the root's level that is the root, whatever the node: the root
+        candidate of an empty segment starts past its nodes."""
+        if level == self.min_level:
+            return self.root
+        return key_cube(self.root, self.depth, self.key[node], level)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -76,11 +75,10 @@ def cap_profile(r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Dilated copies profile(2**-j |xi|) realize the band-pass at level j."""
+    """Dilated copies annulus_profile(2**-j |xi|) realize the band-pass at level j."""
 
     log_resolution: int
     lower_bound_constant: float
-    profile: Callable = field(default=annulus_profile, repr=False, compare=False)
 
     @property
     def valid_levels(self) -> range:
@@ -132,18 +130,11 @@ class GridFunction:
             raise ValueError("samples must be finite: no NaN or infinite values")
 
     @property
-    def n_samples(self) -> int:
-        return self.samples.size
-
-    @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.samples)
 
     def spectrum(self) -> np.ndarray:
         return np.fft.fftn(self.samples)
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2)) / self.n_samples
 
     # -- named families -----------------------------------------------------
 
@@ -159,13 +150,6 @@ class GridFunction:
         mode = (mode,) if isinstance(mode, int) else tuple(mode)
         phase = sum(m * g for m, g in zip(mode, grid))
         return cls(dim, L, np.cos(2 * np.pi * phase))
-
-    @classmethod
-    def complex_harmonic(cls, dim: int, L: int, mode) -> "GridFunction":
-        grid = _grids(dim, L)
-        mode = (mode,) if isinstance(mode, int) else tuple(mode)
-        phase = sum(m * g for m, g in zip(mode, grid))
-        return cls(dim, L, np.exp(2j * np.pi * phase))
 
     @classmethod
     def random_bandlimited(
@@ -239,7 +223,7 @@ def _lattice_radii(dim: int, L: int) -> np.ndarray:
 def lp_convolve(
     f: GridFunction, bank: FilterBank, j: int, spectrum: np.ndarray | None = None
 ) -> GridFunction:
-    """Band-pass f at level j by Fourier multiplication with profile(2**-j |m|).
+    """Band-pass f at level j by Fourier multiplication with annulus_profile(2**-j |m|).
 
     ``spectrum`` is f's forward FFT, for a caller that already holds it."""
     if j not in bank.valid_levels:
@@ -249,7 +233,7 @@ def lp_convolve(
     if spectrum is None:
         spectrum = f.spectrum()
     radii = _lattice_radii(f.dim, f.log_resolution)
-    mult = bank.profile(radii / float(1 << j))
+    mult = annulus_profile(radii / float(1 << j))
     out = np.fft.ifftn(spectrum * mult)
     if not f.is_complex:
         out = out.real

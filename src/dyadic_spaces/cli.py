@@ -184,13 +184,18 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _depths(text: str) -> tuple[int, ...]:
+def _list(text: str, option: str, parse=parse_extended, what: str = "numbers") -> list:
+    """The comma-separated values of an option; a bad one exits 3 naming it."""
     try:
-        return tuple(int(d) for d in text.split(","))
+        return [parse(x) for x in text.split(",")]
     except ValueError:
         raise ParamError(
-            f"--depths must be a comma-separated list of integers, got {text!r}"
+            f"{option} must be a comma-separated list of {what}, got {text!r}"
         ) from None
+
+
+def _depths(text: str) -> tuple[int, ...]:
+    return tuple(_list(text, "--depths", int, "integers"))
 
 
 def cmd_witness(args) -> int:
@@ -306,9 +311,9 @@ def cmd_refute(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_dim(args)
-    taus = [parse_extended(x) for x in args.tau_grid.split(",")]
-    ps = [parse_extended(x) for x in args.p_grid.split(",")]
-    qs = [parse_extended(x) for x in args.q_grid.split(",")]
+    taus = _list(args.tau_grid, "--tau-grid")
+    ps = _list(args.p_grid, "--p-grid")
+    qs = _list(args.q_grid, "--q-grid")
     fam = {"f": "F_type", "b": "B_type"}[args.family]
     if args.samples < 0:
         raise ParamError(f"--samples must be >= 0, got {args.samples}")

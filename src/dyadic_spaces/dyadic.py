@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 # Python refuses int <-> decimal string conversions beyond a digit limit (4300
@@ -101,12 +100,7 @@ class DyadicCube:
         """[0,1)**dim."""
         return cls(dim, 0, (0,) * dim)
 
-    # -- geometry -----------------------------------------------------------
-
-    @property
-    def volume(self) -> Fraction:
-        e = self.level * self.dim
-        return Fraction(1, 2**e) if e >= 0 else Fraction(2**-e)
+    # -- order --------------------------------------------------------------
 
     def sort_key(self) -> tuple:
         return (self.level, self.index)

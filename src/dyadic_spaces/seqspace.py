@@ -42,7 +42,9 @@ compiles the sequences under a root into one ``Geometry``, a segment per
 sequence; each kernel runs once over all segments, and a segmented maximum
 gives each sequence's log2 norm, so a norm call's fixed costs are paid once
 per set.  A sequence's own ``geometry`` is a forest of one; the norm
-functions decode the attained cube from it.
+functions decode the attained cube from it, as the cube at the attained
+level on the path to a node: a candidate's first node, or the support
+node itself on the infinity-infinity scales.
 
 Every input reaches the geometry through one sort, ``_geometry.depth_first``,
 of records given as Z-order paths below the root with their depths and log2
@@ -202,7 +204,7 @@ class CubeSequence:
     coefficients through their absolute values alone.  They are held as the
     arrays the geometry compiles, in depth-first order: each node's Morton
     key and depth below the root, and its log2 magnitude.  The cube views
-    (``support``, ``log2_magnitudes``, ``tree``) are built on first use.
+    (``support``, ``log2_value``, ``tree``) are built on first use.
     """
 
     def __init__(
@@ -328,10 +330,6 @@ class CubeSequence:
         indices = [c.index for c in cubes]
         return cls.from_records(root, levels, indices, log2_values, max_depth)
 
-    @classmethod
-    def zero(cls, root: DyadicCube) -> "CubeSequence":
-        return cls.from_records(root, [], [], [], 0)
-
     # -- views ----------------------------------------------------------------
 
     @property
@@ -361,10 +359,6 @@ class CubeSequence:
     @property
     def support(self) -> tuple[DyadicCube, ...]:
         return tuple(self._entries())
-
-    @property
-    def log2_magnitudes(self) -> dict[DyadicCube, float]:
-        return dict(self._entries())
 
     def log2_value(self, cube: DyadicCube) -> float:
         return self._entries().get(cube, NEG_INF)
@@ -407,15 +401,15 @@ def _argmax(values: np.ndarray, levels: np.ndarray, cube_of) -> tuple[float, Dya
 class _Maxima:
     """The values of the cubes evaluated for the suprema over a forest.
 
-    Entry i is the cube at ``level[i]`` on the path from the root to the node
-    keyed ``keys[ref[i]]``; ``starts`` splits the refs into segments.  The
-    maximum per segment is a segmented reduction; only ``norm_value`` builds
-    cubes.
+    Entry i is the cube at ``level[i]`` on the path from the root to node
+    ``node[ref[i]]``; ``starts`` splits the refs into segments.  The maximum
+    per segment is a segmented reduction; only ``norm_value`` decodes a
+    cube, from its node.
     """
 
-    def __init__(self, geo: Geometry, values, level, ref, keys, starts):
+    def __init__(self, geo: Geometry, values, level, ref, node, starts):
         self.geo, self.values, self.level = geo, values, level
-        self.ref, self.keys, self.starts = ref, keys, starts
+        self.ref, self.node, self.starts = ref, node, starts
 
     def log2_values(self) -> np.ndarray:
         """The supremum of every segment; -inf for one without cubes."""
@@ -431,7 +425,7 @@ class _Maxima:
         if values.size == 0:
             return NormValue.from_log2(NEG_INF, geo.root)
         return NormValue.from_log2(*_argmax(
-            values, level, lambda i: geo.cube(self.keys[ref[i]], int(level[i]))
+            values, level, lambda i: geo.cube(int(self.node[ref[i]]), int(level[i]))
         ))
 
 
@@ -468,7 +462,7 @@ def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> _Maxima:
         values = np.concatenate([values, slope * lo + x])
         level = np.concatenate([level, lo])
         cand = np.concatenate([cand, cand[gaps]])
-    return _Maxima(geo, values, level, cand, geo.cand_key, geo.seg_cand)
+    return _Maxima(geo, values, level, cand, geo.cand_lo, geo.seg_cand)
 
 
 def _kernel(params: SpaceParams, geo: Geometry):
@@ -490,9 +484,10 @@ def _maxima(params: SpaceParams, geo: Geometry, allow_negative_tau: bool = False
     for a forest of one or of many.  The infinity-infinity scales take the
     support cubes alone; F and B refuse tau < 0 unless it is allowed."""
     if params.family in (Family.F_INF_INF, Family.B_INF_INF):
+        node = np.arange(geo.m)
         return _Maxima(
             geo, geo.level_f * (params.s + geo.dim / 2.0) + geo.log2t, geo.level,
-            np.arange(geo.m), geo.key, geo.seg_lo,
+            node, node, geo.seg_lo,
         )
     if params.family not in (Family.F_TYPE, Family.B_TYPE):
         return _supremum(geo, _kernel(params, geo))
@@ -612,8 +607,10 @@ class Forest(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i: int) -> CubeSequence:
-        return self._sample(range(self._len)[i])
+    def __getitem__(self, i: int | slice) -> CubeSequence | list[CubeSequence]:
+        """Sample i, or the list of the samples a slice selects."""
+        at = range(self._len)[i]
+        return list(map(self._sample, at)) if isinstance(i, slice) else self._sample(at)
 
     def log2_norms(self, params: SpaceParams, allow_negative_tau: bool = False) -> np.ndarray:
         """log2 of the norm ``params`` names for every sample, in order,

@@ -35,7 +35,9 @@ that evaluating the whole depth schedule as one forest replaced.
 
 ``saturated_tree_sequence`` builds every cube of the unit tree to a depth,
 with equal effective weights, and ``saturated_ratio_log2`` is the closed
-form of its collapse ratio: fixtures of the tests, not library API.
+form of its collapse ratio: fixtures of the tests, not library API, as
+are ``zero_sequence``, ``log2_magnitudes``, ``volume``, ``complex_harmonic``
+and the ``caterpillar`` fields of long tails under a spine of branch points.
 """
 from __future__ import annotations
 
@@ -47,17 +49,61 @@ from typing import NamedTuple
 import numpy as np
 
 from dyadic_spaces import (
-    CubeSequence, DyadicCube, Family, Forest, SpaceParams, SupportTree, b_type_norm,
-    build_tower, lp_convolve, norm, random_sequence, separation_b_bound_log2,
+    CubeSequence, DyadicCube, Family, Forest, GridFunction, SpaceParams, SupportTree,
+    b_type_norm, build_tower, lp_convolve, norm, random_sequence, separation_b_bound_log2,
     separation_f_bound_log2, witness,
 )
-from dyadic_spaces._geometry import morton_paths
+from dyadic_spaces._geometry import _MIN_CHAIN, morton_paths
 from dyadic_spaces._log2 import inv, log2_to_linear
 from dyadic_spaces.analyze import _grids
 from dyadic_spaces.seqspace import _kernel, json_dumps
 
 INF = math.inf
 NEG_INF = float("-inf")
+
+
+def zero_sequence(root: DyadicCube) -> CubeSequence:
+    """The sequence without support under the root."""
+    return CubeSequence.from_records(root, [], [], [], 0)
+
+
+def log2_magnitudes(seq: CubeSequence) -> dict[DyadicCube, float]:
+    """Support cube -> log2 magnitude, in (level, index) order."""
+    return {c: seq.log2_value(c) for c in seq.support}
+
+
+def volume(cube: DyadicCube) -> Fraction:
+    """The exact volume 2**(-level * dim) of a cube."""
+    e = cube.level * cube.dim
+    return Fraction(1, 2**e) if e >= 0 else Fraction(2**-e)
+
+
+def complex_harmonic(dim: int, L: int, mode) -> GridFunction:
+    """exp(2 pi i m . x) for an integer mode vector m: the one complex signal."""
+    mode = (mode,) if isinstance(mode, int) else tuple(mode)
+    phase = sum(m * g for m, g in zip(mode, _grids(dim, L)))
+    return GridFunction(dim, L, np.exp(2j * np.pi * phase))
+
+
+def caterpillar(rng, dim: int, spine: int, root_level: int = 0) -> CubeSequence:
+    """A spine of cubes [0, 2**-j) under which tails of random lengths (some
+    past ``_MIN_CHAIN``) hang, each a chain of first children entering the
+    spine cube's second child a random number of levels down.  Some spine
+    cubes are left out, so that a tail's support parent may lie higher up."""
+    def cube(level: int, first: int) -> DyadicCube:
+        return DyadicCube(dim, level, (first,) + (0,) * (dim - 1))
+
+    values = {}
+    for j in range(spine + 1):
+        if j == 0 or rng.random() < 0.8:
+            values[cube(root_level + j, 0)] = rng.uniform(-3, 3)
+        if j < spine and rng.random() < 0.7:
+            gap = rng.randrange(3)
+            length = rng.choice([2, _MIN_CHAIN - 1, _MIN_CHAIN, _MIN_CHAIN + 5, 2 * _MIN_CHAIN])
+            top = root_level + j + 1 + gap
+            for d in range(length):
+                values[cube(top + d, 1 << (gap + d))] = rng.uniform(-3, 3)
+    return CubeSequence.from_log2_values(values, root=cube(root_level, 0))
 
 
 def path_from(cube: DyadicCube, ancestor: DyadicCube) -> tuple[int, ...]:
@@ -87,13 +133,13 @@ def value(seq: CubeSequence, cube: DyadicCube) -> float:
 
 def scaled_log2(seq: CubeSequence, shift: float) -> CubeSequence:
     """The sequence with every magnitude multiplied by 2**shift."""
-    values = {q: v + shift for q, v in seq.log2_magnitudes.items()}
+    values = {q: v + shift for q, v in log2_magnitudes(seq).items()}
     return CubeSequence.from_log2_values(values, seq.root, seq.max_depth)
 
 
 def with_entry(seq: CubeSequence, cube: DyadicCube, log2_value: float) -> CubeSequence:
     """The sequence with one magnitude set; the unit root when the cube lies outside."""
-    values = seq.log2_magnitudes
+    values = log2_magnitudes(seq)
     values[cube] = log2_value
     root = seq.root if seq.root.contains(cube) else None
     return CubeSequence.from_log2_values(values, root=root)
@@ -159,17 +205,17 @@ def shell_decomposition(tree: SupportTree, region: DyadicCube) -> list[Shell]:
     top_vol = Fraction(0)
     for i, q in enumerate(inside):
         if parent[i] >= 0:
-            child_vol[parent[i]] += q.volume
+            child_vol[parent[i]] += volume(q)
         else:
-            top_vol += q.volume
+            top_vol += volume(q)
 
     shells: list[Shell] = []
     if region not in tree.nodes:
-        mu_top = region.volume - top_vol
+        mu_top = volume(region) - top_vol
         if mu_top != 0:
             shells.append(Shell(region, _chain_in(tree, region), mu_top))
     for i, q in enumerate(inside):
-        mu = q.volume - child_vol[i]
+        mu = volume(q) - child_vol[i]
         if mu != 0:
             shells.append(Shell(q, _chain_in(tree, q), mu))
     return shells
@@ -286,7 +332,7 @@ def reference_cmo(seq, s, q, r) -> float:
             val = max(weight(seq, c, s) for c in inside)
         else:
             total = sum(
-                weight(seq, c, s) ** q * float(c.volume) for c in inside
+                weight(seq, c, s) ** q * float(volume(c)) for c in inside
             )
             val = (2.0 ** (r * seq.dim * P.level) * total) ** (1.0 / q)
         best = max(best, val)
@@ -309,7 +355,7 @@ def reference_bbmo(seq, s, p, q) -> float:
             else:
                 a = (
                     2.0 ** (seq.dim * P.level)
-                    * sum(weight(seq, c, s) ** p * float(c.volume) for c in inside)
+                    * sum(weight(seq, c, s) ** p * float(volume(c)) for c in inside)
                 ) ** (1.0 / p)
             terms.append(a)
         if not terms:

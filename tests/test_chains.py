@@ -20,7 +20,7 @@ from dyadic_spaces import (
 from dyadic_spaces._geometry import _MIN_CHAIN
 from dyadic_spaces.witness import build_tower
 
-from _oracles import loop_b_contents, loop_f_contents
+from _oracles import caterpillar, loop_b_contents, loop_f_contents
 
 INF = math.inf
 B_EXPONENTS = [(1, 2), (2, 2), (INF, 2), (2, 1), (1, INF), (INF, INF), (0.5, 3)]
@@ -29,24 +29,6 @@ F_EXPONENTS = [(1, INF), (2, INF), (0.5, INF), (1, 2)]
 
 def cube(dim: int, level: int, first: int) -> DyadicCube:
     return DyadicCube(dim, level, (first,) + (0,) * (dim - 1))
-
-
-def caterpillar(rng: random.Random, dim: int, spine: int, root_level: int = 0) -> CubeSequence:
-    """A spine of cubes [0, 2**-j) under which tails of random lengths (some
-    past ``_MIN_CHAIN``) hang, each a chain of first children entering the
-    spine cube's second child a random number of levels down.  Some spine
-    cubes are left out, so that a tail's support parent may lie higher up."""
-    values = {}
-    for j in range(spine + 1):
-        if j == 0 or rng.random() < 0.8:
-            values[cube(dim, root_level + j, 0)] = rng.uniform(-3, 3)
-        if j < spine and rng.random() < 0.7:
-            gap = rng.randrange(3)
-            length = rng.choice([2, _MIN_CHAIN - 1, _MIN_CHAIN, _MIN_CHAIN + 5, 2 * _MIN_CHAIN])
-            top = root_level + j + 1 + gap
-            for d in range(length):
-                values[cube(dim, top + d, 1 << (gap + d))] = rng.uniform(-3, 3)
-    return CubeSequence.from_log2_values(values, root=cube(dim, root_level, 0))
 
 
 def ranges(geo, extra_level: int):

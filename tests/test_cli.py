@@ -559,6 +559,18 @@ class TestSweep:
         assert lines[0].startswith("tau,p,q,verdict,rule")
         assert len(lines) == 1 + 3 * 2 * 2
 
+    @pytest.mark.parametrize("option", ["--tau-grid", "--p-grid", "--q-grid"])
+    @pytest.mark.parametrize("value", ["", "1/0", "1,,2", "x"])
+    def test_bad_grid_exit_3_naming_the_option(self, option, value, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work was done")
+
+        monkeypatch.setattr(cli, "random_sample_set", refuse)
+        assert main(["sweep", option, value]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {option} must be a comma-separated list of numbers, got {value!r}\n"
+        )
+
 
 class TestDimRefused:
     """``classify`` and ``sweep`` refuse a dimension below 1 as ``analyze``

@@ -22,7 +22,7 @@ from dyadic_spaces import _geometry
 from dyadic_spaces._geometry import Geometry, depth_first, morton_paths
 from dyadic_spaces.witness import build_tower
 
-from _oracles import saturated_tree_sequence
+from _oracles import caterpillar, reference_candidates, saturated_tree_sequence, zero_sequence
 
 COMPILED = ("seg_cand", "parent", "sdepth", "cand_level", "cand_lo", "cand_hi", "gap_lo")
 
@@ -41,10 +41,7 @@ def numpy_from(size: int):
 def compiled(root: DyadicCube, segments, size: int) -> dict:
     with numpy_from(size):
         geo = Geometry(root, segments)
-    out = {name: getattr(geo, name).tolist() for name in COMPILED}
-    out["cand_key"] = list(geo.cand_key)
-    assert all(type(k) is int for k in out["cand_key"])
-    return out
+    return {name: getattr(geo, name).tolist() for name in COMPILED}
 
 
 def assert_same_compile(root: DyadicCube, seqs) -> None:
@@ -115,8 +112,62 @@ def test_arrays_match_stack_pass_on_towers(n, J):
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,)])
 def test_arrays_match_stack_pass_on_sample_sets(dims):
     seqs = list(random_sample_set(5, 30, dims=dims, depth_1d=9, depth_nd=3))
-    seqs.insert(7, CubeSequence.zero(DyadicCube.unit(dims[0])))
+    seqs.insert(7, zero_sequence(DyadicCube.unit(dims[0])))
     assert_same_compile(DyadicCube.unit(dims[0]), seqs)
+
+
+# -- cubes decoded from nodes ----------------------------------------------------
+
+
+def assert_nodes_decode_candidates(root: DyadicCube, seqs) -> None:
+    """On both compile passes, every candidate, and every cube of the gap
+    above it, decoded from the candidate's first node, has the support range
+    that ``reference_candidates`` gives that cube in its own sequence."""
+    for size in (0, 1 << 62):
+        with numpy_from(size):
+            geo = Geometry(root, [s._segment for s in seqs])
+        for s, seq in enumerate(seqs):
+            a = int(geo.seg_lo[s])
+            want = {cube: (lo + a, hi + a) for cube, lo, hi in reference_candidates(seq)}
+            for c in range(geo.seg_cand[s], geo.seg_cand[s + 1]):
+                node, hi = int(geo.cand_lo[c]), int(geo.cand_hi[c])
+                for level in range(int(geo.gap_lo[c]), int(geo.cand_level[c]) + 1):
+                    assert want[geo.cube(node, level)] == (node, hi)
+
+
+def path_tower(n: int, J: int) -> CubeSequence:
+    """One cube on each of J + 1 levels, down a random path."""
+    rng = random.Random(J)
+    index, values = [0] * n, {}
+    for j in range(J + 1):
+        values[DyadicCube(n, j, tuple(index))] = -0.5 * j
+        index = [2 * k + rng.randrange(2) for k in index]
+    return CubeSequence.from_log2_values(values)
+
+
+@pytest.mark.parametrize("case", ["zero", "empty-segments", "tower", "path-tower", "caterpillar"])
+def test_nodes_decode_candidates(case):
+    unit = DyadicCube.unit(1)
+    if case == "zero":
+        seqs = [zero_sequence(unit)]
+    elif case == "empty-segments":  # empty and all-zero samples, last too
+        zeros = CubeSequence.from_records(unit, [3, 5], [(1,), (20,)], [-math.inf] * 2)
+        seqs = list(random_sample_set(2, 6, dims=(1,), depth_1d=6))
+        seqs[1:1] = [zero_sequence(unit), zeros]
+        seqs += [zeros, zero_sequence(unit)]
+    elif case == "tower":  # 300 levels: wide keys, the stack pass
+        seqs = [build_tower(0, 0.5, 1, 1, 300).sequence]
+    elif case == "path-tower":
+        seqs = [path_tower(2, 300)]
+    else:
+        seqs = [caterpillar(random.Random(3), 2, spine=6)]
+    assert_nodes_decode_candidates(seqs[0].root, seqs)
+
+
+@given(forests())
+@settings(max_examples=60, deadline=None)
+def test_nodes_decode_candidates_on_forests(forest):
+    assert_nodes_decode_candidates(*forest)
 
 
 def comb(n: int, width: int) -> CubeSequence:

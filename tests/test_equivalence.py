@@ -22,7 +22,9 @@ from dyadic_spaces import (
     collapse_upper_constant_log2,
 )
 
-from _oracles import candidate_value, saturated_ratio_log2, saturated_tree_sequence
+from _oracles import (
+    candidate_value, saturated_ratio_log2, saturated_tree_sequence, zero_sequence,
+)
 
 INF = math.inf
 
@@ -57,7 +59,7 @@ class TestCollapseF:
         assert rep.worst_ratio_high == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_sequence_vacuous(self):
-        rep = check_collapse_f(CubeSequence.zero(DyadicCube.unit(1)), 0, 1.5, 1, 2)
+        rep = check_collapse_f(zero_sequence(DyadicCube.unit(1)), 0, 1.5, 1, 2)
         assert rep.all_ok
         assert rep.vacuous == 1
         assert rep.worst_ratio_low == rep.worst_ratio_high == 1.0
@@ -173,7 +175,7 @@ class TestHolder:
             check_holder_embeddings(batch(1, 1), 0, 0.5, 2, 2)
 
     def test_zero_sequence_vacuous(self):
-        rep = check_holder_embeddings(CubeSequence.zero(DyadicCube.unit(1)), 0, 0.5, 1, 2)
+        rep = check_holder_embeddings(zero_sequence(DyadicCube.unit(1)), 0, 0.5, 1, 2)
         assert rep.all_ok
         assert rep.vacuous == 1
         assert rep.worst_ratio_low == rep.worst_ratio_high == 0.0
@@ -182,7 +184,7 @@ class TestHolder:
 
 class TestExactIdentities:
     def test_zero_sequence(self):
-        rep = check_exact_identities(CubeSequence.zero(DyadicCube.unit(1)), 0, 2, 2, 1)
+        rep = check_exact_identities(zero_sequence(DyadicCube.unit(1)), 0, 2, 2, 1)
         assert rep.all_ok
         assert rep.vacuous == 1
         assert rep.worst_ratio_low == rep.worst_ratio_high == 1.0

@@ -27,7 +27,7 @@ from dyadic_spaces import (
 )
 from dyadic_spaces import _geometry, cli
 
-from _oracles import reference_sample_set
+from _oracles import reference_sample_set, zero_sequence
 
 INF = math.inf
 F, B = Family.F_TYPE, Family.B_TYPE
@@ -48,7 +48,7 @@ def sample_set(dim: int) -> list[CubeSequence]:
         deep = DyadicCube(dim, root.level + 5, tuple((k << 5) + 3 for k in root.index))
         seqs.append(CubeSequence.from_log2_values({root: 1.5}, root=root))
         seqs.append(CubeSequence.from_log2_values({deep: -2.0}, root=root))
-        seqs.append(CubeSequence.zero(root))
+        seqs.append(zero_sequence(root))
     return seqs
 
 
@@ -155,7 +155,7 @@ def test_sample_set_matches_the_cube_generator(dims):
 # -- sample sets drawn straight into a forest ----------------------------------
 
 GEOMETRY = ("key", "node_depth", "log2t", "seg_lo", "mu_log2", "seg_cand", "parent", "sdepth",
-            "cand_level", "cand_lo", "cand_hi", "cand_key", "gap_lo")
+            "cand_level", "cand_lo", "cand_hi", "gap_lo")
 
 
 def arrays(forest: Forest) -> list:
@@ -253,6 +253,18 @@ def test_forest_of_a_forest_builds_no_sample(monkeypatch):
     assert again._groups[0][1] is drawn._groups[0][1]  # one compile for both
     assert not built
     assert fields(again[-1]) == fields(drawn[29]) and len(built) == 2
+
+
+@pytest.mark.parametrize("index", [
+    slice(1, 3), slice(None, None, -1), slice(-2, None), slice(4, 1, -2), slice(9, 12),
+])
+@pytest.mark.parametrize("kind", ["drawn", "eager"])
+def test_forest_slices_are_lists_of_samples(kind, index):
+    drawn = random_sample_set(0, 5, dims=(1,))
+    forest = drawn if kind == "drawn" else Forest(list(drawn))
+    got = forest[index]
+    assert type(got) is list
+    assert list(map(fields, got)) == list(map(fields, list(forest)[index]))
 
 
 @pytest.mark.parametrize("argv", [

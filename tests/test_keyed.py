@@ -32,7 +32,7 @@ from dyadic_spaces.analyze import band_magnitudes
 from dyadic_spaces.seqspace import SequenceFormatError
 from dyadic_spaces.witness import build_tower
 
-from _oracles import saturated_tree_sequence, shell_measures
+from _oracles import saturated_tree_sequence, shell_measures, zero_sequence
 
 
 def same_arrays(a: CubeSequence, b: CubeSequence) -> None:
@@ -190,7 +190,7 @@ def test_shells_of_towers(n, J):
 @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2)])
 def test_shells_of_forests(dims):
     seqs = list(random_sample_set(3, 40, dims=dims, depth_1d=9, depth_nd=3))
-    seqs.append(CubeSequence.zero(DyadicCube.unit(dims[0])))
+    seqs.append(zero_sequence(DyadicCube.unit(dims[0])))
     for _, geo in Forest(seqs)._groups:
         assert_exact_shells(geo)
 
