@@ -6,6 +6,11 @@ Fourier multiplication on the integer frequency lattice.  The filter profile
 is a reproducible smooth bump: it vanishes outside the annulus 1/2 <= |xi| <= 2,
 equals 1 on [0.63, 5/3 * 0.95], and its transition pieces come from the
 standard exp(-1/t) smooth step.
+
+Every profile is radial and every seeded signal is real, so a real signal's
+band-passes are taken on its half spectrum: one ``rfftn``, the profile on the
+half-spectrum radii and one ``irfftn`` per level.  A complex signal keeps the
+full ``fftn`` / ``ifftn`` path.
 """
 from __future__ import annotations
 
@@ -211,13 +216,22 @@ def _grids(dim: int, L: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _lattice_radii(dim: int, L: int) -> np.ndarray:
+def _lattice_radii(dim: int, L: int, half: bool = False) -> np.ndarray:
+    """|m| at each bin of the ``fftn`` spectrum, or with ``half`` of the
+    ``rfftn`` half spectrum (last axis 0..N/2; the Nyquist bin at +N/2)."""
     N = 1 << L
     freqs = np.fft.fftfreq(N) * N
+    last = np.fft.rfftfreq(N) * N if half else freqs
     if dim == 1:
-        return np.abs(freqs)
-    fx, fy = np.meshgrid(freqs, freqs, indexing="ij")
+        return np.abs(last)
+    fx, fy = np.meshgrid(freqs, last, indexing="ij")
     return np.sqrt(fx * fx + fy * fy)
+
+
+def _spectrum(f: GridFunction) -> np.ndarray:
+    """The forward transform the band-passes read: ``rfftn`` of a real f (the
+    half spectrum), ``fftn`` of a complex one."""
+    return f.spectrum() if f.is_complex else np.fft.rfftn(f.samples)
 
 
 def lp_convolve(
@@ -225,18 +239,23 @@ def lp_convolve(
 ) -> GridFunction:
     """Band-pass f at level j by Fourier multiplication with annulus_profile(2**-j |m|).
 
-    ``spectrum`` is f's forward FFT, for a caller that already holds it."""
+    A real f is multiplied on its half spectrum and transformed back by one
+    ``irfftn``, a complex f on its full spectrum by one ``ifftn``.
+    ``spectrum`` is that forward transform of f (``rfftn`` or ``fftn``), for
+    a caller that already holds it."""
     if j not in bank.valid_levels:
         raise ValueError(
             f"level {j} outside the bank's valid range {bank.valid_levels}"
         )
     if spectrum is None:
-        spectrum = f.spectrum()
-    radii = _lattice_radii(f.dim, f.log_resolution)
-    mult = annulus_profile(radii / float(1 << j))
-    out = np.fft.ifftn(spectrum * mult)
-    if not f.is_complex:
-        out = out.real
+        spectrum = _spectrum(f)
+    real = not f.is_complex
+    radii = _lattice_radii(f.dim, f.log_resolution, real)
+    banded = spectrum * annulus_profile(radii / float(1 << j))
+    if real:
+        out = np.fft.irfftn(banded, s=f.samples.shape, axes=tuple(range(f.dim)))
+    else:
+        out = np.fft.ifftn(banded)
     return GridFunction(f.dim, f.log_resolution, out)
 
 
@@ -248,13 +267,16 @@ def _check_max_level(bank: FilterBank, max_level: int) -> None:
 def band_magnitudes(
     f: GridFunction, bank: FilterBank, max_level: int, spectrum: np.ndarray | None = None
 ) -> list[np.ndarray]:
-    """|lp_convolve(f, bank, j)| for j = 0..max_level, all from one forward FFT.
+    """|lp_convolve(f, bank, j)| for j = 0..max_level, all from one forward
+    transform (``spectrum``, as ``lp_convolve`` reads it, when the caller
+    already holds it).
 
-    Only the float magnitudes are kept: a real band-pass is a view of its
-    complex inverse FFT, which is dropped once its magnitude is taken."""
+    Each level is one inverse transform, and only its float magnitude is kept
+    before the next level starts: the peak holds the spectrum, one level's
+    transforms and the magnitudes so far, not every signed band at once."""
     _check_max_level(bank, max_level)
     if spectrum is None:
-        spectrum = f.spectrum()
+        spectrum = _spectrum(f)
     return [
         np.abs(lp_convolve(f, bank, j, spectrum).samples) for j in range(max_level + 1)
     ]
@@ -315,13 +337,19 @@ def _pow(x: np.ndarray, e: float) -> np.ndarray:
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
-    """log2 of nonnegative values, -inf at zero."""
+    """log2 of nonnegative values, -inf at zero.  An infinite or NaN value is
+    a weighted band power past the float range (NaN: an underflowed weight
+    times an overflowed power), and raises OverflowError."""
+    if not np.isfinite(x).all():
+        raise OverflowError("the function norm's weighted band powers overflow")
     out = np.full(x.size, NEG_INF)
     pos = x > 0.0
     out[pos] = np.fromiter(map(math.log2, x[pos].tolist()), float)
     return out
 
 
+# an overflow or 0 * inf reaches every value it touches, where _log2 refuses it
+@np.errstate(over="ignore", invalid="ignore")
 def function_norm(
     f: GridFunction,
     bank: FilterBank,
@@ -425,9 +453,17 @@ def band_limit_fraction(
     f: GridFunction, max_level: int, spectrum: np.ndarray | None = None
 ) -> float:
     """Fraction of spectral energy beyond the top analysis band; ``spectrum``
-    is f's forward FFT, for a caller that already holds it."""
-    spec = np.abs(f.spectrum() if spectrum is None else spectrum) ** 2
-    radii = _lattice_radii(f.dim, f.log_resolution)
+    is f's forward transform as ``lp_convolve`` reads it, for a caller that
+    already holds it.
+
+    A real f's half spectrum holds the last axis's columns 0..N/2; columns
+    1..N/2-1 stand for themselves and their mirrored conjugates, so their
+    energy counts twice, and the DC and Nyquist columns once."""
+    spec = np.abs(_spectrum(f) if spectrum is None else spectrum) ** 2
+    real = not f.is_complex
+    if real:
+        spec[..., 1 : (1 << f.log_resolution) // 2] *= 2.0
+    radii = _lattice_radii(f.dim, f.log_resolution, real)
     total = float(spec.sum())
     if total == 0.0:
         return 0.0
@@ -450,8 +486,8 @@ def transform_consistency(
     """
     if max_level is None:
         max_level = bank.valid_levels[-1]
-    # one forward FFT and one band-pass per level serve every stage
-    spectrum = f.spectrum()
+    # one forward transform and one band-pass per level serve every stage
+    spectrum = _spectrum(f)
     limited = band_limit_fraction(f, max_level, spectrum) < 1e-10
     bands = band_magnitudes(f, bank, max_level, spectrum)
     fn = function_norm(f, bank, params, max_level, bands)

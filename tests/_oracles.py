@@ -11,6 +11,9 @@ candidate set, enumerated as path tuples.
 
 ``reference_function_norm`` is the analyzer's function-side norm evaluated
 one dyadic cube at a time, the loop the pyramid in ``analyze`` replaced.
+``full_spectrum_band_pass`` and ``full_spectrum_band_limit_fraction`` take a
+band-pass and the band-limit fraction on the full ``fftn`` spectrum, for real
+signals the route that the half spectrum (``rfftn`` / ``irfftn``) replaced.
 
 ``shell_measures`` is the geometry's shell measures in Python integers
 throughout, the loop that the float path of ``Geometry._shell_measures``
@@ -55,7 +58,7 @@ from dyadic_spaces import (
 )
 from dyadic_spaces._geometry import _MIN_CHAIN, morton_paths
 from dyadic_spaces._log2 import inv, log2_to_linear
-from dyadic_spaces.analyze import _grids
+from dyadic_spaces.analyze import _grids, annulus_profile
 from dyadic_spaces.seqspace import _kernel, json_dumps
 
 INF = math.inf
@@ -611,6 +614,30 @@ def reference_function_norm(f, bank, params, max_level: int):
     best = max(values.values())
     cube = min((c for c, v in values.items() if v == best), key=DyadicCube.sort_key)
     return best, cube, values
+
+
+def _full_radii(dim: int, L: int) -> np.ndarray:
+    freqs = np.fft.fftfreq(1 << L) * (1 << L)
+    return np.sqrt(sum(g * g for g in np.meshgrid(*(freqs,) * dim, indexing="ij")))
+
+
+def full_spectrum_band_pass(f: GridFunction, bank, j: int) -> np.ndarray:
+    """The level-j band-pass's samples from ``fftn``, the profile on every
+    bin and ``ifftn``; the real part for a real f."""
+    assert j in bank.valid_levels
+    mult = annulus_profile(_full_radii(f.dim, f.log_resolution) / float(1 << j))
+    out = np.fft.ifftn(np.fft.fftn(f.samples) * mult)
+    return out if f.is_complex else out.real
+
+
+def full_spectrum_band_limit_fraction(f: GridFunction, max_level: int) -> float:
+    """The share of ``fftn`` energy at radii beyond 2**(max_level + 1)."""
+    power = np.abs(np.fft.fftn(f.samples)) ** 2
+    total = float(power.sum())
+    if total == 0.0:
+        return 0.0
+    radii = _full_radii(f.dim, f.log_resolution)
+    return float(power[radii > float(1 << (max_level + 1))].sum()) / total
 
 
 def reference_random_bandlimited(dim, L, rng, n_modes=20, j_hi=None):

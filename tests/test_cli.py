@@ -663,6 +663,21 @@ class TestAnalyze:
         with pytest.raises(AssertionError, match="drew 65536"):
             main(["analyze", "--L", "6", "--modes", "65536"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--family=f", "--q=16385", "--s=-" + "9" * 40],
+        ["--family=b", "--p=16385", "--s=-" + "9" * 40],
+        ["--family=f", "--q=16385"],
+        ["--family=b", "--p=16385"],
+    ], ids=["f-nan", "b-nan", "f-inf", "b-inf"])
+    def test_function_norm_past_the_float_range_exit_3(self, argv, capsys):
+        # an underflowed weight times an overflowed band power is 0 * inf = NaN,
+        # and an overflowed band power alone is inf: neither is a norm
+        base = ["analyze", "--signal", "random-bandlimited", "--seed=0", "--L=4"]
+        assert main([*base, *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of the float range: ")
+        assert "Warning" not in err
+
     def test_zero_modes_is_the_zero_signal(self, tmp_path):
         code, raw = run(["analyze", "--L", "6", "--modes", "0"], tmp_path)
         assert code == 0

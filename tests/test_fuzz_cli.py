@@ -22,7 +22,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dyadic_spaces import CubeSequence, DyadicCube, save_jsonl
@@ -128,8 +128,15 @@ def workdir(tmp_path_factory):
     return path
 
 
+# an underflowed weight times an overflowed band power (0 * inf) in the
+# function norm: both once exited 0 with a NaN read as a norm of -inf
+NAN_NORM = ["analyze", "--signal", "random-bandlimited", "--seed=0", "--L=4"]
+
+
 @FUZZ
 @given(argv=argvs())
+@example(argv=[*NAN_NORM, "--family=f", "--q=16385", "--s=-" + "9" * 40])
+@example(argv=[*NAN_NORM, "--family=b", "--p=16385", "--s=-" + "9" * 40])
 def test_fuzzed_command_lines_exit_0_to_3(argv, workdir):
     argv = [str(workdir / "small.jsonl") if arg == IN else arg for arg in argv]
     code, err = _run(argv)
