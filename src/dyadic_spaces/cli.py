@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +35,10 @@ from .equivalence import (
 )
 from .seqspace import (
     Family,
-    Forest,
     ParamError,
     SequenceFormatError,
     SpaceParams,
     int_to_decimal,
-    json_dumps,
     load_jsonl,
     norm,
 )
@@ -80,42 +79,77 @@ def _config_echo(args) -> dict:
     for key, val in sorted(vars(args).items()):
         if key in skip:
             continue
-        if isinstance(val, Fraction):
+        if isinstance(val, (Fraction, Path)):
             val = str(val)
-        elif isinstance(val, Path):
-            val = str(val)
+        elif isinstance(val, float) and math.isinf(val):
+            val = "inf" if val > 0 else "-inf"
         out[key] = val
     out["version"] = __version__
     return out
 
 
 def _write_json(args, payload: dict) -> None:
-    doc = _sanitize({"config": _config_echo(args), **payload})
-    text = json_dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
-    _write_text(args, text)
+    _write_text(args, _json_text({"config": _config_echo(args), **payload}))
 
 
-def _sanitize(obj):
-    """RFC-compliant JSON: infinities become 'inf'/'-inf' strings."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
+def _json_text(doc) -> str:
+    """``doc`` as JSON text with sorted keys and an indent of 2, and a
+    newline: the text of ``json.dumps(doc, sort_keys=True, indent=2)``, but
+    for infinities, written "inf" and "-inf" as RFC 8259 has no infinity,
+    integers of any size, and Fractions, written as text.  One recursive
+    pass appends every piece to one list."""
+    out: list[str] = []
+    _json_pieces(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
+def _json_pieces(obj, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``obj``'s JSON text to ``out``; ``newline`` is
+    the line break and indent before the closing bracket of ``obj``."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            out.append("NaN")  # as json.dumps writes it
+        elif math.isinf(obj):
+            out.append('"inf"' if obj > 0 else '"-inf"')
+        else:
+            out.append(float.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, opening = newline + "  ", "{"
+        for key, value in sorted(obj.items()):
+            out += (opening, inner, encode_basestring_ascii(key), ": ")
+            _json_pieces(value, inner, out)
+            opening = ","
+        out += (newline, "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, opening = newline + "  ", "["
+        for value in obj:
+            out += (opening, inner)
+            _json_pieces(value, inner, out)
+            opening = ","
+        out += (newline, "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int_to_decimal(int(obj)))
+    elif isinstance(obj, Fraction):
+        out.append(encode_basestring_ascii(str(obj)))
+    else:
+        raise TypeError(f"not JSON serializable: {obj!r}")
 
 
 def _write_csv(args, fieldnames: list[str], rows: list[dict]) -> None:
-    config = json.dumps(
-        _sanitize(_config_echo(args)), sort_keys=True, default=_json_default
-    )
+    config = json.dumps(_config_echo(args), sort_keys=True)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames + ["config"], lineterminator="\n")
     writer.writeheader()
@@ -225,6 +259,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    _check_tol(args)
     if args.samples < 1:
         raise ParamError(f"--samples must be >= 1, got {args.samples}")
     if args.depth < 0:
@@ -272,6 +307,12 @@ def _check_dim(args) -> None:
         raise ParamError(f"--dim must be >= 1, got {args.dim}")
 
 
+def _check_tol(args) -> None:
+    """Refuse a tolerance that is not a finite number in [0, 1) (NaN included)."""
+    if not 0.0 <= args.tol < 1.0:
+        raise ParamError(f"--tol must be a finite number in [0, 1), got {args.tol}")
+
+
 def cmd_classify(args) -> int:
     _check_dim(args)
     if args.family == "cmo" and args.r is None:
@@ -310,7 +351,11 @@ def cmd_refute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """The verdict of every (tau, p, q) cell, tau-major, and the collapse
+    check's worst ratios where it applies.  The cells of one (p, q) are
+    checked together, from one kernel over the sample set."""
     _check_dim(args)
+    _check_tol(args)
     taus = _list(args.tau_grid, "--tau-grid")
     ps = _list(args.p_grid, "--p-grid")
     qs = _list(args.q_grid, "--q-grid")
@@ -318,36 +363,29 @@ def cmd_sweep(args) -> int:
     if args.samples < 0:
         raise ParamError(f"--samples must be >= 0, got {args.samples}")
     check_sample_count(args.samples)
-
-    @functools.cache
-    def samples() -> Forest:  # one sample set, drawn as a forest, for every cell
-        return random_sample_set(args.seed, args.samples, dims=(args.dim,), depth_1d=6, depth_nd=4)
-
-    def run(tau, p, q):
-        if fam == "F_type" and p == INF:
-            return {
-                "tau": str(tau), "p": str(p), "q": str(q),
-                "verdict": "invalid", "rule": "Definition 1(i)",
-                "ratio_low": "", "ratio_high": "",
-            }
-        report = classify(SpaceDescriptor(fam, args.s, tau, p, q, True, args.dim))
-        row = {
-            "tau": str(tau),
-            "p": str(p),
-            "q": str(q),
-            "verdict": report.verdict.value,
-            "rule": report.rule,
-            "ratio_low": "",
-            "ratio_high": "",
-        }
-        if report.verdict.value in ("F_inf_inf", "B_inf_inf") and args.samples > 0:
-            checker = check_collapse_f if fam == "F_type" else check_collapse_b
-            eqr = checker(samples(), args.s, tau, p, q, tol=args.tol)
-            row["ratio_low"] = repr(eqr.worst_ratio_low)
-            row["ratio_high"] = repr(eqr.worst_ratio_high)
-        return row
-
-    rows = [run(tau, p, q) for tau in taus for p in ps for q in qs]
+    rows, columns = [], {}  # the checked cells of each (p, q): (row, tau)
+    for tau in taus:
+        for p in ps:
+            for q in qs:
+                row = {"tau": str(tau), "p": str(p), "q": str(q)}
+                rows.append(row)
+                if fam == "F_type" and p == INF:
+                    row.update(verdict="invalid", rule="Definition 1(i)")
+                else:
+                    report = classify(SpaceDescriptor(fam, args.s, tau, p, q, True, args.dim))
+                    row.update(verdict=report.verdict.value, rule=report.rule)
+                row.update(ratio_low="", ratio_high="")
+                if row["verdict"] in ("F_inf_inf", "B_inf_inf") and args.samples > 0:
+                    columns.setdefault((p, q), []).append((row, tau))
+    if columns:  # one sample set, drawn as a forest, for every checked cell
+        samples = random_sample_set(args.seed, args.samples, dims=(args.dim,),
+                                    depth_1d=6, depth_nd=4)
+        checker = check_collapse_f if fam == "F_type" else check_collapse_b
+        for (p, q), cells in columns.items():
+            reports = checker(samples, args.s, [tau for _, tau in cells], p, q, tol=args.tol)
+            for (row, _), eqr in zip(cells, reports):
+                row["ratio_low"] = repr(eqr.worst_ratio_low)
+                row["ratio_high"] = repr(eqr.worst_ratio_high)
     if args.format == "json":
         _write_json(args, {"cells": rows})
     else:

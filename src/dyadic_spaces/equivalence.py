@@ -13,7 +13,11 @@ the constant-1 Hoelder embeddings.
 
 Each check takes one sequence, a list of them or a ``Forest``, and
 evaluates the samples as one forest: a compile and one kernel call per norm
-for the whole set, with every sample's log2 norm in one array.
+for the whole set, with every sample's log2 norm in one array.  One
+report driver, ``_report``, turns those arrays into every check's ratios,
+worst ratios and CSV rows by array operations, each ratio by the scalar
+``log2_to_linear``.  A collapse check at a list of tau, as ``sweep`` runs
+one (p, q) of its grid, builds one kernel per root for all of them.
 ``random_sample_set`` draws its samples straight into a forest, with one
 sort per root and no ``CubeSequence`` per sample, so what is left of its
 time is mostly numpy's random draws.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,41 +100,42 @@ def _uniform_dim(forest: Forest) -> int:
     return dims.pop() if dims else 1
 
 
-def _ratios(*pairs: tuple[float, float]) -> tuple[float, ...]:
-    """Linear ratios of (numerator, denominator) log2 norm pairs; a pair that
-    is zero on both sides has no ratio."""
-    return tuple(
-        log2_to_linear(num - den)
-        for num, den in pairs
-        if not (num == NEG_INF and den == NEG_INF)
-    )
-
-
-def _ratio_report(
+def _report(
     check: str,
-    ratios: Iterable[tuple[float, ...]],
+    num: np.ndarray,
+    den: np.ndarray,
     lower_constant: float,
     upper_constant: float,
     tol: float,
+    ordered: bool = False,
 ) -> EquivalenceReport:
     """Check lower (1 - tol) <= ratio <= upper (1 + tol) over every sample.
 
-    ``ratios`` yields one tuple per sample; an empty tuple marks the sample
-    vacuous.  A sample's CSV row holds its first and its last ratio.  When
-    every sample is vacuous, both worst ratios read ``lower_constant``.
+    ``num`` and ``den`` hold log2 norms, a row per sample and a column per
+    ratio, one or two.  Sample i has the ratio 2**(num[i, c] - den[i, c])
+    of each column c, in order, but none where both sides are -inf; a
+    sample without ratios is vacuous.  A sample's CSV row holds its first
+    and its last ratio, or with ``ordered`` the two sorted.  When every
+    sample is vacuous, both worst ratios read ``lower_constant``.
     """
-    worst_low = INF
-    worst_high = -INF
-    rows = []
-    n = 0
-    for i, sample in enumerate(ratios):
-        n += 1
-        if sample:
-            worst_low = min(worst_low, *sample)
-            worst_high = max(worst_high, *sample)
-            rows.append((i, sample[0], sample[-1]))
-    if not rows:
+    kept = (num != NEG_INF) | (den != NEG_INF)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN ratio, as 2.0 ** nan
+        exponents = (num - den)[kept]
+    ratios = list(map(log2_to_linear, exponents.tolist()))  # sample by sample
+    table = np.zeros(num.shape)
+    table[kept] = ratios
+    first = np.where(kept[:, 0], table[:, 0], table[:, -1])
+    last = np.where(kept[:, -1], table[:, -1], table[:, 0])
+    if ordered:  # as ``sorted`` orders two values: swapped when the second is less
+        swap = last < first
+        first, last = np.where(swap, last, first), np.where(swap, first, last)
+    i = np.flatnonzero(kept.any(axis=1))
+    rows = list(zip(i.tolist(), first[i].tolist(), last[i].tolist()))
+    if rows:  # from +-inf, as a running extreme starts: a NaN ratio never wins
+        worst_low, worst_high = min(INF, *ratios), max(NEG_INF, *ratios)
+    else:
         worst_low = worst_high = lower_constant
+    n = num.shape[0]
     return EquivalenceReport(
         check,
         worst_low >= lower_constant * (1.0 - tol),
@@ -148,11 +153,13 @@ def _ratio_report(
 
 def _collapse(
     check: str, t, s, tau, p, q, family: Family, tol: float, homogeneous: bool = True
-) -> EquivalenceReport:
+) -> EquivalenceReport | list[EquivalenceReport]:
     """Collapse onto the infinity-infinity scale: 1 <= norm / f_inf_inf <= C.
 
-    The inhomogeneous scale has no coarser frequencies to compare against, so
-    there every sequence must be supported at levels >= 0.
+    ``tau`` is one value, or a list of them, which gives a list of reports,
+    one per tau, from one kernel per root of the forest.  The inhomogeneous
+    scale has no coarser frequencies to compare against, so there every
+    sequence must be supported at levels >= 0.
     """
     forest = _forest(t)
     if not homogeneous and any(geo.m and geo.level.min() < 0 for _, geo in forest._groups):
@@ -160,24 +167,38 @@ def _collapse(
             "inhomogeneous comparison requires support at levels >= 0",
             rule="Definition 5",
         )
-    params = SpaceParams(family, s, tau, p, q, homogeneous=homogeneous)
-    check_exponents(params.p, params.q, params.tau)  # tau < 0 before the region rule
+    rows = []
+    for x in tau if isinstance(tau, list) else [tau]:
+        params = SpaceParams(family, s, x, p, q, homogeneous=homogeneous)
+        check_exponents(params.p, params.q, params.tau)  # tau < 0 before the region rule
+        rows.append(params)
     n_dim = _uniform_dim(forest)
-    c_log2 = collapse_upper_constant_log2(params.s, params.tau, params.p, params.q, n_dim)
-    s_eff = params.s + n_dim * (params.tau - inv(params.p))
-    num = forest.log2_norms(params).tolist()
-    den = forest.log2_norms(SpaceParams(Family.F_INF_INF, s_eff, 0, INF, INF)).tolist()
-    ratios = (_ratios(pair) for pair in zip(num, den))
-    return _ratio_report(check, ratios, 1.0, log2_to_linear(c_log2), tol)
+    inf_inf, upper = [], []
+    for params in rows:
+        c_log2 = collapse_upper_constant_log2(params.s, params.tau, params.p, params.q, n_dim)
+        s_eff = params.s + n_dim * (params.tau - inv(params.p))
+        inf_inf.append(SpaceParams(Family.F_INF_INF, s_eff, 0, INF, INF))
+        upper.append(log2_to_linear(c_log2))
+    num, den = forest.log2_norm_rows(rows), forest.log2_norm_rows(inf_inf)
+    reports = [
+        _report(check, x[:, None], y[:, None], 1.0, c, tol) for x, y, c in zip(num, den, upper)
+    ]
+    return reports if isinstance(tau, list) else reports[0]
 
 
-def check_collapse_f(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
-    """Two-sided collapse check for the Triebel-Lizorkin-type scale."""
+def check_collapse_f(
+    t, s, tau, p, q, tol: float = 1e-9
+) -> EquivalenceReport | list[EquivalenceReport]:
+    """Two-sided collapse check for the Triebel-Lizorkin-type scale; a list
+    of tau gives a list of reports, from one kernel per root."""
     return _collapse("collapse_f", t, s, tau, p, q, Family.F_TYPE, tol)
 
 
-def check_collapse_b(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
-    """Two-sided collapse check for the Besov-type scale (p = inf allowed)."""
+def check_collapse_b(
+    t, s, tau, p, q, tol: float = 1e-9
+) -> EquivalenceReport | list[EquivalenceReport]:
+    """Two-sided collapse check for the Besov-type scale (p = inf allowed);
+    a list of tau gives a list of reports, from one kernel per root."""
     return _collapse("collapse_b", t, s, tau, p, q, Family.B_TYPE, tol)
 
 
@@ -210,11 +231,12 @@ def check_holder_embeddings(t, s, tau, p, q, tol: float | None = None) -> Equiva
     tau_shift = params_b.tau + inv(params_b.q) - inv(params_b.p)
     diag = SpaceParams(Family.B_TYPE, s, tau_shift, q, q)
     forest = _forest(t)
-    rhs = forest.log2_norms(diag, allow_negative_tau=True).tolist()
-    f = forest.log2_norms(params_f).tolist()
-    b = forest.log2_norms(params_b).tolist()
-    ratios = (_ratios((x, r), (y, r)) for x, y, r in zip(f, b, rhs))
-    return _ratio_report("holder_embeddings", ratios, 0.0, 1.0, tol)
+    rhs = forest.log2_norms(diag, allow_negative_tau=True)
+    f = forest.log2_norms(params_f)
+    b = forest.log2_norms(params_b)
+    return _report(
+        "holder_embeddings", np.column_stack([f, b]), np.column_stack([rhs, rhs]), 0.0, 1.0, tol
+    )
 
 
 def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> EquivalenceReport:
@@ -236,11 +258,10 @@ def check_exact_identities(t, s, p, q, r, tol: float | None = None) -> Equivalen
     b = forest.log2_norms(twin)
     c = forest.log2_norms(bbmo)
     d = forest.log2_norms(SpaceParams(Family.B_TYPE, s, inv(bbmo.p), p, q))
-    ratios = (
-        tuple(sorted(_ratios((w, x), (y, z))))
-        for w, x, y, z in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())
+    return _report(
+        "exact_identities", np.column_stack([a, c]), np.column_stack([b, d]), 1.0, 1.0, tol,
+        ordered=True,
     )
-    return _ratio_report("exact_identities", ratios, 1.0, 1.0, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -429,40 +429,49 @@ class _Maxima:
         ))
 
 
-def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> _Maxima:
-    """Supremum of ``kern`` over every dyadic subcube of the root that
-    contains support, plus the root, for each segment; level >= 0 only when
-    inhomogeneous.
+def _suprema(geo: Geometry, kern, slopes, homogeneous: bool = True) -> list[_Maxima]:
+    """Supremum of ``kern`` at each of ``slopes`` over every dyadic subcube
+    of the root that contains support, plus the root, for each segment;
+    level >= 0 only when inhomogeneous.
 
     The contents of all candidates of all segments come from one batched
-    kernel call; each serves the chain gap above its candidate too.  On a
-    gap the value ``slope * l + content`` is monotone in the level l (float
-    rounding is monotone as well), so the gap's supremum sits at its
-    coarsest level when slope <= 0.  When slope > 0 it sits at the
-    finest level, and bisection finds the coarsest gap level that rounds to
-    the same value, which the tie rule prefers.
+    kernel call, which every slope shares; each content serves the chain gap
+    above its candidate too.  On a gap the value ``slope * l + content`` is
+    monotone in the level l (float rounding is monotone as well), so the
+    gap's supremum sits at its coarsest level when slope <= 0.  When slope
+    > 0 it sits at the finest level, and bisection finds the coarsest gap
+    level that rounds to the same value, which the tie rule prefers.
     """
     cand, lo, hi, level, gap_lo = geo.candidates(homogeneous)
     content = kern.contents(lo, hi, level)
-    slope = kern.slope
-    values = slope * level + content
     gaps = np.flatnonzero(gap_lo < level)
     if gaps.size:
-        lo, hi, x = gap_lo[gaps], level[gaps] - 1, content[gaps]
-        if slope > 0:
-            target = slope * hi + x
-            while True:
-                open_ = lo < hi
-                if not open_.any():
-                    break
-                mid = (lo + hi) // 2
-                tie = slope * mid + x == target
-                hi = np.where(open_ & tie, mid, hi)
-                lo = np.where(open_ & ~tie, mid + 1, lo)
-        values = np.concatenate([values, slope * lo + x])
-        level = np.concatenate([level, lo])
-        cand = np.concatenate([cand, cand[gaps]])
-    return _Maxima(geo, values, level, cand, geo.cand_lo, geo.seg_cand)
+        gap_hi, x = level[gaps] - 1, content[gaps]
+        gap_cand = np.concatenate([cand, cand[gaps]])
+    out = []
+    for slope in slopes:
+        values, lev, ref = slope * level + content, level, cand
+        if gaps.size:
+            lo, hi = gap_lo[gaps], gap_hi
+            if slope > 0:
+                target = slope * hi + x
+                while True:
+                    open_ = lo < hi
+                    if not open_.any():
+                        break
+                    mid = (lo + hi) // 2
+                    tie = slope * mid + x == target
+                    hi = np.where(open_ & tie, mid, hi)
+                    lo = np.where(open_ & ~tie, mid + 1, lo)
+            values = np.concatenate([values, slope * lo + x])
+            lev, ref = np.concatenate([level, lo]), gap_cand
+        out.append(_Maxima(geo, values, lev, ref, geo.cand_lo, geo.seg_cand))
+    return out
+
+
+def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> _Maxima:
+    """The supremum of ``kern`` at its own slope (``_suprema``)."""
+    return _suprema(geo, kern, [kern.slope], homogeneous)[0]
 
 
 def _kernel(params: SpaceParams, geo: Geometry):
@@ -485,15 +494,30 @@ def _maxima(params: SpaceParams, geo: Geometry, allow_negative_tau: bool = False
     support cubes alone; F and B refuse tau < 0 unless it is allowed."""
     if params.family in (Family.F_INF_INF, Family.B_INF_INF):
         node = np.arange(geo.m)
-        return _Maxima(
-            geo, geo.level_f * (params.s + geo.dim / 2.0) + geo.log2t, geo.level,
-            node, node, geo.seg_lo,
-        )
+        return _Maxima(geo, _inf_inf_values(geo, params.s), geo.level, node, node, geo.seg_lo)
     if params.family not in (Family.F_TYPE, Family.B_TYPE):
         return _supremum(geo, _kernel(params, geo))
     if not allow_negative_tau:
         check_exponents(params.p, params.q, params.tau)
     return _supremum(geo, _kernel(params, geo), params.homogeneous)
+
+
+def _inf_inf_values(geo: Geometry, s):
+    """The infinity-infinity terms |Q|**(-s/n - 1/2) |t_Q| of the support
+    nodes, in log2, at one s (a float) or at each of a column of s."""
+    return geo.level_f * (s + geo.dim / 2.0) + geo.log2t
+
+
+def _inf_inf_rows(geo: Geometry, s_values: list[float]) -> np.ndarray:
+    """The infinity-infinity supremum of every segment at each s, a row
+    per s: one maximum reduction; -inf for a segment without support."""
+    starts = geo.seg_lo[:-1]
+    out = np.full((len(s_values), starts.size), NEG_INF)
+    full = np.flatnonzero(np.diff(geo.seg_lo))
+    if full.size:
+        values = _inf_inf_values(geo, np.array(s_values)[:, None])
+        out[:, full] = np.maximum.reduceat(values, starts[full], axis=1)
+    return out
 
 
 def _norm_value(
@@ -618,6 +642,30 @@ class Forest(Sequence):
         out = np.full(self._len, NEG_INF)
         for idx, geo in self._groups:
             out[idx] = _maxima(params, geo, allow_negative_tau).log2_values()
+        return out
+
+    def log2_norm_rows(self, rows: Sequence[SpaceParams]) -> np.ndarray:
+        """``log2_norms`` at each of ``rows``, one row each, bit for bit.
+
+        The rows name one F or B norm at several tau, or the infinity-
+        infinity scale at several s.  One kernel per root serves every tau,
+        since tau changes only the slope of the supremum; the infinity-
+        infinity rows are one reduction per root.  No exponent is checked.
+        """
+        first = rows[0]
+        inf_inf = first.family in (Family.F_INF_INF, Family.B_INF_INF)
+        shared = {(r.family, r.p, r.q, r.homogeneous, 0.0 if inf_inf else r.s) for r in rows}
+        if len(shared) > 1 or first.family in (Family.CMO, Family.BBMO):
+            raise ValueError("the rows must name one F or B norm differing in tau "
+                             "alone, or the infinity-infinity scale at several s")
+        out = np.full((len(rows), self._len), NEG_INF)
+        for idx, geo in self._groups:
+            if inf_inf:
+                out[:, idx] = _inf_inf_rows(geo, [r.s for r in rows])
+                continue
+            slopes = [r.tau * geo.dim for r in rows]  # as ``_kernel`` gives each
+            for i, maxima in enumerate(_suprema(geo, _kernel(first, geo), slopes, first.homogeneous)):
+                out[i, idx] = maxima.log2_values()
         return out
 
 

@@ -36,6 +36,13 @@ the range of support nodes inside that cube.
 evaluated alone, through ``b_type_norm`` and ``norm``: the per-depth loop
 that evaluating the whole depth schedule as one forest replaced.
 
+``reference_report`` is an equivalence check's report formed one sample at
+a time from its log2 norms, each sample's ratios a tuple, the loop that the
+array report driver ``equivalence._report`` replaced; ``reference_json_text``
+is the CLI's JSON output as ``json_dumps`` writes it with ``indent=2`` after
+``reference_sanitize``, the route that the one-pass writer
+``cli._json_text`` replaced.
+
 ``saturated_tree_sequence`` builds every cube of the unit tree to a depth,
 with equal effective weights, and ``saturated_ratio_log2`` is the closed
 form of its collapse ratio: fixtures of the tests, not library API, as
@@ -59,6 +66,7 @@ from dyadic_spaces import (
 from dyadic_spaces._geometry import _MIN_CHAIN, morton_paths
 from dyadic_spaces._log2 import inv, log2_to_linear
 from dyadic_spaces.analyze import _grids, annulus_profile
+from dyadic_spaces.equivalence import EquivalenceReport
 from dyadic_spaces.seqspace import _kernel, json_dumps
 
 INF = math.inf
@@ -734,3 +742,73 @@ def saturated_ratio_log2(q: float, delta: float, n: int, depth: int) -> float:
     return (
         math.log2(sum(2.0 ** (-j * alpha) for j in range(depth + 1)))
     ) / float(q)
+
+
+def _ratios(*pairs: tuple[float, float]) -> tuple[float, ...]:
+    """Linear ratios of (numerator, denominator) log2 norm pairs; a pair that
+    is zero on both sides has no ratio."""
+    return tuple(
+        log2_to_linear(num - den)
+        for num, den in pairs
+        if not (num == NEG_INF and den == NEG_INF)
+    )
+
+
+def reference_report(check, num, den, lower_constant, upper_constant, tol, ordered=False):
+    """The report of ``equivalence._report`` for the same arrays, a sample at
+    a time: each sample's ratios a tuple (sorted with ``ordered``), its CSV
+    row its first and last ratio, and the worst ratios running extremes."""
+    ratios = []
+    for nums, dens in zip(np.asarray(num).tolist(), np.asarray(den).tolist()):
+        sample = _ratios(*zip(nums, dens))
+        ratios.append(tuple(sorted(sample)) if ordered else sample)
+    worst_low = INF
+    worst_high = -INF
+    rows = []
+    n = 0
+    for i, sample in enumerate(ratios):
+        n += 1
+        if sample:
+            worst_low = min(worst_low, *sample)
+            worst_high = max(worst_high, *sample)
+            rows.append((i, sample[0], sample[-1]))
+    if not rows:
+        worst_low = worst_high = lower_constant
+    return EquivalenceReport(
+        check,
+        worst_low >= lower_constant * (1.0 - tol),
+        worst_high <= upper_constant * (1.0 + tol),
+        lower_constant,
+        upper_constant,
+        worst_low,
+        worst_high,
+        n,
+        tol,
+        n - len(rows),
+        rows,
+    )
+
+
+def reference_sanitize(obj):
+    """RFC-compliant JSON: infinities become 'inf'/'-inf' strings."""
+    if isinstance(obj, dict):
+        return {k: reference_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_sanitize(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
+
+
+def _fraction_text(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"not JSON serializable: {obj!r}")
+
+
+def reference_json_text(doc) -> str:
+    """The CLI's JSON text of ``doc``: sanitized, then ``json_dumps`` with
+    sorted keys and an indent of 2, Fractions as text, and a newline."""
+    return json_dumps(
+        reference_sanitize(doc), sort_keys=True, indent=2, default=_fraction_text
+    ) + "\n"

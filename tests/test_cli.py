@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -570,6 +571,63 @@ class TestSweep:
         assert capsys.readouterr() == (
             "", f"error: {option} must be a comma-separated list of numbers, got {value!r}\n"
         )
+
+
+    @pytest.mark.parametrize("family", ["f", "b"])
+    def test_one_kernel_per_p_q_each_held_alone(self, family, monkeypatch, tmp_path):
+        """The default grid checks 12 cells over 7 (p, q): 7 kernels, each
+        freed before the next is built, and each cell's ratios those of its
+        collapse check run alone."""
+        built = []
+        for name in ("_FKernel", "_BKernel"):
+            class Counted(getattr(seqspace, name)):
+                def __init__(self, *args, **kwargs):
+                    assert all(ref() is None for ref in built), "two kernels held at once"
+                    super().__init__(*args, **kwargs)
+                    built.append(weakref.ref(self))
+
+            monkeypatch.setattr(seqspace, name, Counted)
+        code, raw = run(["sweep", "--family", family], tmp_path)
+        assert code == 0
+        assert len(built) == 7
+        monkeypatch.undo()
+        checked = [cell for cell in json.loads(raw)["cells"] if cell["ratio_low"]]
+        assert len(checked) == 12
+        samples = random_sample_set(0, 50, dims=(1,), depth_1d=6, depth_nd=4)
+        checker = check_collapse_f if family == "f" else check_collapse_b
+        for cell in checked:
+            tau, p, q = (parse_extended(cell[key]) for key in ("tau", "p", "q"))
+            report = checker(samples, 0, tau, p, q)
+            assert (cell["ratio_low"], cell["ratio_high"]) == (
+                repr(report.worst_ratio_low), repr(report.worst_ratio_high))
+
+
+class TestTolRefused:
+    """A tolerance that is not a finite number in [0, 1) would make the
+    verdict unsound (inf passes every ratio) or fail every check (NaN, a
+    negative one): exit 3 naming --tol, before any sample is drawn."""
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "1e400", "nan", "-1", "1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1", "--q", "2",
+         "--samples", "3"],
+        ["equiv", "--check", "inhom-b", "--tau", "1", "--p", "2", "--q", "1"],
+        ["sweep", "--samples", "3"],
+    ], ids=["equiv", "equiv-inhom", "sweep"])
+    def test_exit_3_naming_the_option_before_any_draw(self, argv, tol, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(equivalence, "_grow", refuse)
+        assert main([*argv, f"--tol={tol}"]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: --tol must be a finite number in [0, 1), got {float(tol)}\n")
+
+    @pytest.mark.parametrize("tol", ["0", "0.5", "0.999"])
+    def test_the_range_is_read(self, tol, tmp_path):
+        code, raw = run(["equiv", "--check", "collapse-f", "--tau", "3/2", "--p", "1",
+                         "--q", "2", "--samples", "3", "--tol", tol], tmp_path)
+        assert code == 0 and json.loads(raw)["tol"] == float(tol)
 
 
 class TestDimRefused:

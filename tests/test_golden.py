@@ -3,7 +3,9 @@
 The digests were recorded when sample sets were first evaluated as forests,
 from the per-sequence code before it; any change to a byte of these outputs
 (values, rounding, sample generation, row order, formatting) shows here.
-The config echo names the package version, so a version bump means new
+The ``sweep`` CSV digests were recorded later, from the code that checked
+a sweep's cells one at a time, before its cells were checked a (p, q) at a
+time.  The config echo names the package version, so a version bump means new
 digests.  They were recorded on x86-64 with numpy 2.4, and they hold with
 numpy's AVX-512 and AVX2 kernels switched off (``NPY_DISABLE_CPU_FEATURES``).
 """
@@ -22,9 +24,10 @@ EQUIV_ARGS = {
     "inhom-b": ["--tau", "1", "--p", "2", "--q", "1", "--dim", "2", "--depth", "4"],
 }
 CASES = {
-    f"sweep-{family}-{dim}": ["sweep", "--family", family, "--dim", str(dim)]
+    f"sweep-{family}-{dim}{suffix}": ["sweep", "--family", family, "--dim", str(dim), *fmt]
     for family in ("f", "b")
     for dim in (1, 2)
+    for suffix, fmt in (("", []), ("-csv", ["--format", "csv"]))
 }
 CASES.update(
     (f"equiv-{check}-{fmt}", ["equiv", "--check", check, "--samples", "40", "--seed", "3",
@@ -37,6 +40,10 @@ SHA256 = {
     "sweep-f-2": "1dc7cb844ecbb85854b41d8a2eb3764f924f09556a1d9e2897dbb479b7c15206",
     "sweep-b-1": "7b15c66b75c91e57f11f6a1eebf5de4552597f82d4ea200a646663270665c54a",
     "sweep-b-2": "22613867f5729ed051182898f647c02c3209f802e1ee65dbf71491fb53493cee",
+    "sweep-f-1-csv": "617f11ae17759607ea9047d621da88f23a1e65f12ba6e0a5a185bfd6a252e2dc",
+    "sweep-f-2-csv": "2d3f835a97aede9d2efce0803bc6be140b2669eaaa931f9328446d92978b14bb",
+    "sweep-b-1-csv": "1d207d03f9a570395477f9aa834f4397afe34ce49f5d811ef3b5b37a18bd89b0",
+    "sweep-b-2-csv": "699fe3be7d8f505bfd077b017dd34b110fbf15a3cc9cbb8c2db3fb4971922adc",
     "equiv-collapse-f-json": "314213ace2029aa64939da94d8b9162e6fd3a3a3aaa7bf8e18e20ab336f2c981",
     "equiv-collapse-f-csv": "c30ebf8ece78e17e546a9421708e43424c7e691f567180530427ff0ab5f3c46d",
     "equiv-collapse-b-json": "9239ad8d174327da57654a0c6c67c9d5b54ccdbdf8da81f20f5d5f5478f8966d",
