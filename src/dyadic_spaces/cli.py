@@ -25,6 +25,7 @@ from ._log2 import INF
 from .analyze import GridFunction, build_filter_bank, transform_consistency
 from .classify import SpaceDescriptor, classify, refute_claim
 from .equivalence import (
+    _collapse,
     check_holder_embeddings,
     check_exact_identities,
     check_collapse_b,
@@ -79,10 +80,8 @@ def _config_echo(args) -> dict:
     for key, val in sorted(vars(args).items()):
         if key in skip:
             continue
-        if isinstance(val, (Fraction, Path)):
+        if isinstance(val, Path):
             val = str(val)
-        elif isinstance(val, float) and math.isinf(val):
-            val = "inf" if val > 0 else "-inf"
         out[key] = val
     out["version"] = __version__
     return out
@@ -107,16 +106,7 @@ def _json_text(doc) -> str:
 def _json_pieces(obj, newline: str, out: list[str]) -> None:
     """Append the pieces of ``obj``'s JSON text to ``out``; ``newline`` is
     the line break and indent before the closing bracket of ``obj``."""
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, float):
-        if obj != obj:
-            out.append("NaN")  # as json.dumps writes it
-        elif math.isinf(obj):
-            out.append('"inf"' if obj > 0 else '"-inf"')
-        else:
-            out.append(float.__repr__(obj))
-    elif isinstance(obj, dict):
+    if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -136,20 +126,37 @@ def _json_pieces(obj, newline: str, out: list[str]) -> None:
             _json_pieces(value, inner, out)
             opening = ","
         out += (newline, "]")
-    elif obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int_to_decimal(int(obj)))
-    elif isinstance(obj, Fraction):
-        out.append(encode_basestring_ascii(str(obj)))
     else:
-        raise TypeError(f"not JSON serializable: {obj!r}")
+        out.append(_json_scalar(obj))
+
+
+def _json_scalar(obj) -> str:
+    """The JSON text of a value that is not a container."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"  # as json.dumps writes it
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return float.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int_to_decimal(int(obj))
+    if isinstance(obj, Fraction):
+        return encode_basestring_ascii(str(obj))
+    raise TypeError(f"not JSON serializable: {obj!r}")
 
 
 def _write_csv(args, fieldnames: list[str], rows: list[dict]) -> None:
-    config = json.dumps(_config_echo(args), sort_keys=True)
+    # the text of json.dumps(config, sort_keys=True): every value is a scalar
+    config = "{%s}" % ", ".join(
+        f"{encode_basestring_ascii(key)}: {_json_scalar(val)}"
+        for key, val in sorted(_config_echo(args).items())
+    )
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames + ["config"], lineterminator="\n")
     writer.writeheader()
@@ -380,9 +387,10 @@ def cmd_sweep(args) -> int:
     if columns:  # one sample set, drawn as a forest, for every checked cell
         samples = random_sample_set(args.seed, args.samples, dims=(args.dim,),
                                     depth_1d=6, depth_nd=4)
-        checker = check_collapse_f if fam == "F_type" else check_collapse_b
-        for (p, q), cells in columns.items():
-            reports = checker(samples, args.s, [tau for _, tau in cells], p, q, tol=args.tol)
+        family = Family.F_TYPE if fam == "F_type" else Family.B_TYPE
+        for (p, q), cells in columns.items():  # as check_collapse_f or _b, at every tau
+            reports = _collapse(f"collapse_{args.family}", samples, args.s,
+                                [tau for _, tau in cells], p, q, family, args.tol)
             for (row, _), eqr in zip(cells, reports):
                 row["ratio_low"] = repr(eqr.worst_ratio_low)
                 row["ratio_high"] = repr(eqr.worst_ratio_high)

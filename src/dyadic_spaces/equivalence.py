@@ -16,8 +16,8 @@ evaluates the samples as one forest: a compile and one kernel call per norm
 for the whole set, with every sample's log2 norm in one array.  One
 report driver, ``_report``, turns those arrays into every check's ratios,
 worst ratios and CSV rows by array operations, each ratio by the scalar
-``log2_to_linear``.  A collapse check at a list of tau, as ``sweep`` runs
-one (p, q) of its grid, builds one kernel per root for all of them.
+``log2_to_linear``.  ``_collapse`` checks a list of tau, as ``sweep`` runs
+one (p, q) of its grid, from one kernel per root for all of them.
 ``random_sample_set`` draws its samples straight into a forest, with one
 sort per root and no ``CubeSequence`` per sample, so what is left of its
 time is mostly numpy's random draws.
@@ -152,14 +152,13 @@ def _report(
 
 
 def _collapse(
-    check: str, t, s, tau, p, q, family: Family, tol: float, homogeneous: bool = True
-) -> EquivalenceReport | list[EquivalenceReport]:
-    """Collapse onto the infinity-infinity scale: 1 <= norm / f_inf_inf <= C.
+    check: str, t, s, taus: list, p, q, family: Family, tol: float, homogeneous: bool = True
+) -> list[EquivalenceReport]:
+    """Collapse onto the infinity-infinity scale: 1 <= norm / f_inf_inf <= C,
+    a report for each of ``taus``, from one kernel per root of the forest.
 
-    ``tau`` is one value, or a list of them, which gives a list of reports,
-    one per tau, from one kernel per root of the forest.  The inhomogeneous
-    scale has no coarser frequencies to compare against, so there every
-    sequence must be supported at levels >= 0.
+    The inhomogeneous scale has no coarser frequencies to compare against, so
+    there every sequence must be supported at levels >= 0.
     """
     forest = _forest(t)
     if not homogeneous and any(geo.m and geo.level.min() < 0 for _, geo in forest._groups):
@@ -167,39 +166,30 @@ def _collapse(
             "inhomogeneous comparison requires support at levels >= 0",
             rule="Definition 5",
         )
-    rows = []
-    for x in tau if isinstance(tau, list) else [tau]:
-        params = SpaceParams(family, s, x, p, q, homogeneous=homogeneous)
+    rows = [SpaceParams(family, s, tau, p, q, homogeneous=homogeneous) for tau in taus]
+    for params in rows:
         check_exponents(params.p, params.q, params.tau)  # tau < 0 before the region rule
-        rows.append(params)
     n_dim = _uniform_dim(forest)
-    inf_inf, upper = [], []
+    upper, inf_inf = [], []
     for params in rows:
         c_log2 = collapse_upper_constant_log2(params.s, params.tau, params.p, params.q, n_dim)
         s_eff = params.s + n_dim * (params.tau - inv(params.p))
-        inf_inf.append(SpaceParams(Family.F_INF_INF, s_eff, 0, INF, INF))
         upper.append(log2_to_linear(c_log2))
-    num, den = forest.log2_norm_rows(rows), forest.log2_norm_rows(inf_inf)
-    reports = [
-        _report(check, x[:, None], y[:, None], 1.0, c, tol) for x, y, c in zip(num, den, upper)
+        inf_inf.append(SpaceParams(Family.F_INF_INF, s_eff, 0, INF, INF))
+    return [
+        _report(check, num[:, None], forest.log2_norms(den)[:, None], 1.0, c, tol)
+        for num, den, c in zip(forest.log2_norm_rows(rows), inf_inf, upper)
     ]
-    return reports if isinstance(tau, list) else reports[0]
 
 
-def check_collapse_f(
-    t, s, tau, p, q, tol: float = 1e-9
-) -> EquivalenceReport | list[EquivalenceReport]:
-    """Two-sided collapse check for the Triebel-Lizorkin-type scale; a list
-    of tau gives a list of reports, from one kernel per root."""
-    return _collapse("collapse_f", t, s, tau, p, q, Family.F_TYPE, tol)
+def check_collapse_f(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
+    """Two-sided collapse check for the Triebel-Lizorkin-type scale."""
+    return _collapse("collapse_f", t, s, [tau], p, q, Family.F_TYPE, tol)[0]
 
 
-def check_collapse_b(
-    t, s, tau, p, q, tol: float = 1e-9
-) -> EquivalenceReport | list[EquivalenceReport]:
-    """Two-sided collapse check for the Besov-type scale (p = inf allowed);
-    a list of tau gives a list of reports, from one kernel per root."""
-    return _collapse("collapse_b", t, s, tau, p, q, Family.B_TYPE, tol)
+def check_collapse_b(t, s, tau, p, q, tol: float = 1e-9) -> EquivalenceReport:
+    """Two-sided collapse check for the Besov-type scale (p = inf allowed)."""
+    return _collapse("collapse_b", t, s, [tau], p, q, Family.B_TYPE, tol)[0]
 
 
 def check_collapse_inhomogeneous(t, s, tau, p, q, family: str = "f", tol: float = 1e-9) -> EquivalenceReport:
@@ -209,8 +199,8 @@ def check_collapse_inhomogeneous(t, s, tau, p, q, family: str = "f", tol: float 
     """
     fam = Family.F_TYPE if family == "f" else Family.B_TYPE
     return _collapse(
-        f"collapse_inhomogeneous_{family}", t, s, tau, p, q, fam, tol, homogeneous=False
-    )
+        f"collapse_inhomogeneous_{family}", t, s, [tau], p, q, fam, tol, homogeneous=False
+    )[0]
 
 
 def check_holder_embeddings(t, s, tau, p, q, tol: float | None = None) -> EquivalenceReport:

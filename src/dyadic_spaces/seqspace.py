@@ -469,11 +469,6 @@ def _suprema(geo: Geometry, kern, slopes, homogeneous: bool = True) -> list[_Max
     return out
 
 
-def _supremum(geo: Geometry, kern, homogeneous: bool = True) -> _Maxima:
-    """The supremum of ``kern`` at its own slope (``_suprema``)."""
-    return _suprema(geo, kern, [kern.slope], homogeneous)[0]
-
-
 def _kernel(params: SpaceParams, geo: Geometry):
     """The kernel of the norm that ``params`` names, over ``geo``."""
     fam, s, tau, p, q = params.family, params.s, params.tau, params.p, params.q
@@ -488,36 +483,33 @@ def _kernel(params: SpaceParams, geo: Geometry):
     raise ParamError(f"the {Family(fam).value} scale has no kernel")
 
 
-def _maxima(params: SpaceParams, geo: Geometry, allow_negative_tau: bool = False) -> _Maxima:
-    """The values that the supremum of the norm ``params`` names runs over,
-    for a forest of one or of many.  The infinity-infinity scales take the
-    support cubes alone; F and B refuse tau < 0 unless it is allowed."""
-    if params.family in (Family.F_INF_INF, Family.B_INF_INF):
+def _maxima(
+    rows: Sequence[SpaceParams], geo: Geometry, allow_negative_tau: bool = False
+) -> list[_Maxima]:
+    """The values that the supremum of each norm of ``rows`` runs over, for
+    a forest of one or of many.  The rows name one norm, differing in tau
+    alone when there are several: one kernel serves every tau of an F or B
+    norm, since tau changes only the slope of the supremum.  The
+    infinity-infinity scales take the support cubes alone; F and B refuse
+    tau < 0 unless it is allowed."""
+    first = rows[0]
+    if len(rows) > 1 and (
+        first.family not in (Family.F_TYPE, Family.B_TYPE)
+        or len({(r.family, r.s, r.p, r.q, r.homogeneous) for r in rows}) > 1
+    ):
+        raise ValueError("the rows must name one F or B norm differing in tau alone")
+    if first.family in (Family.F_INF_INF, Family.B_INF_INF):
         node = np.arange(geo.m)
-        return _Maxima(geo, _inf_inf_values(geo, params.s), geo.level, node, node, geo.seg_lo)
-    if params.family not in (Family.F_TYPE, Family.B_TYPE):
-        return _supremum(geo, _kernel(params, geo))
+        values = geo.level_f * (first.s + geo.dim / 2.0) + geo.log2t
+        return [_Maxima(geo, values, geo.level, node, node, geo.seg_lo)]
+    if first.family not in (Family.F_TYPE, Family.B_TYPE):
+        kern = _kernel(first, geo)
+        return _suprema(geo, kern, [kern.slope])
     if not allow_negative_tau:
-        check_exponents(params.p, params.q, params.tau)
-    return _supremum(geo, _kernel(params, geo), params.homogeneous)
-
-
-def _inf_inf_values(geo: Geometry, s):
-    """The infinity-infinity terms |Q|**(-s/n - 1/2) |t_Q| of the support
-    nodes, in log2, at one s (a float) or at each of a column of s."""
-    return geo.level_f * (s + geo.dim / 2.0) + geo.log2t
-
-
-def _inf_inf_rows(geo: Geometry, s_values: list[float]) -> np.ndarray:
-    """The infinity-infinity supremum of every segment at each s, a row
-    per s: one maximum reduction; -inf for a segment without support."""
-    starts = geo.seg_lo[:-1]
-    out = np.full((len(s_values), starts.size), NEG_INF)
-    full = np.flatnonzero(np.diff(geo.seg_lo))
-    if full.size:
-        values = _inf_inf_values(geo, np.array(s_values)[:, None])
-        out[:, full] = np.maximum.reduceat(values, starts[full], axis=1)
-    return out
+        for r in rows:
+            check_exponents(r.p, r.q, r.tau)
+    slopes = [r.tau * geo.dim for r in rows]  # as ``_kernel`` gives each
+    return _suprema(geo, _kernel(first, geo), slopes, first.homogeneous)
 
 
 def _norm_value(
@@ -525,7 +517,7 @@ def _norm_value(
 ) -> NormValue:
     if params.family != family:
         raise ParamError(f"the {family.value} norm got a {Family(params.family).value} record")
-    return _maxima(params, t.geometry, allow_negative_tau).norm_value()
+    return _maxima([params], t.geometry, allow_negative_tau)[0].norm_value()
 
 
 def f_type_norm(
@@ -639,32 +631,17 @@ class Forest(Sequence):
     def log2_norms(self, params: SpaceParams, allow_negative_tau: bool = False) -> np.ndarray:
         """log2 of the norm ``params`` names for every sample, in order,
         each equal to the ``log2_value`` of that family's norm function."""
-        out = np.full(self._len, NEG_INF)
-        for idx, geo in self._groups:
-            out[idx] = _maxima(params, geo, allow_negative_tau).log2_values()
-        return out
+        return self.log2_norm_rows([params], allow_negative_tau)[0]
 
-    def log2_norm_rows(self, rows: Sequence[SpaceParams]) -> np.ndarray:
-        """``log2_norms`` at each of ``rows``, one row each, bit for bit.
-
-        The rows name one F or B norm at several tau, or the infinity-
-        infinity scale at several s.  One kernel per root serves every tau,
-        since tau changes only the slope of the supremum; the infinity-
-        infinity rows are one reduction per root.  No exponent is checked.
-        """
-        first = rows[0]
-        inf_inf = first.family in (Family.F_INF_INF, Family.B_INF_INF)
-        shared = {(r.family, r.p, r.q, r.homogeneous, 0.0 if inf_inf else r.s) for r in rows}
-        if len(shared) > 1 or first.family in (Family.CMO, Family.BBMO):
-            raise ValueError("the rows must name one F or B norm differing in tau "
-                             "alone, or the infinity-infinity scale at several s")
+    def log2_norm_rows(
+        self, rows: Sequence[SpaceParams], allow_negative_tau: bool = False
+    ) -> np.ndarray:
+        """``log2_norms`` at each of ``rows``, a row each.  Several rows must
+        name one F or B norm differing in tau alone; one kernel per root
+        serves them all."""
         out = np.full((len(rows), self._len), NEG_INF)
         for idx, geo in self._groups:
-            if inf_inf:
-                out[:, idx] = _inf_inf_rows(geo, [r.s for r in rows])
-                continue
-            slopes = [r.tau * geo.dim for r in rows]  # as ``_kernel`` gives each
-            for i, maxima in enumerate(_suprema(geo, _kernel(first, geo), slopes, first.homogeneous)):
+            for i, maxima in enumerate(_maxima(rows, geo, allow_negative_tau)):
                 out[i, idx] = maxima.log2_values()
         return out
 

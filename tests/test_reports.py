@@ -4,8 +4,7 @@ JSON writer, each against the route it replaced, byte for byte.
 ``equivalence._report`` forms every check's ratios, worst ratios and CSV
 rows by array operations; ``reference_report`` forms them a sample at a
 time.  ``Forest.log2_norm_rows`` evaluates one F or B norm at several tau
-from one kernel, and the infinity-infinity scale at several s in one
-reduction; each row must equal ``Forest.log2_norms`` at its own params.
+from one kernel; each row must equal ``Forest.log2_norms`` at its own params.
 ``cli._json_text`` writes a document in one recursive pass;
 ``reference_json_text`` is ``json_dumps(..., indent=2)`` after sanitizing.
 Reports are compared through the ``repr`` of their fields, which tells
@@ -28,7 +27,7 @@ from dyadic_spaces import (
     random_sample_set, random_sequence,
 )
 from dyadic_spaces.cli import _json_text, main
-from dyadic_spaces.equivalence import _report, identity_tolerance
+from dyadic_spaces.equivalence import _collapse, _report, identity_tolerance
 
 from _oracles import reference_json_text, reference_report, zero_sequence
 
@@ -202,28 +201,25 @@ class TestSharedKernelRows:
         want = np.array([forest.log2_norms(r) for r in rows])
         assert got.tobytes() == want.tobytes()
 
-    def test_inf_inf_rows_in_one_reduction(self):
-        forest = mixed_forest(5, 7)
-        rows = [SpaceParams(Family.F_INF_INF, s, 0, INF, INF) for s in (-3, 0, 0.75, 40)]
-        got = forest.log2_norm_rows(rows)
-        want = np.array([forest.log2_norms(r) for r in rows])
-        assert got.tobytes() == want.tobytes()
-        assert (got[:, 3] == NEG_INF).all()  # the vacuous sample
-
     @pytest.mark.parametrize("rows", [
         [SpaceParams(Family.F_TYPE, 0, 1, 1, 2), SpaceParams(Family.F_TYPE, 0, 1, 2, 2)],
         [SpaceParams(Family.B_TYPE, 0, 1, 1, 2), SpaceParams(Family.B_TYPE, 1, 1, 1, 2)],
-        [SpaceParams(Family.CMO, 0, 1, 2, 2)],  # its slope is not tau n
-    ], ids=["p", "s", "cmo"])
+        [SpaceParams(Family.CMO, 0, 1, 2, 2), SpaceParams(Family.CMO, 0, 2, 2, 2)],
+        [SpaceParams(Family.F_INF_INF, 0, 0, INF, INF),
+         SpaceParams(Family.F_INF_INF, 1, 0, INF, INF)],
+    ], ids=["p", "s", "cmo", "inf-inf"])
     def test_rows_must_differ_in_tau_alone(self, rows):
         with pytest.raises(ValueError, match="differing in tau alone"):
             mixed_forest(6, 3).log2_norm_rows(rows)
 
-    @pytest.mark.parametrize("check", [check_collapse_f, check_collapse_b])
-    def test_a_list_of_tau_gives_each_tau_its_own_report(self, check):
+    @pytest.mark.parametrize("check, name, family", [
+        (check_collapse_f, "collapse_f", Family.F_TYPE),
+        (check_collapse_b, "collapse_b", Family.B_TYPE),
+    ])
+    def test_a_list_of_tau_gives_each_tau_its_own_report(self, check, name, family):
         forest = random_sample_set(7, 20, dims=(1,), depth_1d=6, depth_nd=4)
         taus = [Fraction(3, 2), 2, 5]
-        reports = check(forest, 0, taus, 1, 2)
+        reports = _collapse(name, forest, 0, taus, 1, 2, family, 1e-9)
         assert [fields(r) for r in reports] == [
             fields(check(forest, 0, tau, 1, 2)) for tau in taus]
 
