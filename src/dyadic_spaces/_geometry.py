@@ -560,6 +560,11 @@ class Geometry:
             mu[p] = math.log2(r) - t + mu[p] if r > 0 else NEG_INF
         return mu
 
+    def log2_weights(self, s: float) -> np.ndarray:
+        """log2 of |Q|**(-s/n - 1/2) |t_Q| at every node: the weight that
+        every norm family gives a coefficient before it aggregates."""
+        return self.level_f * (s + self.dim / 2.0) + self.log2t
+
     def cube(self, node: int, level: int) -> DyadicCube:
         """The cube at ``level`` on the path from the root to ``node``.  At
         the root's level that is the root, whatever the node: the root

@@ -1,13 +1,14 @@
 """Norm evaluation kernels over a compiled ``Geometry``.
 
-A kernel splits the value of the outer supremum at a cube P of level l into
-``slope * l + content``, where the content depends on P through the
-depth-first range [lo, hi) of the support nodes inside P (and on l only
-through the inhomogeneous level-0 cut).  Along a chain gap the range is
-fixed and no support level lies between the gap's levels, so the content is
-constant there and the value is monotone in the level.
+The value of the outer supremum at a cube P of level l is
+``slope * l + content``, where the slope is the family's (``seqspace._maxima``
+sets it) and a kernel gives the content, which depends on P through the
+depth-first range [lo, hi) of the support nodes inside P alone.  Along a
+chain gap the range is fixed and no support level lies between the gap's
+levels, so the content is constant there and the value is monotone in the
+level.
 
-``contents(lo, hi, level)`` evaluates a batch of cubes in one vectorised
+``contents(lo, hi)`` evaluates a batch of cubes in one vectorised
 pass, in which each (cube, support node inside it) pair is one array
 element.  The work is proportional to the pairs, about m log m on saturated
 trees, and never to m times the number of levels.
@@ -40,10 +41,9 @@ def _batched(lo: np.ndarray, hi: np.ndarray, reduce) -> np.ndarray:
     """One value per range [lo, hi); -inf for the empty ones.
 
     The nonempty ranges are expanded into (cube, node) pairs, a run of
-    consecutive cubes at a time, and ``reduce(idx, owner, node, starts)``
-    gives the run's values: ``idx`` holds the run's cube indices, ``owner``
-    and ``node`` each pair's position in the run and its node, and
-    ``starts`` where each cube's pairs begin.
+    consecutive cubes at a time, and ``reduce(owner, node, starts)`` gives
+    the run's values: ``owner`` and ``node`` hold each pair's position in
+    the run and its node, and ``starts`` where each cube's pairs begin.
     """
     out = np.full(lo.size, NEG_INF)
     sizes = hi - lo
@@ -58,7 +58,7 @@ def _batched(lo: np.ndarray, hi: np.ndarray, reduce) -> np.ndarray:
         starts = ends[a:b] - size - base
         owner = np.repeat(np.arange(idx.size), size)
         node = np.arange(int(ends[b - 1]) - base) + np.repeat(lo[idx] - starts, size)
-        out[idx] = reduce(idx, owner, node, starts)
+        out[idx] = reduce(owner, node, starts)
         a = b
     return out
 
@@ -137,7 +137,7 @@ def _sweep(geo: Geometry, anc, chain, shell, entry, w, combine, power) -> np.nda
 
 
 class _FKernel:
-    """The F-type expression for fixed parameters, as slope and contents.
+    """The contents of the F-type expression for fixed s, p and q.
 
     The content of a support node t is the log-sum, over the nodes i of its
     subtree whose shell has positive measure, of mu_i + (p/q) R_i(t), where
@@ -157,11 +157,10 @@ class _FKernel:
     tower, leaves the sweep nothing.
     """
 
-    def __init__(self, geo: Geometry, s: float, tau: float, p: float, q: float):
+    def __init__(self, geo: Geometry, s: float, p: float, q: float):
         self.geo = geo
-        self.slope = tau * geo.dim
         self.p = p
-        logw = geo.level_f * (s + geo.dim / 2.0) + geo.log2t
+        logw = geo.log2_weights(s)
         if q == INF:
             combine, w, power = np.maximum, logw, p
         else:
@@ -196,7 +195,7 @@ class _FKernel:
         self.depth_key = sdepth[by_depth] * geo.m + by_depth
         self.node_content = node_content[by_depth]
 
-    def contents(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
+    def contents(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         m = self.geo.m
         if m == 0:
             return np.full(lo.size, NEG_INF)
@@ -204,7 +203,7 @@ class _FKernel:
         key = self.depth_key
         values = self.node_content
 
-        def reduce(idx, owner, node, starts):
+        def reduce(owner, node, starts):
             return _seg_log2_sum(values[node], starts, owner)
 
         tops = _batched(np.searchsorted(key, base + lo), np.searchsorted(key, base + hi), reduce)
@@ -212,30 +211,25 @@ class _FKernel:
 
 
 class _BKernel:
-    """The B-type expression for fixed parameters, as slope and contents.
+    """The contents of the B-type expression for fixed s, p and q.
 
     The content aggregates the weights inside P per level, by sums of p-th
     powers (p < inf) or maxima (p = inf), then takes the l^q norm of the
-    level aggregates.  The inhomogeneous variant drops the levels < 0.  The
-    BBMO and CMO contents are this one with other slopes; when p = q the two
-    stages collapse into one sum or maximum over all nodes.
+    level aggregates.  The BBMO and CMO contents are this one with other
+    slopes; when p = q the two stages collapse into one sum or maximum over
+    all nodes.
 
     On a suffix of a leaf chain each level holds one node, whose aggregate
     is its own z / p; the content of every suffix of the chain is then one
-    suffix log-sum (a maximum at q = inf) of q z / p, read from ``suffix``
-    wherever no level cut applies.  Every other range expands pairs.
+    suffix log-sum (a maximum at q = inf) of q z / p, read from ``suffix``.
+    Every other range expands pairs.
     """
 
-    def __init__(
-        self, geo: Geometry, s: float, p: float, q: float, slope: float,
-        homogeneous: bool = True,
-    ):
+    def __init__(self, geo: Geometry, s: float, p: float, q: float):
         self.geo = geo
-        self.slope = slope
         self.p = p
         self.q = q
-        self.homogeneous = homogeneous
-        logw = geo.level_f * (s + geo.dim / 2.0) + geo.log2t
+        logw = geo.log2_weights(s)
         self.z = logw if p == INF else p * logw + geo.log2vol
         self.suffix = None
         first, end = geo.chains
@@ -249,35 +243,30 @@ class _BKernel:
             if q < INF:
                 self.suffix /= q
 
-    def contents(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
+    def contents(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         if self.suffix is None:
-            return self._pairs(lo, hi, level)
+            return self._pairs(lo, hi)
         chain = self.geo.in_chain(lo, hi)
-        if not self.homogeneous:
-            chain &= level >= 0
         out = np.empty(lo.size)
         out[chain] = self.suffix[lo[chain]]
         rest = np.flatnonzero(~chain)
         if rest.size:
-            out[rest] = self._pairs(lo[rest], hi[rest], level[rest])
+            out[rest] = self._pairs(lo[rest], hi[rest])
         return out
 
-    def _pairs(self, lo: np.ndarray, hi: np.ndarray, level: np.ndarray) -> np.ndarray:
+    def _pairs(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         geo, p, q = self.geo, self.p, self.q
         per_level = _seg_max if p == INF else _seg_log2_sum
         p_root = 1.0 if p == INF else p  # log2 of an l^p norm: power sum / p
         width = geo.depth + 1
-        cut = np.maximum(level, 0) if not self.homogeneous and (level < 0).any() else None
 
-        def reduce(idx, owner, node, starts):
-            vals, lev = self.z[node], geo.level[node]
-            if cut is not None:
-                vals[lev < cut[idx][owner]] = NEG_INF
+        def reduce(owner, node, starts):
+            vals = self.z[node]
             if p == q:
                 return per_level(vals, starts, owner) / p_root
             # group each cube's pairs by level; stable, so that a group keeps
             # the depth-first order of its nodes
-            key = owner * width + (lev - geo.min_level)
+            key = owner * width + (geo.level[node] - geo.min_level)
             order = np.argsort(key, kind="stable")
             key, vals, owner = key[order], vals[order], owner[order]
             first = np.flatnonzero(np.diff(key, prepend=-1))

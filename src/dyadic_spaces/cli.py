@@ -151,12 +151,19 @@ def _json_scalar(obj) -> str:
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
-def _write_csv(args, fieldnames: list[str], rows: list[dict]) -> None:
-    # the text of json.dumps(config, sort_keys=True): every value is a scalar
-    config = "{%s}" % ", ".join(
-        f"{encode_basestring_ascii(key)}: {_json_scalar(val)}"
-        for key, val in sorted(_config_echo(args).items())
+def _json_flat(doc: dict | None) -> str:
+    """The one-line JSON text of a dict of scalars, or null: the text of
+    ``json.dumps(doc, sort_keys=True)``, but for the scalars as
+    ``_json_scalar`` writes them (infinities as "inf" and "-inf")."""
+    if doc is None:
+        return "null"
+    return "{%s}" % ", ".join(
+        f"{encode_basestring_ascii(key)}: {_json_scalar(val)}" for key, val in sorted(doc.items())
     )
+
+
+def _write_csv(args, fieldnames: list[str], rows: list[dict]) -> None:
+    config = _json_flat(_config_echo(args))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames + ["config"], lineterminator="\n")
     writer.writeheader()
@@ -324,8 +331,8 @@ def cmd_classify(args) -> int:
     _check_dim(args)
     if args.family == "cmo" and args.r is None:
         raise ParamError("--r is required for the cmo family")
-    fam = {"f": "F_type", "b": "B_type", "cmo": "CMO", "bbmo": "BBMO"}[args.family]
-    tau = args.r if fam == "CMO" else args.tau  # a CMO descriptor carries r in tau
+    fam = _NORM_FAMILIES[args.family]
+    tau = args.r if fam == Family.CMO else args.tau  # a CMO descriptor carries r in tau
     report = classify(
         SpaceDescriptor(fam, args.s, tau, args.p, args.q, not args.inhomogeneous, args.dim)
     )
@@ -340,7 +347,7 @@ def cmd_classify(args) -> int:
                 {
                     "verdict": d["verdict"],
                     "rule": d["rule"],
-                    "target_params": json.dumps(d["target_params"], sort_keys=True),
+                    "target_params": _json_flat(d["target_params"]),
                     "notes": " | ".join(d["notes"]),
                     "q_alpha": d["q_alpha"],
                 }
@@ -366,7 +373,7 @@ def cmd_sweep(args) -> int:
     taus = _list(args.tau_grid, "--tau-grid")
     ps = _list(args.p_grid, "--p-grid")
     qs = _list(args.q_grid, "--q-grid")
-    fam = {"f": "F_type", "b": "B_type"}[args.family]
+    fam = _NORM_FAMILIES[args.family]
     if args.samples < 0:
         raise ParamError(f"--samples must be >= 0, got {args.samples}")
     check_sample_count(args.samples)
@@ -376,7 +383,7 @@ def cmd_sweep(args) -> int:
             for q in qs:
                 row = {"tau": str(tau), "p": str(p), "q": str(q)}
                 rows.append(row)
-                if fam == "F_type" and p == INF:
+                if fam == Family.F_TYPE and p == INF:
                     row.update(verdict="invalid", rule="Definition 1(i)")
                 else:
                     report = classify(SpaceDescriptor(fam, args.s, tau, p, q, True, args.dim))
@@ -387,10 +394,9 @@ def cmd_sweep(args) -> int:
     if columns:  # one sample set, drawn as a forest, for every checked cell
         samples = random_sample_set(args.seed, args.samples, dims=(args.dim,),
                                     depth_1d=6, depth_nd=4)
-        family = Family.F_TYPE if fam == "F_type" else Family.B_TYPE
         for (p, q), cells in columns.items():  # as check_collapse_f or _b, at every tau
             reports = _collapse(f"collapse_{args.family}", samples, args.s,
-                                [tau for _, tau in cells], p, q, family, args.tol)
+                                [tau for _, tau in cells], p, q, fam, args.tol)
             for (row, _), eqr in zip(cells, reports):
                 row["ratio_low"] = repr(eqr.worst_ratio_low)
                 row["ratio_high"] = repr(eqr.worst_ratio_high)
@@ -439,8 +445,8 @@ def cmd_analyze(args) -> int:
         )
     else:  # sawtooth-smoothed
         f = GridFunction.sawtooth_smoothed(args.dim, args.L)
-    family = Family.F_TYPE if args.family == "f" else Family.B_TYPE
-    params = SpaceParams(family, args.s, args.tau, args.p, args.q, not args.inhomogeneous)
+    params = SpaceParams(_NORM_FAMILIES[args.family], args.s, args.tau, args.p, args.q,
+                         not args.inhomogeneous)
     report = transform_consistency(f, bank, params, args.max_level)
     payload = {
         "bank": {

@@ -85,7 +85,7 @@ from ._geometry import Geometry, depth_first, key_indices, morton_paths
 from ._kernels import _BKernel, _FKernel
 from ._log2 import INF, NEG_INF, log2_to_linear
 from .dyadic import (
-    _SAFE_BITS, DyadicCube, SupportTree, decimal_to_int, int_to_decimal, json_dumps,
+    _SAFE_BITS, DyadicCube, SupportTree, decimal_to_int, int_to_decimal,
 )
 
 class Family(str, Enum):
@@ -398,6 +398,9 @@ def _argmax(values: np.ndarray, levels: np.ndarray, cube_of) -> tuple[float, Dya
     return float(best), min(map(cube_of, tied.tolist()), key=DyadicCube.sort_key)
 
 
+_PAST_RANGE = "the log2 norm of a sequence with support is not a finite float"
+
+
 class _Maxima:
     """The values of the cubes evaluated for the suprema over a forest.
 
@@ -405,6 +408,10 @@ class _Maxima:
     ``node[ref[i]]``; ``starts`` splits the refs into segments.  The maximum
     per segment is a segmented reduction; only ``norm_value`` decodes a
     cube, from its node.
+
+    A segment with support that evaluates a cube has a finite supremum in
+    exact arithmetic; a NaN or infinite one has left the float range, and
+    raises OverflowError.  A segment without support has the supremum -inf.
     """
 
     def __init__(self, geo: Geometry, values, level, ref, node, starts):
@@ -415,15 +422,24 @@ class _Maxima:
         """The supremum of every segment; -inf for one without cubes."""
         best = np.full(self.starts.size - 1, NEG_INF)
         segments = np.searchsorted(self.starts, self.ref, "right") - 1
-        np.maximum.at(best, segments, self.values)
+        with np.errstate(invalid="ignore"):  # a NaN value is refused below
+            np.maximum.at(best, segments, self.values)
+        bad = ~np.isfinite(best)
+        if bad.any():
+            support = np.diff(self.geo.seg_lo) > 0
+            if (bad & support & (np.bincount(segments, minlength=best.size) > 0)).any():
+                raise OverflowError(_PAST_RANGE)
+            best[bad] = NEG_INF
         return best
 
     def norm_value(self) -> NormValue:
         """The supremum of a forest of one and the cube attaining it, ties
         going to the coarsest level, then the smallest index."""
         geo, values, level, ref = self.geo, self.values, self.level, self.ref
-        if values.size == 0:
+        if values.size == 0 or geo.m == 0:
             return NormValue.from_log2(NEG_INF, geo.root)
+        if not np.isfinite(values.max()):
+            raise OverflowError(_PAST_RANGE)
         return NormValue.from_log2(*_argmax(
             values, level, lambda i: geo.cube(int(self.node[ref[i]]), int(level[i]))
         ))
@@ -443,7 +459,7 @@ def _suprema(geo: Geometry, kern, slopes, homogeneous: bool = True) -> list[_Max
     level that rounds to the same value, which the tie rule prefers.
     """
     cand, lo, hi, level, gap_lo = geo.candidates(homogeneous)
-    content = kern.contents(lo, hi, level)
+    content = kern.contents(lo, hi)
     gaps = np.flatnonzero(gap_lo < level)
     if gaps.size:
         gap_hi, x = level[gaps] - 1, content[gaps]
@@ -469,47 +485,45 @@ def _suprema(geo: Geometry, kern, slopes, homogeneous: bool = True) -> list[_Max
     return out
 
 
-def _kernel(params: SpaceParams, geo: Geometry):
-    """The kernel of the norm that ``params`` names, over ``geo``."""
-    fam, s, tau, p, q = params.family, params.s, params.tau, params.p, params.q
-    if fam == Family.F_TYPE:
-        return _FKernel(geo, s, tau, p, q)
-    if fam == Family.B_TYPE:
-        return _BKernel(geo, s, p, q, tau * geo.dim, params.homogeneous)
-    if fam == Family.CMO:  # tau is r, and p = q
-        return _BKernel(geo, s, q, q, 0.0 if q == INF else tau * geo.dim / q)
-    if fam == Family.BBMO:
-        return _BKernel(geo, s, p, q, 0.0 if p == INF else geo.dim / p)
-    raise ParamError(f"the {Family(fam).value} scale has no kernel")
-
-
+# an overflow or an inf - inf reaches every value it touches, where
+# ``_Maxima`` refuses it
+@np.errstate(over="ignore", invalid="ignore")
 def _maxima(
     rows: Sequence[SpaceParams], geo: Geometry, allow_negative_tau: bool = False
 ) -> list[_Maxima]:
     """The values that the supremum of each norm of ``rows`` runs over, for
-    a forest of one or of many.  The rows name one norm, differing in tau
-    alone when there are several: one kernel serves every tau of an F or B
-    norm, since tau changes only the slope of the supremum.  The
-    infinity-infinity scales take the support cubes alone; F and B refuse
-    tau < 0 unless it is allowed."""
+    a forest of one or of many: the one place that reads a family's
+    parameters.
+
+    Every family weighs a node by ``Geometry.log2_weights(s)``.  The
+    infinity-infinity scales take the weights of the support cubes alone;
+    every other family takes a kernel's contents (``_FKernel`` for F, and
+    ``_BKernel`` for B, for CMO at p = q and for BBMO) plus its slope times
+    the level: tau n for F and B, r n / q for CMO (0 at q = inf) and n / p
+    for BBMO (0 at p = inf), the factor of BBMO's per-level average.  The
+    rows name one norm, differing in tau alone when there are several: one
+    kernel serves every tau of an F or B norm, since tau changes only the
+    slope.  F and B refuse tau < 0 unless it is allowed; only they read
+    ``homogeneous``."""
     first = rows[0]
+    fam, s, p, q, n = first.family, first.s, first.p, first.q, geo.dim
     if len(rows) > 1 and (
-        first.family not in (Family.F_TYPE, Family.B_TYPE)
+        fam not in (Family.F_TYPE, Family.B_TYPE)
         or len({(r.family, r.s, r.p, r.q, r.homogeneous) for r in rows}) > 1
     ):
         raise ValueError("the rows must name one F or B norm differing in tau alone")
-    if first.family in (Family.F_INF_INF, Family.B_INF_INF):
+    if fam in (Family.F_INF_INF, Family.B_INF_INF):
         node = np.arange(geo.m)
-        values = geo.level_f * (first.s + geo.dim / 2.0) + geo.log2t
-        return [_Maxima(geo, values, geo.level, node, node, geo.seg_lo)]
-    if first.family not in (Family.F_TYPE, Family.B_TYPE):
-        kern = _kernel(first, geo)
-        return _suprema(geo, kern, [kern.slope])
+        return [_Maxima(geo, geo.log2_weights(s), geo.level, node, node, geo.seg_lo)]
+    if fam == Family.CMO:  # tau is r, and p = q
+        return _suprema(geo, _BKernel(geo, s, q, q), [0.0 if q == INF else first.tau * n / q])
+    if fam == Family.BBMO:
+        return _suprema(geo, _BKernel(geo, s, p, q), [0.0 if p == INF else n / p])
     if not allow_negative_tau:
         for r in rows:
             check_exponents(r.p, r.q, r.tau)
-    slopes = [r.tau * geo.dim for r in rows]  # as ``_kernel`` gives each
-    return _suprema(geo, _kernel(first, geo), slopes, first.homogeneous)
+    kernel = _FKernel if fam == Family.F_TYPE else _BKernel
+    return _suprema(geo, kernel(geo, s, p, q), [r.tau * n for r in rows], first.homogeneous)
 
 
 def _norm_value(
@@ -662,11 +676,13 @@ _DECODER_BIG = json.JSONDecoder(parse_int=decimal_to_int)
 def save_jsonl(t: CubeSequence, path: str | Path) -> None:
     """Write header + one record per cube; log2 magnitudes round-trip exactly.
 
-    A record is written by one format string, as ``json_dumps`` with
-    sorted keys would write it: ``v`` is Infinity past the float range."""
+    The header and each record are written by one format string each, as
+    ``json.dumps`` with sorted keys writes them, integers of any size
+    included: ``v`` is Infinity past the float range."""
     root = t.root
-    header = {"dim": t.dim, "root": {"j": root.level, "k": list(root.index)}, "depth": t.max_depth}
-    lines = [json_dumps(header, sort_keys=True)]
+    k = ", ".join(map(int_to_decimal, root.index))
+    lines = [f'{{"depth": {t.max_depth}, "dim": {t.dim}, '
+             f'"root": {{"j": {int_to_decimal(root.level)}, "k": [{k}]}}}}']
     for level, index, lv in t._records():  # lv is finite
         k = ", ".join(map(int_to_decimal, index))
         v = log2_to_linear(lv)

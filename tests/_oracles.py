@@ -7,7 +7,8 @@ cube and support-tree types, and are only meant for small, benign inputs.
 
 ``reference_candidates`` and ``reference_supremum`` are the other kind of
 reference: they run the production kernels over the full, uncompressed
-candidate set, enumerated as path tuples.
+candidate set, enumerated as path tuples, each kernel with the slope the
+paper gives its family.
 
 ``reference_function_norm`` is the analyzer's function-side norm evaluated
 one dyadic cube at a time, the loop the pyramid in ``analyze`` replaced.
@@ -22,15 +23,17 @@ replaced for parents whose child shifts fit in a float's mantissa.
 ``reference_sample_set`` draws a sample set one ``random_sequence`` at a
 time and compiles the list as a ``Forest``: the route that drawing the set
 straight into one forest replaced.  ``reference_jsonl`` is the text
-``save_jsonl`` writes, each record through ``json_dumps``.
+``save_jsonl`` writes, the header and each record through ``json_dumps``,
+``json.dumps`` that also writes integers past the digit limit.
 
 ``reference_random_bandlimited`` and ``reference_sawtooth_smoothed`` are the
 analyzer's seeded signals as direct sums, one full-grid cosine or sine per
 mode: the loops that one inverse FFT of the known spectrum replaced.
 
-``candidate_value`` is the single-cube term of the outer supremum at any
-cube comparable to the root, through the production kernel, and ``locate``
-the range of support nodes inside that cube.
+``candidate_value`` is the single-cube term of the outer supremum of a
+homogeneous F or B norm at any cube comparable to the root, through the
+production kernel and the slope tau n, and ``locate`` the range of support
+nodes inside that cube.
 
 ``reference_certify`` is ``certify_separation`` with each depth's tower
 evaluated alone, through ``b_type_norm`` and ``norm``: the per-depth loop
@@ -51,7 +54,9 @@ and the ``caterpillar`` fields of long tails under a spine of branch points.
 """
 from __future__ import annotations
 
+import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
@@ -66,8 +71,9 @@ from dyadic_spaces import (
 from dyadic_spaces._geometry import _MIN_CHAIN, morton_paths
 from dyadic_spaces._log2 import inv, log2_to_linear
 from dyadic_spaces.analyze import _grids, annulus_profile
+from dyadic_spaces.dyadic import _SAFE_BITS, int_to_decimal
 from dyadic_spaces.equivalence import EquivalenceReport
-from dyadic_spaces.seqspace import _kernel, json_dumps
+from dyadic_spaces.seqspace import _BKernel, _FKernel
 
 INF = math.inf
 NEG_INF = float("-inf")
@@ -409,6 +415,30 @@ def reference_sample_set(seed, count, dims=(1, 2), depth_1d=10, depth_nd=5, reta
     return seqs, Forest(seqs)
 
 
+def json_dumps(obj, **kwargs) -> str:
+    """``json.dumps`` that also writes integers of any size."""
+    try:
+        return json.dumps(obj, **kwargs)
+    except ValueError:  # an integer beyond the limit, or raised again below
+        pass
+    big: list[int] = []
+
+    def swap(o):
+        if isinstance(o, dict):
+            return {k: swap(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [swap(v) for v in o]
+        if isinstance(o, int) and o.bit_length() > _SAFE_BITS:
+            big.append(o)
+            return f"\0{len(big) - 1}"  # a NUL cannot occur in a real string here
+        return o
+
+    text = json.dumps(swap(obj), **kwargs)
+    if big:
+        text = re.sub(r'"\\u0000(\d+)"', lambda m: int_to_decimal(big[int(m[1])]), text)
+    return text
+
+
 def reference_jsonl(t: CubeSequence) -> str:
     """The text of ``save_jsonl``: the header, then each record as
     ``json_dumps`` writes it with sorted keys, one a line."""
@@ -441,8 +471,11 @@ def reference_candidates(seq: CubeSequence):
     ]
 
 
-def reference_supremum(seq: CubeSequence, kern, homogeneous: bool = True, candidates=None):
-    """A production kernel maximized over ``reference_candidates``.
+def reference_supremum(
+    seq: CubeSequence, kern, slope: float, homogeneous: bool = True, candidates=None
+):
+    """A production kernel, plus ``slope`` times the level, maximized over
+    ``reference_candidates``.
 
     Returns the log2 supremum, the cube attaining it (ties to the coarsest
     level, then the smallest index) and the value of every candidate.
@@ -453,11 +486,8 @@ def reference_supremum(seq: CubeSequence, kern, homogeneous: bool = True, candid
     if not kept:
         return NEG_INF, seq.root, {}
     cubes, lo, hi = zip(*kept)
-    level = [c.level for c in cubes]
-    contents = kern.contents(*(np.array(x, dtype=np.int64) for x in (lo, hi, level)))
-    values = {
-        cube: kern.slope * cube.level + float(x) for cube, x in zip(cubes, contents)
-    }
+    contents = kern.contents(*(np.array(x, dtype=np.int64) for x in (lo, hi)))
+    values = {cube: slope * cube.level + float(x) for cube, x in zip(cubes, contents)}
     best = max(values.values())
     cube = min((c for c, v in values.items() if v == best), key=DyadicCube.sort_key)
     return best, cube, values
@@ -487,13 +517,15 @@ def candidate_value(t: CubeSequence, params: SpaceParams, region: DyadicCube) ->
     Accepts any dyadic cube that is comparable to the root (inside it, equal
     to it, or an ancestor of it); cubes disjoint from the root give -inf.
     """
+    assert params.family in (Family.F_TYPE, Family.B_TYPE) and params.homogeneous
     geo = t.geometry
     span = locate(geo, region)
     if span is None:
         return NEG_INF
-    kern = _kernel(params, geo)
-    lo, hi, level = (np.array([x]) for x in (*span, region.level))
-    return float(kern.slope * region.level + kern.contents(lo, hi, level)[0])
+    kernel = _FKernel if params.family == Family.F_TYPE else _BKernel
+    kern = kernel(geo, params.s, params.p, params.q)
+    lo, hi = (np.array([x]) for x in span)
+    return float(params.tau * geo.dim * region.level + kern.contents(lo, hi)[0])
 
 
 def shell_measures(geo) -> np.ndarray:
@@ -544,7 +576,8 @@ def loop_f_contents(geo, s, p, q, lo, hi):
 
 def loop_b_contents(geo, s, p, q, lo, hi, level, homogeneous=True):
     """B-type contents of the ranges [lo, hi) at the given levels, one cube
-    at a time: per-level sums (maxima at p = inf), then their l^q norm."""
+    at a time: per-level sums (maxima at p = inf), then their l^q norm.  The
+    inhomogeneous contents drop the levels < 0."""
     n = geo.dim
     levels = geo.level.tolist()
     logw = [lv * (s + n / 2.0) + t for lv, t in zip(levels, geo.log2t.tolist())]

@@ -40,13 +40,17 @@ def ranges(geo, extra_level: int):
 
 
 def assert_contents_match(geo, lo, hi, level, s=0.3):
+    """The kernels' contents against the loops; the inhomogeneous loop on the
+    ranges at levels >= 0, the only ones the inhomogeneous supremum reads."""
+    cut = level >= 0
     for p, q in B_EXPONENTS:
-        for hom in (True, False):
-            got = _kernels._BKernel(geo, s, p, q, 0.0, hom).contents(lo, hi, level)
-            want = loop_b_contents(geo, s, p, q, lo, hi, level, hom)
-            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12), (p, q, hom)
+        got = _kernels._BKernel(geo, s, p, q).contents(lo, hi)
+        want = loop_b_contents(geo, s, p, q, lo, hi, level)
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12), (p, q)
+        want = loop_b_contents(geo, s, p, q, lo[cut], hi[cut], level[cut], False)
+        assert got[cut].tolist() == pytest.approx(want, rel=1e-12, abs=1e-12), (p, q, False)
     for p, q in F_EXPONENTS:
-        got = _kernels._FKernel(geo, s, 0.0, p, q).contents(lo, hi, level)
+        got = _kernels._FKernel(geo, s, p, q).contents(lo, hi)
         want = loop_f_contents(geo, s, p, q, lo, hi)
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12), (p, q)
 
@@ -117,33 +121,11 @@ def test_tied_weights_at_q_inf():
     values = {cube(n, j, 0): w - j * (s + n / 2) for j, w in enumerate(pattern)}
     geo = CubeSequence.from_log2_values(values, root=cube(n, 0, 0)).geometry
     assert geo.chains[0].tolist() == [0]
-    lo, hi, level = ranges(geo, -1)
+    lo, hi, _ = ranges(geo, -1)
     for p in (1, 2):
-        got = _kernels._FKernel(geo, s, 0.0, p, INF).contents(lo, hi, level)
+        got = _kernels._FKernel(geo, s, p, INF).contents(lo, hi)
         assert got.tolist() == pytest.approx(loop_f_contents(geo, s, p, INF, lo, hi),
                                              rel=1e-12, abs=1e-12)
-
-
-def test_inhomogeneous_range_at_a_negative_level_expands_pairs(monkeypatch):
-    """Below a root at level -4 the inhomogeneous cut drops the tower's
-    levels < 0 from a range at a negative level: that range takes the
-    pairs, while the same range at level >= 0, or homogeneous, is read from
-    the chain."""
-    tower = {cube(1, j, 0): -0.5 * j for j in range(-4, 40)}
-    geo = CubeSequence.from_log2_values(tower, root=cube(1, -4, 0)).geometry
-    assert geo.chains[0].tolist() == [0]
-    lo, hi, level = np.array([1, 5]), np.array([geo.m, geo.m]), np.array([-3, 1])
-    batched = []
-    pairs = _kernels._batched
-    monkeypatch.setattr(_kernels, "_batched", lambda lo, *a: batched.append(lo.size)
-                        or pairs(lo, *a))
-    for p, q in B_EXPONENTS:
-        for hom in (True, False):
-            batched.clear()
-            got = _kernels._BKernel(geo, 0.2, p, q, 0.0, hom).contents(lo, hi, level)
-            want = loop_b_contents(geo, 0.2, p, q, lo, hi, level, hom)
-            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
-            assert sum(batched) == (0 if hom else 1)
 
 
 def mixed_forest() -> list[CubeSequence]:
@@ -192,5 +174,5 @@ def test_tower_takes_no_pairs_and_no_sweep(monkeypatch):
         assert np.isfinite(forest.log2_norms(params)).all()
         assert calls == [], params
     geo = forest._groups[0][1]
-    _kernels._FKernel(geo, 0, 0.5, 1, INF)
+    _kernels._FKernel(geo, 0, 1, INF)
     assert calls == []

@@ -403,6 +403,52 @@ class TestInfiniteParameters:
                 SpaceParams(Family.F_TYPE, s, tau, 1, 2)
 
 
+class TestPastTheFloatRange:
+    """A sequence with support has a finite log2 norm: weights or slopes past
+    the float range exit 3, with no numpy warning first.  The equiv run
+    passed with worst ratios inf and -inf, the f norm failed on an empty
+    maximum, and the finfinf and b norms wrote log2 inf and -inf."""
+
+    @pytest.fixture()
+    def level_2_file(self, tmp_path):
+        path = tmp_path / "level2.jsonl"
+        save_jsonl(CubeSequence.from_values({DyadicCube(1, 2, (1,)): 2.0}), path)
+        return path
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        ["equiv", "--check", "collapse-f", "--s", "1e308", "--tau", "3/2", "--p", "1",
+         "--q", "2", "--samples", "3"],
+        ["sweep", "--s", "1e308", "--samples", "3"],
+        ["norm", "--family", "f", "--s", "1e308", "--tau", "1", "--p", "2", "--q", "2"],
+        ["norm", "--family", "finfinf", "--s", "1e308"],
+        ["norm", "--family", "b", "--s=-1e308", "--tau", "1", "--p", "1", "--q", "2"],
+        ["norm", "--family", "f", "--tau", "1e308", "--p", "2", "--q", "2"],
+        ["norm", "--family", "cmo", "--r", "1e308", "--q", "1"],
+    ], ids=["equiv", "sweep", "f", "finfinf", "b-zero", "f-slope", "cmo-slope"])
+    def test_exit_3(self, args, level_2_file, tmp_path, capsys):
+        if args[0] == "norm":
+            args = [*args, "--in", str(level_2_file)]
+        code, raw = run(args, tmp_path)
+        assert code == 3 and raw == b""
+        assert capsys.readouterr().err == (
+            "error: out of the float range: "
+            "the log2 norm of a sequence with support is not a finite float\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_support_stays_minus_inf(self, tmp_path):
+        """The root's slope term overflows, but a sequence without support
+        has the norm 0 whatever its parameters."""
+        path = tmp_path / "empty.jsonl"
+        root = DyadicCube(1, 2, (1,))
+        save_jsonl(CubeSequence.from_records(root, [], [], [], 0), path)
+        code, raw = run(["norm", "--family", "f", "--tau", "1e308", "--in", str(path)], tmp_path)
+        assert code == 0
+        doc = json.loads(raw)
+        assert doc["log2"] == "-inf" and doc["attained_at"] == {"j": 2, "k": [1]}
+
+
 class TestEquivCsvRows:
     """Each CSV row holds one sample's ratios, recomputed here through the
     library from the same seeded samples."""
@@ -489,6 +535,20 @@ class TestClassify:
         code, raw = run(["classify", "--family", family, "--tau=-inf"], tmp_path)
         assert code == 0
         assert json.loads(raw)["report"]["verdict"] == "trivial_polynomials"
+
+    @pytest.mark.parametrize("args,target", [
+        (["--family", "f", "--q", "inf"], {"p": 2.0, "q": "inf", "s": 0.0}),
+        (["--family", "b", "--tau", "1/4"], None),
+    ])
+    def test_csv_target_reads_as_the_config(self, args, target, tmp_path):
+        """The target cell is RFC 8259 JSON, an infinity written "inf" as
+        in the config cell, and a missing target null."""
+        code, raw = run(["classify", *args, "--format", "csv"], tmp_path)
+        assert code == 0
+        assert b"Infinity" not in raw
+        (row,) = csv.DictReader(io.StringIO(raw.decode()))
+        assert json.loads(row["target_params"]) == target
+        assert json.loads(row["config"])["family"] == args[1]
 
     @pytest.mark.parametrize(
         "args,message",

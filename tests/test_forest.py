@@ -283,3 +283,40 @@ def test_checks_build_no_sequence(argv, monkeypatch, tmp_path):
     monkeypatch.setattr(CubeSequence, "__init__", lambda *a: built.append(1) or init(*a))
     assert cli.main([*argv, "--samples", "20", "--out", str(tmp_path / "out")]) == 0
     assert not built
+
+
+@pytest.mark.filterwarnings("error")
+def test_norms_past_the_float_range_raise():
+    """A sequence with support has a finite log2 norm, so a NaN or infinite
+    supremum raises OverflowError, from the norm functions and from a
+    forest alike; a sequence without support keeps -inf."""
+    root = DyadicCube.unit(1)
+    seq = CubeSequence.from_log2_values({DyadicCube(1, 2, (1,)): 1.0}, root=root)
+    forest = Forest([seq, zero_sequence(root), random_sequence(np.random.default_rng(0), 1, 4)])
+    for params in (
+        SpaceParams(F, 1e308, 1, 2, 2),  # NaN contents
+        SpaceParams(F, 0, 1e308, 2, 2),  # an infinite slope term
+        SpaceParams(B, -1e308, 1, 1, 2),  # -inf for a nonzero sequence
+        SpaceParams(Family.F_INF_INF, 1e308, 0, INF, INF),
+    ):
+        if params.family == F:
+            with pytest.raises(OverflowError, match="not a finite float"):
+                f_type_norm(seq, params)
+        with pytest.raises(OverflowError, match="not a finite float"):
+            forest.log2_norms(params)
+    # the root's slope term overflows; without support the norm is still 0
+    empty = zero_sequence(DyadicCube(1, 2, (1,)))
+    params = SpaceParams(F, 0, 1e308, 2, 2)
+    assert Forest([empty, empty]).log2_norms(params).tolist() == [-math.inf] * 2
+    assert f_type_norm(empty, params).log2_value == -math.inf
+
+
+def test_inhomogeneous_norm_without_support_at_levels_0_up_is_minus_inf():
+    """Support only at negative levels leaves the inhomogeneous supremum no
+    cube to evaluate: its -inf is the norm, not an overflow."""
+    root = DyadicCube(1, -3, (0,))
+    seq = CubeSequence.from_log2_values({DyadicCube(1, -1, (1,)): 1.0}, root=root)
+    for family in (F, B):
+        params = SpaceParams(family, 0.5, 1, 2, 2, homogeneous=False)
+        assert Forest([seq, seq]).log2_norms(params).tolist() == [-math.inf] * 2
+        assert Forest([seq]).log2_norms(params).tolist() == [-math.inf]

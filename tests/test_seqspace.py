@@ -655,49 +655,56 @@ class TestCompressedCandidates:
         assert nodes == sorted(seq.support, key=lambda c: path_from(c, seq.root))
         assert geo.cand_level.size <= max(1, 2 * len(seq))
         cands = reference_candidates(seq)
-        for nv, kern, homogeneous in (
+        n = seq.dim
+        for nv, kern, slope, homogeneous in (
             (
                 f_type_norm(seq, fp(s, tau, p, q, hom), allow_negative_tau=True),
-                seqspace._FKernel(geo, s, tau, p, q),
+                seqspace._FKernel(geo, s, p, q),
+                tau * n,
                 hom,
             ),
             (
                 b_type_norm(seq, bp(s, tau, INF if q == 0.5 else p, q, hom),
                             allow_negative_tau=True),
-                seqspace._BKernel(geo, s, INF if q == 0.5 else p, q, tau * seq.dim, hom),
+                seqspace._BKernel(geo, s, INF if q == 0.5 else p, q),
+                tau * n,
                 hom,
             ),
             (
                 cmo_norm(seq, s, q, r),
-                seqspace._BKernel(geo, s, q, q, 0.0 if q == INF else r * seq.dim / q),
+                seqspace._BKernel(geo, s, q, q),
+                0.0 if q == INF else r * n / q,
                 True,
             ),
             (
                 bbmo_norm(seq, s, p, q),
-                seqspace._BKernel(geo, s, p, q, 0.0 if p == INF else seq.dim / p),
+                seqspace._BKernel(geo, s, p, q),
+                0.0 if p == INF else n / p,
                 True,
             ),
         ):
-            assert_same_supremum(nv, reference_supremum(seq, kern, homogeneous, cands))
+            assert_same_supremum(nv, reference_supremum(seq, kern, slope, homogeneous, cands))
         # the batched contents against the per-candidate loop, on every
-        # candidate and on the ancestor-of-root range
+        # candidate and on the ancestor-of-root range; the inhomogeneous
+        # loop on the ranges at levels >= 0, the only ones its supremum reads
         lo = np.append(geo.cand_lo, 0)
         hi = np.append(geo.cand_hi, geo.m)
         level = np.append(geo.cand_level, seq.root.level - 3)
-        for kern, want in (
-            (seqspace._FKernel(geo, s, tau, p, q), loop_f_contents(geo, s, p, q, lo, hi)),
+        b_contents = seqspace._BKernel(geo, s, p, q).contents(lo, hi)
+        cut = level >= 0
+        for got, want in (
             (
-                seqspace._BKernel(geo, s, p, q, 0.0, hom),
-                loop_b_contents(geo, s, p, q, lo, hi, level, hom),
+                seqspace._FKernel(geo, s, p, q).contents(lo, hi),
+                loop_f_contents(geo, s, p, q, lo, hi),
             ),
+            (b_contents, loop_b_contents(geo, s, p, q, lo, hi, level)),
+            (b_contents[cut], loop_b_contents(geo, s, p, q, lo[cut], hi[cut], level[cut], False)),
             (
-                seqspace._BKernel(geo, s, q, q, 0.0),
+                seqspace._BKernel(geo, s, q, q).contents(lo, hi),
                 loop_b_contents(geo, s, q, q, lo, hi, level),
             ),
         ):
-            assert kern.contents(lo, hi, level).tolist() == pytest.approx(
-                want, rel=1e-12, abs=1e-12
-            )
+            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
         weights = {
             c: c.level * (s + seq.dim / 2) + v for c, v in log2_magnitudes(seq).items()
         }
@@ -738,9 +745,7 @@ class TestCompressedCandidates:
             {Q(0, 0): -60.0, Q(12, 5): 40.0}, root=Q(0, 0)
         )
         nv = f_type_norm(seq, fp(0, 2e-15, 2, 2))
-        best, cube, _ = reference_supremum(
-            seq, seqspace._FKernel(seq.geometry, 0, 2e-15, 2, 2)
-        )
+        best, cube, _ = reference_supremum(seq, seqspace._FKernel(seq.geometry, 0, 2, 2), 2e-15)
         assert nv.attained_at == cube == Q(9, 0)
         assert nv.log2_value == best
 
